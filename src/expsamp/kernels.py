@@ -55,6 +55,11 @@ class Kernel:
     j-th derivative with respect to t of that same map; it is what the
     frequency-side moment evaluation consumes.
 
+    ``log_knots`` and ``piece_degree`` describe the kernel as a piecewise
+    polynomial of t: between consecutive knots (ascending, possibly
+    repeated) eval_log is a polynomial of degree at most ``piece_degree``.
+    The exact moment sup consumes them.
+
     Instances are immutable and compare by identity, so they are safe to
     share across threads and to use as cache keys.
     """
@@ -64,6 +69,8 @@ class Kernel:
     label: str
     mellin_transform: Optional[Callable[[float], complex]] = None
     mellin_transform_derivs: Optional[Callable[[int, float], complex]] = None
+    log_knots: Optional[tuple[float, ...]] = None
+    piece_degree: Optional[int] = None
 
     def eval(self, u: float) -> float:
         """Value chi(u) for u > 0."""
@@ -101,11 +108,12 @@ def _bspline_log(n: int, t: float) -> float:
     half = 0.5 * n
     if n == 1:
         return 1.0 if -0.5 <= t < 0.5 else 0.0
-    if t <= -half or t >= half:
+    if not -half < t < half:  # NaN included
         return 0.0
-    values = [
-        1.0 if -0.5 <= t + 0.5 * (n - 1) - j < 0.5 else 0.0 for j in range(n)
-    ]
+    # Exactly one order-1 cell holds t: testing each cell's bounds instead
+    # can mark two cells when t + n/2 rounds onto an integer.
+    values = [0.0] * n
+    values[min(math.floor(t + half), n - 1)] = 1.0
     for m in range(2, n + 1):
         shift = 0.5 * (n - m)
         for j in range(n - m + 1):
@@ -183,6 +191,10 @@ def bspline_mellin_transform(spec: MellinBSplineSpec, t: float) -> float:
     return _sinc(0.5 * t) ** spec.order
 
 
+def _bspline_knots(n: int) -> tuple[float, ...]:
+    return tuple(j - 0.5 * n for j in range(n + 1))
+
+
 def build_bspline_kernel(spec: MellinBSplineSpec) -> Kernel:
     """Kernel object for a Mellin B-spline of the given order."""
     n = spec.order
@@ -192,6 +204,8 @@ def build_bspline_kernel(spec: MellinBSplineSpec) -> Kernel:
         label=f"bspline:{n}",
         mellin_transform=lambda t: _sinc(0.5 * t) ** n,
         mellin_transform_derivs=lambda j, t: _sincpow_derivs(n, t, j)[j],
+        log_knots=_bspline_knots(n),
+        piece_degree=n - 1,
     )
 
 
@@ -296,6 +310,8 @@ def _build_combo_kernel(spec: TranslatedComboSpec) -> Kernel:
         label=f"combo:{n}:{scale_repr(spec.log_alpha)}:{scale_repr(spec.log_beta)}",
         mellin_transform=transform,
         mellin_transform_derivs=transform_deriv,
+        log_knots=tuple(sorted(k - a for a in (la, lb) for k in _bspline_knots(n))),
+        piece_degree=n - 1,
     )
 
 

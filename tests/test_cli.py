@@ -56,6 +56,14 @@ class TestEval:
         assert lines[0] == "x,approx,exact,abs_error"
         assert [line.split(",")[1] for line in lines[1:]] == ["3", "3", "3"]
 
+    def test_constant_next_to_a_knot(self, capsys):
+        """w log x = -5.55e-17 sits one rounding away from the order-2
+        spline's middle knot; the constant must still come back as 1."""
+        code, out, _ = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "const:1",
+                           "--w", "0.5", "--x", "0.9999999999999999")
+        assert code == 0
+        assert out.strip().split("\n")[1].split(",")[1] == "1"
+
     def test_round_trip_with_reconstruct(self, capsys, tmp_path):
         samples = tmp_path / "s.csv"
         code, out_eval, _ = run(

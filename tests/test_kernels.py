@@ -99,15 +99,17 @@ class TestBSplineValues:
 
     def test_continuous_across_knots_for_order_two_up(self):
         """Orders >= 2 are continuous, including at the knots and the
-        support endpoints."""
-        h = 1e-9
+        support endpoints.  The offset 5.55e-17 puts t + n/2 within
+        round-off of an integer, where the order-1 start of the recursion
+        must still mark a single cell."""
         for n in (2, 3, 4, 5):
             kernel = build_bspline_kernel(MellinBSplineSpec(n))
             knots = [-0.5 * n + j for j in range(n + 1)]
             for knot in knots:
-                left = kernel.eval_log(knot - h)
-                right = kernel.eval_log(knot + h)
-                assert abs(left - right) < 1e-7
+                for h in (1e-9, 5.55e-17):
+                    left = kernel.eval_log(knot - h)
+                    right = kernel.eval_log(knot + h)
+                    assert abs(left - right) < 1e-7
 
     def test_order1_left_closed(self):
         spec = MellinBSplineSpec(1)
@@ -142,6 +144,32 @@ class TestSupport:
             MellinBSplineSpec(4), log_alpha=Fraction(1), log_beta=Fraction(2)
         )
         assert kernel.log_support == (-4.0, 1.0)
+
+
+class TestPiecewisePolynomial:
+    def test_knots(self):
+        b4 = parse_kernel_spec("bspline:4")
+        assert b4.log_knots == (-2.0, -1.0, 0.0, 1.0, 2.0) and b4.piece_degree == 3
+        combo = parse_kernel_spec("combo:4:e^1:e^2")
+        assert combo.log_knots == (-4.0, -3.0, -3.0, -2.0, -2.0, -1.0, -1.0, 0.0, 0.0, 1.0)
+        assert combo.piece_degree == 3
+
+    def test_polynomial_between_knots(self):
+        """The (d+1)-th finite difference of a degree-d polynomial vanishes;
+        on each knot piece it is taken over d + 2 equally spaced points."""
+        for kernel in ALL_TEST_KERNELS + [parse_kernel_spec("combo:3:1.3:0.6")]:
+            d = kernel.piece_degree
+            knots = kernel.log_knots
+            assert list(knots) == sorted(knots)
+            assert (knots[0], knots[-1]) == pytest.approx(kernel.log_support, abs=1e-15)
+            for lo, hi in zip(knots, knots[1:]):
+                if hi - lo < 1e-9:
+                    continue
+                ts = np.linspace(lo, hi, d + 4)[1:-1]
+                diff = [kernel.eval_log(t) for t in ts]
+                for _ in range(d + 1):
+                    diff = [b - a for a, b in zip(diff, diff[1:])]
+                assert abs(diff[0]) < 1e-12, (kernel.label, lo, hi)
 
 
 class TestPartitionOfUnity:

@@ -1,6 +1,7 @@
 """Moment computations: direct sums, frequency side, suprema, brackets."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from expsamp.kernels import (
 )
 from expsamp.moments import (
     absolute_moment,
+    absolute_moment_at_log,
     absolute_moment_sup,
     algebraic_moment,
     algebraic_moment_at_log,
@@ -25,6 +27,72 @@ from expsamp.moments import (
 B2 = parse_kernel_spec("bspline:2")
 B4 = parse_kernel_spec("bspline:4")
 COMBO = parse_kernel_spec("combo:4:e^1:e^2")
+
+# Kernels whose M_nu is continuous in u, and order-1 kernels, which jump.
+CONTINUOUS_SPECS = [f"bspline:{n}" for n in range(1, 11)] + ["combo:4:e^1:e^2", "combo:6:2.5:0.3"]
+JUMP_SPECS = ["combo:1:e^1/3:e^-1/2", "combo:1:1.3:0.6"]
+
+
+def _bare(kernel):
+    """The kernel's evaluator without transform or piece metadata."""
+    return Kernel(eval_log=kernel.eval_log, log_support=kernel.log_support, label="bare")
+
+
+# ---------------------------------------------------------------------------
+# grid oracle for sup M_nu, independent of the library's evaluators
+
+
+def _oracle_bspline(n, t):
+    """Centred cardinal B-spline by the Cox-de Boor recursion on knots 0..n."""
+    x = np.asarray(t, dtype=float) + 0.5 * n
+    basis = [((j <= x) & (x < j + 1)).astype(float) for j in range(n)]
+    for m in range(2, n + 1):
+        basis = [
+            ((x - j) * basis[j] + (j + m - x) * basis[j + 1]) / (m - 1)
+            for j in range(n - m + 1)
+        ]
+    return basis[0]
+
+
+def _oracle_moment_map(spec):
+    """(nu, s) -> M_nu(chi, e^s) for an array s in about [0, 1]."""
+    parts = spec.split(":")
+    n = int(parts[1])
+    if parts[0] == "bspline":
+        terms = [(1.0, 0.0)]
+    else:
+        la, lb = (
+            Fraction(p[2:]) if p.startswith("e^") else Fraction(math.log(float(p)))
+            for p in parts[2:]
+        )
+        terms = [(float(lb / (lb - la)), float(la)), (float(-la / (lb - la)), float(lb))]
+    reach = math.ceil(0.5 * n + max(abs(shift) for _, shift in terms)) + 2
+    ks = np.arange(-reach, reach + 2)
+
+    def moment_map(nu, s):
+        t = s[:, None] - ks[None, :]
+        chi = sum(c * _oracle_bspline(n, t + shift) for c, shift in terms)
+        return np.sum(np.abs(chi) * np.abs(t) ** nu, axis=1)
+
+    return moment_map
+
+
+def _grid_sup(moment_map, nu, grid_size=4096):
+    """Grid estimate of sup M_nu: the best point of a grid on [0, 1), then
+    zooming around it down to ~1e-11.  It approaches the sup from below."""
+    s = np.arange(grid_size) / grid_size
+    values = moment_map(nu, s)
+    i = int(np.argmax(values))
+    best, best_s = float(values[i]), float(s[i])
+    radius = 1.0 / grid_size
+    while radius > 1e-11:
+        s = best_s - radius + np.arange(33) * (radius / 16)
+        values = moment_map(nu, s)
+        i = int(np.argmax(values))
+        if values[i] > best:
+            best, best_s = float(values[i]), float(s[i])
+        radius /= 8.0
+    return best
 
 
 class TestAlgebraicMoment:
@@ -97,30 +165,68 @@ class TestAbsoluteMomentSup:
     def test_b2_values(self):
         """Hand maxima of the periodic moment maps of the order-2 spline:
         constant 1 at order 0, peak 1/2 then 1/4 at half-integer log u."""
-        assert absolute_moment_sup(B2, 0, 1024) == pytest.approx(1.0, abs=1e-12)
-        assert absolute_moment_sup(B2, 1, 1024) == pytest.approx(0.5, abs=1e-10)
-        assert absolute_moment_sup(B2, 2, 1024) == pytest.approx(0.25, abs=1e-10)
+        assert absolute_moment_sup(B2, 0) == pytest.approx(1.0, abs=1e-12)
+        assert absolute_moment_sup(B2, 1) == pytest.approx(0.5, abs=1e-10)
+        assert absolute_moment_sup(B2, 2) == pytest.approx(0.25, abs=1e-10)
 
     def test_b4_first_order_hand_value(self):
         """At half-integer log u the order-4 spline sits at values 23/48 and
-        1/48, giving M_1 = 2*(23/96 + 3/96) = 13/24; the grid maximum lands
-        there."""
-        assert absolute_moment_sup(B4, 1, 1024) == pytest.approx(13.0 / 24.0, abs=1e-10)
+        1/48, giving M_1 = 2*(23/96 + 3/96) = 13/24, the maximum."""
+        assert absolute_moment_sup(B4, 1) == pytest.approx(13.0 / 24.0, abs=1e-10)
 
     def test_b4_third_order_hand_value(self):
         """At integer log u only the neighbours at distance 1 contribute:
         2 * B4(e) * 1 = 1/3, which is the maximum of the cubic map."""
-        assert absolute_moment_sup(B4, 3, 1024) == pytest.approx(1.0 / 3.0, abs=1e-10)
+        assert absolute_moment_sup(B4, 3) == pytest.approx(1.0 / 3.0, abs=1e-10)
 
-    def test_refinement_monotone(self):
+    def test_bounds_every_sampled_value(self):
+        """The sup dominates M_nu at every point of a grid, and so every grid
+        estimate, which grows as the grid is refined."""
+        grid = np.arange(1024) / 1024
+        moment_map = _oracle_moment_map("combo:4:e^1:e^2")
         for nu in (1, 2, 3):
-            coarse = absolute_moment_sup(COMBO, nu, 64)
-            fine = absolute_moment_sup(COMBO, nu, 1024)
+            sup = absolute_moment_sup(COMBO, nu)
+            assert max(absolute_moment_at_log(COMBO, nu, s) for s in grid) <= sup + 1e-12
+            coarse = _grid_sup(moment_map, nu, 64)
+            fine = _grid_sup(moment_map, nu, 1024)
             assert coarse <= fine + 1e-12
+            assert fine <= sup * (1.0 + 1e-12)
 
-    def test_grid_size_validation(self):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            absolute_moment_sup(B2, 1, 8)
+            absolute_moment_sup(B2, 9)
+        with pytest.raises(ValueError):
+            absolute_moment_sup(B2, -1)
+        with pytest.raises(ValueError, match="piecewise-polynomial"):
+            absolute_moment_sup(_bare(B2), 1)
+
+    @pytest.mark.parametrize("spec", CONTINUOUS_SPECS)
+    def test_matches_grid_oracle(self, spec):
+        kernel = parse_kernel_spec(spec)
+        moment_map = _oracle_moment_map(spec)
+        for nu in range(9):
+            want = _grid_sup(moment_map, nu)
+            assert absolute_moment_sup(kernel, nu) == pytest.approx(want, rel=1e-12, abs=0.0), nu
+
+    @pytest.mark.parametrize("spec", JUMP_SPECS)
+    def test_jump_kernels_reach_the_limit(self, spec):
+        """Order-1 kernels jump at knots, and the sup can be a one-sided
+        limit that no u attains; a grid only approaches it from below.
+        The exact sup is at least the grid's (up to round-off) and at most
+        1e-9 above it."""
+        kernel = parse_kernel_spec(spec)
+        moment_map = _oracle_moment_map(spec)
+        for nu in range(9):
+            grid = _grid_sup(moment_map, nu)
+            exact = absolute_moment_sup(kernel, nu)
+            assert grid * (1.0 - 1e-15) <= exact <= grid * (1.0 + 1e-9), nu
+
+    def test_unattained_limit_value(self):
+        """combo:1:e^1/3:e^-1/2 is 3/5 on [-5/6, 1/6) plus 2/5 on [0, 1).
+        On (1/6, 1), M_5(chi, e^s) = 2/5 s^5 + 3/5 (1 - s)^5, which rises to
+        2/5 as s -> 1, while M_5 at s = 0 is 0: sup M_5 = 2/5, never attained."""
+        kernel = parse_kernel_spec("combo:1:e^1/3:e^-1/2")
+        assert absolute_moment_sup(kernel, 5) == pytest.approx(0.4, abs=1e-15)
 
 
 class TestPoissonMoment:
@@ -227,6 +333,21 @@ class TestMomentReport:
     def test_b2_second_moment_flagged_u_dependent(self):
         rep = build_moment_report(B2, 2)
         assert not rep.u_independent
+
+    @pytest.mark.parametrize("spec", CONTINUOUS_SPECS + JUMP_SPECS)
+    def test_u_independence_matches_frequency_side(self, spec):
+        """m_nu is constant in u exactly when it equals the frequency side's
+        constant term, poisson_moment at K_max = 0, at every u."""
+        kernel = parse_kernel_spec(spec)
+        probes = (np.arange(101) + 0.5) / 101
+        for nu in range(9):
+            mean = poisson_moment(kernel, nu, 1.0, 0)  # the same at every u
+            deviation = max(abs(algebraic_moment_at_log(kernel, nu, s) - mean) for s in probes)
+            assert build_moment_report(kernel, nu).u_independent == (deviation <= 1e-10), nu
+
+    def test_requires_piece_metadata(self):
+        with pytest.raises(ValueError, match="piecewise-polynomial"):
+            build_moment_report(_bare(B4), 2)
 
     def test_combo_second_moment_independent(self):
         rep = build_moment_report(COMBO, 2)
