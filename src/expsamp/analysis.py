@@ -10,22 +10,23 @@ Three kinds of studies:
   estimates, with the (uncomputable) K-functional infimum replaced by an
   upper bound over a list of smooth candidate functions.
 
-Studies are pure given their inputs; grid cells may be evaluated in worker
-threads (capped by EXPSAMP_THREADS) with results assembled in input order.
+Studies are pure given their inputs.  Every operator value comes from the
+one sum in ``operators._apply_with_cache``: single values through ``apply``,
+and the sup-error and table sweeps, which evaluate I_{iw} for i = 1..p at
+many points, through ``combinations._rate_values`` with one cell-mean cache
+per rate.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .combinations import CombinationScheme, apply_combo, combo_moment_bracket
+from .combinations import CombinationScheme, _rate_values, apply_combo, combo_moment_bracket
 from .functions import TestFunction
 from .kernels import Kernel
 from .moments import (
@@ -33,7 +34,7 @@ from .moments import (
     algebraic_moment_at_log,
     kantorovich_bracket_at_log,
 )
-from .operators import OperatorConfig, _apply_with_cache, apply
+from .operators import OperatorConfig, apply
 
 __all__ = [
     "ConvergenceStudy",
@@ -56,27 +57,6 @@ ERROR_FLOOR_SCALE = 1e-13
 
 class MomentPreconditionError(Exception):
     """A bound requires vanishing lower moments and the kernel has none."""
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("EXPSAMP_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"EXPSAMP_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ValueError(f"EXPSAMP_THREADS must be >= 0, got {n}")
-    return (os.cpu_count() or 1) if n == 0 else n
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    cap = min(_thread_cap(), len(items))
-    if cap <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 def sup_norm(
@@ -166,7 +146,7 @@ def voronovskaya_check(
         def evaluate(w: float) -> float:
             return apply_combo(f, kernel, scheme, w, x, quad_nodes)
 
-    values = _map_ordered(evaluate, ws)
+    values = [evaluate(w) for w in ws]
     fx = f.f(x)
     scaled = tuple(w ** q * (v - fx) for w, v in zip(ws, values))
     return ConvergenceStudy(
@@ -186,20 +166,10 @@ def _sup_error(
     probe_grid: Sequence[float],
     quad_nodes: int,
 ) -> float:
-    if scheme is None:
-        caches: list[dict[int, float]] = [{}]
-        rates = [w]
-        coeffs = [1.0]
-    else:
-        caches = [{} for _ in scheme.coeffs]
-        rates = [i * w for i in range(1, scheme.p + 1)]
-        coeffs = [float(c) for c in scheme.coeffs]
+    p = 1 if scheme is None else scheme.p
     worst = 0.0
-    for x in probe_grid:
-        value = math.fsum(
-            c * _apply_with_cache(f, kernel, OperatorConfig(w=r, quad_nodes=quad_nodes), x, cache)
-            for c, r, cache in zip(coeffs, rates, caches)
-        )
+    for x, values in zip(probe_grid, _rate_values(f, kernel, w, p, probe_grid, quad_nodes)):
+        value = values[0] if scheme is None else scheme.combine(values)
         err = abs(value - f.f(x))
         if err > worst:
             worst = err
@@ -224,11 +194,7 @@ def estimate_order(
     ws = _check_w_list(w_list, minimum=5)
     if len(probe_grid) == 0:
         raise ValueError("empty probe grid")
-    errors = tuple(
-        _map_ordered(
-            lambda w: _sup_error(f, kernel, scheme, w, probe_grid, quad_nodes), ws
-        )
-    )
+    errors = tuple(_sup_error(f, kernel, scheme, w, probe_grid, quad_nodes) for w in ws)
     floor = ERROR_FLOOR_SCALE * (1.0 + max(abs(f.f(x)) for x in probe_grid))
     if min(errors) < floor:
         return ConvergenceStudy(
@@ -556,17 +522,10 @@ def make_table(
         raise ValueError("empty point list")
     p = scheme.p
     labels = tuple(f"abs_err_w{i * w:g}" for i in range(1, p + 1)) + (f"abs_err_combo_p{p}",)
-    caches: list[dict[int, float]] = [{} for _ in range(p)]
     rows = []
-    for x in xs:
-        singles = [
-            _apply_with_cache(
-                f, kernel, OperatorConfig(w=i * w, quad_nodes=quad_nodes), x, caches[i - 1]
-            )
-            for i in range(1, p + 1)
-        ]
+    for x, singles in zip(xs, _rate_values(f, kernel, w, p, xs, quad_nodes)):
         fx = f.f(x)
-        combo = math.fsum(float(c) * v for c, v in zip(scheme.coeffs, singles))
+        combo = scheme.combine(singles)
         rows.append(tuple(abs(v - fx) for v in singles) + (abs(combo - fx),))
     return ErrorTable(
         w=w,

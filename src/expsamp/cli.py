@@ -286,7 +286,7 @@ def _run_table(args) -> int:
     scheme = solve_coefficients(args.p)
     table = make_table(f, kernel, scheme, args.w, xs, args.quad_nodes)
     with _managed(args) as out:
-        if args.latex or args.format == "latex":
+        if args.format == "latex":
             table.to_latex(out)
         else:
             table.to_csv(out)
@@ -412,8 +412,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--p", type=int, required=True, help="combination size")
     p.add_argument("--x", required=True)
-    p.add_argument("--latex", action="store_true", help="emit a LaTeX tabular block")
-    p.add_argument("--format", choices=("csv", "latex"), default="csv")
+    p.add_argument("--format", choices=("csv", "latex"), default="csv",
+                   help="csv, or latex for a LaTeX tabular block")
     p.set_defaults(run=_run_table)
 
     p = sub.add_parser("converge", help="fit the convergence order over a rate list")

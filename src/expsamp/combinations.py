@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .functions import TestFunction
 from .kernels import Kernel
-from .moments import kantorovich_bracket_at_log
-from .operators import OperatorConfig, apply
+from .moments import _log_location, kantorovich_bracket_at_log
+from .operators import OperatorConfig, _apply_with_cache, _CellMeans
 
 __all__ = ["CombinationScheme", "solve_coefficients", "apply_combo", "combo_moment_bracket"]
 
@@ -40,6 +41,10 @@ class CombinationScheme:
     def power_sum(self, k: int) -> Fraction:
         """sum_i c_i / i^k, exactly."""
         return sum((c / Fraction(i + 1) ** k for i, c in enumerate(self.coeffs)), Fraction(0))
+
+    def combine(self, values: Sequence[float]) -> float:
+        """sum_i c_i * values[i-1], the combined operator from its rates."""
+        return math.fsum(float(c) * v for c, v in zip(self.coeffs, values))
 
 
 def solve_coefficients(p: int) -> CombinationScheme:
@@ -68,6 +73,21 @@ def solve_coefficients(p: int) -> CombinationScheme:
     return CombinationScheme(p=p, coeffs=tuple(coeffs))
 
 
+def _rate_values(
+    f: TestFunction,
+    kernel: Kernel,
+    w: float,
+    p: int,
+    xs: Sequence[float],
+    quad_nodes: int,
+) -> list[list[float]]:
+    """[(I_{iw} f)(x) for i = 1..p] for each x in xs, with one cell-mean
+    cache per rate shared across the points."""
+    cfgs = [OperatorConfig(w=i * w, quad_nodes=quad_nodes) for i in range(1, p + 1)]
+    means = [_CellMeans(f, cfg).__getitem__ for cfg in cfgs]
+    return [[_apply_with_cache(kernel, cfg.w, x, m) for cfg, m in zip(cfgs, means)] for x in xs]
+
+
 def apply_combo(
     f: TestFunction,
     kernel: Kernel,
@@ -77,10 +97,7 @@ def apply_combo(
     quad_nodes: int = 7,
 ) -> float:
     """sum_i c_i * (I_{i*w} f)(x)."""
-    return math.fsum(
-        float(c) * apply(f, kernel, OperatorConfig(w=i * w, quad_nodes=quad_nodes), x)
-        for i, c in enumerate(scheme.coeffs, start=1)
-    )
+    return scheme.combine(_rate_values(f, kernel, w, scheme.p, [x], quad_nodes)[0])
 
 
 def combo_moment_bracket(kernel: Kernel, scheme: CombinationScheme, k: int, u: float) -> float:
@@ -90,6 +107,4 @@ def combo_moment_bracket(kernel: Kernel, scheme: CombinationScheme, k: int, u: f
     combined operator's expansion; the k = p value fixes the asymptotic
     constant of the order-p scheme.
     """
-    if u <= 0.0:
-        raise ValueError(f"moment location must be positive, got {u}")
-    return float(scheme.power_sum(k)) * kantorovich_bracket_at_log(kernel, k, math.log(u))
+    return float(scheme.power_sum(k)) * kantorovich_bracket_at_log(kernel, k, _log_location(u))

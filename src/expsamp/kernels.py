@@ -61,7 +61,7 @@ class Kernel:
     The exact moment sup consumes them.
 
     Instances are immutable and compare by identity, so they are safe to
-    share across threads and to use as cache keys.
+    use as cache keys.
     """
 
     eval_log: Callable[[float], float]
@@ -82,6 +82,19 @@ class Kernel:
     def support_radius(self) -> float:
         a, b = self.log_support
         return max(abs(a), abs(b))
+
+    def window(self, t: float) -> range:
+        """Integers k with t - k in the log-support, widened by one on each
+        side: ceil(t - b) - 1 .. floor(t - a) + 1.
+
+        Every sum over k of eval_log(t - k), in the operator and in the
+        moments, runs over this range.  The widening absorbs the rounding of
+        t - k at the support ends; the extra terms evaluate to exactly 0.
+        """
+        if not math.isfinite(t):
+            raise ValueError(f"kernel window position t must be finite, got {t}")
+        a, b = self.log_support
+        return range(math.ceil(t - b) - 1, math.floor(t - a) + 2)
 
 
 @dataclass(frozen=True)

@@ -49,41 +49,37 @@ def _check_order(nu: int) -> None:
         raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}, got {nu}")
 
 
-def _window(kernel: Kernel, t: float) -> range:
-    """Integers k with t - k inside the log-support, widened by one on each
-    side; the extra terms evaluate to exactly 0."""
-    a, b = kernel.log_support
-    return range(math.ceil(t - b) - 1, math.floor(t - a) + 2)
+def _log_location(u: float) -> float:
+    """log(u) for a moment location 0 < u < inf."""
+    if not 0.0 < u < math.inf:
+        raise ValueError(f"moment location u must be positive and finite, got {u}")
+    return math.log(u)
 
 
 def algebraic_moment_at_log(kernel: Kernel, nu: int, log_u: float) -> float:
     """m_nu(chi, u) with u given as log(u); avoids overflow for u = x^w."""
     _check_order(nu)
     return math.fsum(
-        kernel.eval_log(log_u - k) * (k - log_u) ** nu for k in _window(kernel, log_u)
+        kernel.eval_log(log_u - k) * (k - log_u) ** nu for k in kernel.window(log_u)
     )
 
 
 def algebraic_moment(kernel: Kernel, nu: int, u: float) -> float:
     """Algebraic moment m_nu(chi, u) = sum_k chi(e^-k u)(k - log u)^nu."""
-    if u <= 0.0:
-        raise ValueError(f"moment location must be positive, got {u}")
-    return algebraic_moment_at_log(kernel, nu, math.log(u))
+    return algebraic_moment_at_log(kernel, nu, _log_location(u))
 
 
 def absolute_moment_at_log(kernel: Kernel, nu: int, log_u: float) -> float:
     _check_order(nu)
     return math.fsum(
         abs(kernel.eval_log(log_u - k)) * abs(k - log_u) ** nu
-        for k in _window(kernel, log_u)
+        for k in kernel.window(log_u)
     )
 
 
 def absolute_moment(kernel: Kernel, nu: int, u: float) -> float:
     """Absolute moment M_nu(chi, u); dominates |m_nu(chi, u)| pointwise."""
-    if u <= 0.0:
-        raise ValueError(f"moment location must be positive, got {u}")
-    return absolute_moment_at_log(kernel, nu, math.log(u))
+    return absolute_moment_at_log(kernel, nu, _log_location(u))
 
 
 def absolute_moment_sup(kernel: Kernel, nu: int) -> float:
@@ -291,14 +287,12 @@ def poisson_moment(kernel: Kernel, nu: int, u: float, K_max: int) -> float:
     B-splines with nu < n need only K_max = 0.
     """
     _check_order(nu)
-    if u <= 0.0:
-        raise ValueError(f"moment location must be positive, got {u}")
+    t = _log_location(u)
     if K_max < 0:
         raise ValueError(f"K_max must be >= 0, got {K_max}")
     derivs = kernel.mellin_transform_derivs
     if derivs is None:
         raise ValueError(f"kernel {kernel.label!r} carries no transform derivative metadata")
-    t = math.log(u)
     total = complex(derivs(nu, 0.0))
     for m in range(1, K_max + 1):
         freq = 2.0 * math.pi * m
@@ -323,9 +317,7 @@ def kantorovich_bracket_at_log(kernel: Kernel, i: int, log_u: float) -> float:
 
 
 def kantorovich_bracket(kernel: Kernel, i: int, u: float) -> float:
-    if u <= 0.0:
-        raise ValueError(f"moment location must be positive, got {u}")
-    return kantorovich_bracket_at_log(kernel, i, math.log(u))
+    return kantorovich_bracket_at_log(kernel, i, _log_location(u))
 
 
 def moment_tail(kernel: Kernel, r: int, u: float, gamma: float) -> float:
@@ -335,10 +327,10 @@ def moment_tail(kernel: Kernel, r: int, u: float, gamma: float) -> float:
     compact-support form of the usual decay condition on kernels.
     """
     _check_order(r)
-    t = math.log(u)
+    t = _log_location(u)
     return math.fsum(
         abs(kernel.eval_log(t - k)) * abs(k - t) ** r
-        for k in _window(kernel, t)
+        for k in kernel.window(t)
         if abs(k - t) > gamma
     )
 

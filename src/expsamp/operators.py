@@ -6,9 +6,15 @@ For a kernel chi and rate w > 0 the operator evaluates
 
 i.e. a kernel-weighted sum of normalized cell averages of f(e^u) on the
 uniform log-grid of mesh 1/w.  Compact kernel support makes the sum finite:
-only k with w*log(x) - k inside the log-support contribute.  Cell averages
-come either from Gauss-Legendre quadrature of a known f or from an ingested
-series of precomputed means.
+it runs over ``Kernel.window(w*log(x))``, the k with w*log(x) - k inside the
+log-support, widened by one on each side.
+
+The sum is written once, in ``_apply_with_cache``, which takes the cell
+averages as a callable k -> mean and asks it only where the kernel weight is
+nonzero.  Every value of the package comes from there: ``apply`` and
+``apply_grid`` pass a cache over Gauss-Legendre quadrature of a known f
+(``cell_mean``), ``apply_from_samples`` a lookup in an ingested series of
+precomputed means.
 """
 
 from __future__ import annotations
@@ -54,19 +60,22 @@ class SampleFormatError(ValueError):
 class OperatorConfig:
     """Sampling rate and per-cell quadrature order.
 
-    The truncation range of the series is not configured here: it is derived
-    from the kernel log-support at evaluation time, widened by one index on
-    each side (the extra terms are exactly zero).
+    The truncation range of the series is not configured here: it is the
+    kernel window at evaluation time (see ``Kernel.window``).
     """
 
     w: float
     quad_nodes: int = 7
 
     def __post_init__(self) -> None:
-        if self.w <= 0.0:
-            raise ValueError(f"sampling rate w must be positive, got {self.w}")
+        _check_rate(self.w)
         if not 1 <= self.quad_nodes <= 64:
             raise ValueError(f"quad_nodes must be in 1..64, got {self.quad_nodes}")
+
+
+def _check_rate(w: float) -> None:
+    if not 0.0 < w < math.inf:
+        raise ValueError(f"sampling rate w must be positive and finite, got {w}")
 
 
 def _as_callable(f: FuncLike) -> Callable[[float], float]:
@@ -92,42 +101,45 @@ def cell_mean(f: FuncLike, w: float, k: int, quad_nodes: int = 7) -> float:
     )
 
 
-def _support_window(kernel: Kernel, wt: float, widen: int = 1) -> range:
-    a, b = kernel.log_support
-    return range(math.ceil(wt - b) - widen, math.floor(wt - a) + 1 + widen)
+class _CellMeans(dict):
+    """k -> cell_mean(f, cfg.w, k), each cell computed on its first lookup.
+
+    Shared across evaluation points, so neighbouring points reuse the cells
+    they both touch; a hit is a plain dict lookup.
+    """
+
+    def __init__(self, f: FuncLike, cfg: OperatorConfig) -> None:
+        super().__init__()
+        self.f, self.w, self.quad_nodes = f, cfg.w, cfg.quad_nodes
+
+    def __missing__(self, k: int) -> float:
+        value = self[k] = cell_mean(self.f, self.w, k, self.quad_nodes)
+        return value
+
+
+def _apply_with_cache(
+    kernel: Kernel, w: float, x: float, mean: Callable[[int], float]
+) -> float:
+    """(I_w f)(x) = sum_k chi(w*log(x) - k) * mean(k) over the kernel window.
+
+    The package's one operator sum.  ``mean(k)`` is asked only where the
+    kernel weight is nonzero; the nonzero terms are summed in ascending k
+    with math.fsum.
+    """
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"evaluation point must be positive and finite, got {x}")
+    wt = w * math.log(x)
+    terms = []
+    for k in kernel.window(wt):
+        weight = kernel.eval_log(wt - k)
+        if weight != 0.0:
+            terms.append(weight * mean(k))
+    return math.fsum(terms)
 
 
 def apply(f: FuncLike, kernel: Kernel, cfg: OperatorConfig, x: float) -> float:
     """(I_w f)(x) for a function given in closed form."""
-    if x <= 0.0:
-        raise ValueError(f"evaluation point must be positive, got {x}")
-    wt = cfg.w * math.log(x)
-    terms = []
-    for k in _support_window(kernel, wt):
-        weight = kernel.eval_log(wt - k)
-        if weight != 0.0:
-            terms.append(weight * cell_mean(f, cfg.w, k, cfg.quad_nodes))
-    return math.fsum(terms)
-
-
-def _apply_with_cache(
-    f: FuncLike,
-    kernel: Kernel,
-    cfg: OperatorConfig,
-    x: float,
-    means: dict[int, float],
-) -> float:
-    # Same sum as apply(); reuses cell means across evaluation points.
-    wt = cfg.w * math.log(x)
-    terms = []
-    for k in _support_window(kernel, wt):
-        weight = kernel.eval_log(wt - k)
-        if weight != 0.0:
-            mean = means.get(k)
-            if mean is None:
-                mean = means[k] = cell_mean(f, cfg.w, k, cfg.quad_nodes)
-            terms.append(weight * mean)
-    return math.fsum(terms)
+    return _apply_with_cache(kernel, cfg.w, x, _CellMeans(f, cfg).__getitem__)
 
 
 @dataclass(frozen=True)
@@ -143,8 +155,7 @@ class SampleSeries:
     k_range: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if self.w <= 0.0:
-            raise ValueError(f"sampling rate w must be positive, got {self.w}")
+        _check_rate(self.w)
         k_min, k_max = self.k_range
         missing = [k for k in range(k_min, k_max + 1) if k not in self.means]
         if missing:
@@ -167,35 +178,28 @@ class SampleSeries:
         quad_nodes: int = 7,
     ) -> "SampleSeries":
         """Series whose k_range covers the kernel window of every x in xs."""
-        lo = min(xs)
-        hi = max(xs)
-        a, b = kernel.log_support
-        k_min = math.ceil(w * math.log(lo) - b) - 1
-        k_max = math.floor(w * math.log(hi) - a) + 1
+        k_min = kernel.window(w * math.log(min(xs)))[0]
+        k_max = kernel.window(w * math.log(max(xs)))[-1]
         return cls.from_function(f, w, k_min, k_max, quad_nodes)
 
 
 def apply_from_samples(series: SampleSeries, kernel: Kernel, x: float) -> float:
     """(I_w f)(x) from stored cell means.
 
-    Raises MissingSampleError naming the first cell index the kernel window
-    needs but the series does not cover.
+    Only the cells with a nonzero kernel weight at x are needed.  Raises
+    MissingSampleError naming the first such cell the series does not cover.
     """
-    if x <= 0.0:
-        raise ValueError(f"evaluation point must be positive, got {x}")
-    wt = series.w * math.log(x)
     k_min, k_max = series.k_range
-    terms = []
-    for k in _support_window(kernel, wt, widen=0):
+
+    def mean(k: int) -> float:
         if not k_min <= k <= k_max:
             raise MissingSampleError(
                 f"reconstruction at x={x:g} needs sample k={k}, "
                 f"series covers [{k_min}, {k_max}]"
             )
-        weight = kernel.eval_log(wt - k)
-        if weight != 0.0:
-            terms.append(weight * series.means[k])
-    return math.fsum(terms)
+        return series.means[k]
+
+    return _apply_with_cache(kernel, series.w, x, mean)
 
 
 @dataclass(frozen=True)
@@ -213,10 +217,10 @@ def apply_grid(
     if len(xs) == 0:
         raise ValueError("empty evaluation grid")
     g = _as_callable(f)
-    means: dict[int, float] = {}
+    mean = _CellMeans(f, cfg).__getitem__
     out = []
     for x in xs:
-        value = _apply_with_cache(f, kernel, cfg, x, means)
+        value = _apply_with_cache(kernel, cfg.w, x, mean)
         exact = g(x)
         out.append(GridPoint(x=x, approx=value, exact=exact, abs_error=abs(value - exact)))
     return out
@@ -269,6 +273,8 @@ def read_sample_csv(src: Union[str, TextIO]) -> SampleSeries:
             mean = float(row[1])
         except ValueError:
             raise SampleFormatError(f"line {lineno}: bad mean value {row[1]!r}") from None
+        if not math.isfinite(mean):
+            raise SampleFormatError(f"line {lineno}: mean value must be finite, got {row[1]!r}")
         if k in means:
             raise SampleFormatError(f"line {lineno}: duplicate cell index k={k}")
         means[k] = mean

@@ -292,33 +292,20 @@ class TestComboBound:
         assert rep.lhs < 1e-12
 
 
-class TestThreadCap:
-    def test_parallel_study_matches_serial(self, monkeypatch):
-        """EXPSAMP_THREADS > 1 must not change results or their order."""
-        f = get_function("cos4exp")
-        grid = np.linspace(0.5, 1.0, 51)
-        serial = estimate_order(f, B2, None, W_GEOM, grid)
-        monkeypatch.setenv("EXPSAMP_THREADS", "3")
-        threaded = estimate_order(f, B2, None, W_GEOM, grid)
-        assert threaded.errors == serial.errors
-        assert threaded.fitted_order == serial.fitted_order
-
-    def test_auto_cap(self, monkeypatch):
-        monkeypatch.setenv("EXPSAMP_THREADS", "0")
-        study = voronovskaya_check(get_function("log"), B2, 2.0, W_GEOM)
-        assert study.predicted_limit == pytest.approx(0.5, abs=1e-13)
-
-    def test_invalid_cap_rejected(self, monkeypatch):
-        monkeypatch.setenv("EXPSAMP_THREADS", "lots")
-        with pytest.raises(ValueError, match="EXPSAMP_THREADS"):
-            voronovskaya_check(get_function("log"), B2, 2.0, W_GEOM)
-
-
 class TestErrorTable:
     def test_constant_rows_zero(self):
         table = make_table(get_function("const:1"), B2, solve_coefficients(2), 10.0, [0.7, 1.3])
         for row in table.rows:
             assert all(v < 1e-13 for v in row)
+
+    def test_columns_are_the_single_operators(self):
+        """Column i is |f - I_{iw} f| with I_{iw} exactly as apply gives it."""
+        f = get_function("cos4exp")
+        xs = [0.6, 0.75, 0.8, 0.9, 0.95]
+        table = make_table(f, B2, solve_coefficients(3), 15.0, xs)
+        for x, row in zip(xs, table.rows):
+            for i in range(1, 4):
+                assert row[i - 1] == abs(apply(f, B2, OperatorConfig(i * 15.0), x) - f.f(x))
 
     def test_shape_and_labels(self):
         table = make_table(get_function("cos4exp"), B2, solve_coefficients(3), 15.0, [0.6, 0.9])

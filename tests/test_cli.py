@@ -104,7 +104,7 @@ class TestTable:
 
     def test_latex_flag(self, capsys):
         code, out, _ = run(capsys, "table", "--kernel", "bspline:2", "--fn", "cos4exp",
-                           "--w", "15", "--p", "2", "--x", "0.6", "--latex")
+                           "--w", "15", "--p", "2", "--x", "0.6", "--format", "latex")
         assert code == 0
         assert out.startswith("\\begin{tabular}")
 
@@ -203,6 +203,44 @@ class TestUsageErrors:
                            "--w", "5", "--x", "1.0:2.0:abc")
         assert code == 1
         assert "abc" in err
+
+
+class TestNonFiniteInputs:
+    """Inputs outside 0 < value < inf end in exit 1 and a message naming the
+    value, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--w", "10", "--x", "inf"), "evaluation point must be positive and finite, got inf"),
+            (("--w", "10", "--x", "nan"), "evaluation point must be positive and finite, got nan"),
+            (("--w", "inf", "--x", "1.5"), "sampling rate w must be positive and finite, got inf"),
+            (("--w", "nan", "--x", "1.5"), "sampling rate w must be positive and finite, got nan"),
+            # w * log(x) overflows although both are finite
+            (("--w", "1e308", "--x", "1e10"), "window position t must be finite, got inf"),
+        ],
+    )
+    def test_eval(self, capsys, flags, named):
+        code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "log", *flags)
+        assert code == 1
+        assert out == ""
+        assert named in err
+
+    @pytest.mark.parametrize("u", ["inf", "nan"])
+    def test_moment_location(self, capsys, u):
+        code, out, err = run(capsys, "moments", "--kernel", "bspline:2", "--u", u)
+        assert code == 1
+        assert out == ""
+        assert f"moment location u must be positive and finite, got {u}" in err
+
+    def test_non_finite_sample_mean(self, capsys, tmp_path):
+        samples = tmp_path / "s.csv"
+        samples.write_text("# w=10.0\nk,mean\n-1,0.5\n0,nan\n1,0.5\n")
+        code, out, err = run(capsys, "reconstruct", "--kernel", "bspline:2",
+                             "--samples", str(samples), "--x", "1.0")
+        assert code == 1
+        assert out == ""
+        assert "line 4: mean value must be finite" in err
 
 
 class TestDeterminism:

@@ -82,6 +82,12 @@ class TestApplyCombo:
         for w, x in [(10.0, 1.0), (7.0, 0.6), (23.0, 2.9)]:
             assert abs(apply_combo(f, B2, scheme, w, x) - math.log(x)) < 1e-12
 
+    def test_p1_is_the_single_operator(self):
+        f = get_function("cos4exp")
+        scheme = solve_coefficients(1)
+        for w, x in [(15.0, 0.8), (9.0, 0.55), (40.0, 0.97)]:
+            assert apply_combo(f, B2, scheme, w, x) == apply(f, B2, OperatorConfig(w), x)
+
     def test_matches_explicit_two_rate_form(self):
         """p = 2 is -I_w + 2 I_{2w}."""
         f = get_function("cos4exp")

@@ -146,6 +146,31 @@ class TestSupport:
         assert kernel.log_support == (-4.0, 1.0)
 
 
+class TestWindow:
+    def test_range(self):
+        """ceil(t - b) - 1 .. floor(t - a) + 1 for log-support [a, b]."""
+        b2 = parse_kernel_spec("bspline:2")
+        assert b2.window(0.0) == range(-2, 3)
+        assert b2.window(-2.88) == range(-4, 0)
+        assert parse_kernel_spec("bspline:3").window(0.25) == range(-2, 3)
+
+    def test_covers_every_nonzero_term(self):
+        rng = np.random.default_rng(4)
+        for spec in ("bspline:1", "bspline:4", "combo:4:e^1:e^2"):
+            kernel = parse_kernel_spec(spec)
+            for t in rng.uniform(-50.0, 50.0, 40):
+                window = kernel.window(t)
+                assert kernel.eval_log(t - window[0]) == 0.0
+                assert kernel.eval_log(t - window[-1]) == 0.0
+                outside = [k for k in range(window[0] - 5, window[-1] + 6) if k not in window]
+                assert all(kernel.eval_log(t - k) == 0.0 for k in outside)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_position_rejected(self, t):
+        with pytest.raises(ValueError, match=f"must be finite, got {t}"):
+            parse_kernel_spec("bspline:2").window(t)
+
+
 class TestPiecewisePolynomial:
     def test_knots(self):
         b4 = parse_kernel_spec("bspline:4")

@@ -12,6 +12,7 @@ from expsamp.kernels import (
     build_bspline_kernel,
     parse_kernel_spec,
 )
+from expsamp.combinations import combo_moment_bracket, solve_coefficients
 from expsamp.moments import (
     absolute_moment,
     absolute_moment_at_log,
@@ -361,3 +362,20 @@ class TestLogSpaceEntry:
         w = 500 would overflow as a power."""
         value = algebraic_moment_at_log(B4, 2, 500.0 * math.log(20.0))
         assert value == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
+class TestLocationValidation:
+    ENTRY_POINTS = {
+        "algebraic_moment": lambda u: algebraic_moment(B2, 1, u),
+        "absolute_moment": lambda u: absolute_moment(B2, 1, u),
+        "kantorovich_bracket": lambda u: kantorovich_bracket(B2, 1, u),
+        "combo_moment_bracket": lambda u: combo_moment_bracket(B2, solve_coefficients(2), 2, u),
+        "poisson_moment": lambda u: poisson_moment(B2, 1, u, 2),
+        "moment_tail": lambda u: moment_tail(B2, 1, u, 0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("u", [0.0, -1.0, math.inf, math.nan])
+    def test_rejected_with_the_location_named(self, name, u):
+        with pytest.raises(ValueError, match=f"moment location u must be positive and finite, got {u}"):
+            self.ENTRY_POINTS[name](u)

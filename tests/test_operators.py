@@ -51,6 +51,13 @@ class TestCellMean:
         with pytest.raises(ValueError):
             OperatorConfig(w=5.0, quad_nodes=65)
 
+    @pytest.mark.parametrize("w", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, w):
+        with pytest.raises(ValueError, match=f"positive and finite, got {w}"):
+            OperatorConfig(w=w)
+        with pytest.raises(ValueError, match=f"positive and finite, got {w}"):
+            SampleSeries(w=w, means={0: 1.0}, k_range=(0, 0))
+
 
 class TestApply:
     def test_constant_reproduction(self):
@@ -84,6 +91,17 @@ class TestApply:
     def test_rejects_nonpositive_point(self):
         with pytest.raises(ValueError):
             apply(get_function("log"), B2, OperatorConfig(10.0), -2.0)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_rejects_non_finite_point(self, x):
+        with pytest.raises(ValueError, match=f"evaluation point must be positive and finite, got {x}"):
+            apply(get_function("log"), B2, OperatorConfig(10.0), x)
+
+    def test_overflowing_window_position_rejected(self):
+        """Finite w and x whose w*log(x) overflows get a ValueError, not an
+        OverflowError from the window arithmetic."""
+        with pytest.raises(ValueError, match="must be finite, got inf"):
+            apply(get_function("log"), B2, OperatorConfig(1e308), 1e10)
 
     @pytest.mark.parametrize("fn", ["cos4exp", "sinmix", "log3"])
     def test_quadrature_converged_at_default_order(self, fn):
@@ -137,12 +155,14 @@ class TestApplyGrid:
         assert points[0].abs_error == pytest.approx(0.1474, abs=2e-3)
 
     def test_matches_apply_pointwise(self):
+        """Both run the one operator sum, so the shared cell-mean cache
+        leaves every value bit-identical."""
         f = get_function("sinmix")
         cfg = OperatorConfig(12.0)
         xs = list(np.linspace(2.0, 4.0, 17))
         points = apply_grid(f, B4, cfg, xs)
         for p in points:
-            assert p.approx == pytest.approx(apply(f, B4, cfg, p.x), abs=1e-15)
+            assert p.approx == apply(f, B4, cfg, p.x)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -153,10 +173,16 @@ class TestSampleSeries:
     def test_reconstruction_equals_direct(self):
         f = get_function("cos4exp")
         xs = list(np.linspace(0.5, 1.0, 41))
-        series = SampleSeries.covering(f, B2, 15.0, xs)
-        for x in xs:
-            direct = apply(f, B2, OperatorConfig(15.0), x)
-            assert abs(apply_from_samples(series, B2, x) - direct) < 1e-14
+        for kernel in (B2, B4):
+            series = SampleSeries.covering(f, kernel, 15.0, xs)
+            for x in xs:
+                assert apply_from_samples(series, kernel, x) == apply(f, kernel, OperatorConfig(15.0), x)
+
+    def test_nonzero_weight_cells_suffice(self):
+        """At x = 1 the order-2 spline weighs only k = 0; its neighbours in
+        the window have weight 0 and are not looked up."""
+        series = SampleSeries(w=7.0, means={0: 0.25}, k_range=(0, 0))
+        assert apply_from_samples(series, B2, 1.0) == 0.25
 
     def test_constant_series(self):
         series = SampleSeries.covering(get_function("const:2"), B2, 15.0, [1.3])
@@ -208,6 +234,11 @@ class TestSampleCsv:
             read_sample_csv(io.StringIO("# w=4.0\nk,mean\nzero,1.0\n"))
         with pytest.raises(SampleFormatError, match="line 4"):
             read_sample_csv(io.StringIO("# w=4.0\nk,mean\n0,1.0\n1,abc\n"))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_mean_rejected_with_line(self, token):
+        with pytest.raises(SampleFormatError, match=f"line 4: mean value must be finite, got '{token}'"):
+            read_sample_csv(io.StringIO(f"# w=4.0\nk,mean\n0,1.0\n1,{token}\n2,1.0\n"))
 
     def test_grid_csv_format(self):
         points = apply_grid(get_function("log"), B2, OperatorConfig(10.0), [1.0, 1.5])
