@@ -32,8 +32,6 @@ from .kernels import (
     KernelSpecError,
     MellinBSplineSpec,
     TranslatedComboSpec,
-    bspline_eval,
-    bspline_mellin_transform,
     build_bspline_kernel,
     build_translated_combo,
     parse_kernel_spec,
@@ -90,8 +88,6 @@ __all__ = [
     "apply_combo",
     "apply_from_samples",
     "apply_grid",
-    "bspline_eval",
-    "bspline_mellin_transform",
     "build_bspline_kernel",
     "build_moment_report",
     "build_translated_combo",

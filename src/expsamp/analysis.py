@@ -34,7 +34,7 @@ from .moments import (
     algebraic_moment_at_log,
     kantorovich_bracket_at_log,
 )
-from .operators import OperatorConfig, apply
+from .operators import OperatorConfig, _check_point, _check_rate, apply
 
 __all__ = [
     "ConvergenceStudy",
@@ -107,8 +107,10 @@ def _check_w_list(w_list: Sequence[float], minimum: int) -> tuple[float, ...]:
     ws = tuple(float(w) for w in w_list)
     if len(ws) < minimum:
         raise ValueError(f"need at least {minimum} rates, got {len(ws)}")
-    if any(w <= 0.0 for w in ws) or any(b <= a for a, b in zip(ws, ws[1:])):
-        raise ValueError("rate list must be positive and strictly increasing")
+    for w in ws:
+        _check_rate(w)
+    if any(b <= a for a, b in zip(ws, ws[1:])):
+        raise ValueError("rate list must be strictly increasing")
     return ws
 
 
@@ -127,6 +129,7 @@ def voronovskaya_check(
     the limit is (theta^p f)(x) * Mbar_p / (p+1)! built from the combined
     moment bracket.
     """
+    _check_point(x)
     ws = _check_w_list(w_list, minimum=4)
     q = 1 if scheme is None else scheme.p
     if f.max_theta < q:
@@ -229,6 +232,8 @@ def expansion_prediction(
     """
     if not 1 <= r <= f.max_theta:
         raise ValueError(f"expansion order r={r} not in 1..{f.max_theta}")
+    _check_rate(w)
+    _check_point(x)
     wt = w * math.log(x)
     return math.fsum(
         f.theta(i)(x)
@@ -319,6 +324,8 @@ def first_order_bound(
     """
     if f.max_theta < 1:
         raise ValueError(f"{f.label}: needs a first Mellin derivative")
+    _check_rate(w)
+    _check_point(x)
     m1 = algebraic_moment_at_log(kernel, 1, w * math.log(x))
     actual = apply(f, kernel, OperatorConfig(w=w, quad_nodes=quad_nodes), x)
     lhs = abs(actual - f.f(x) - f.theta(1)(x) / (2.0 * w) * (1.0 + 2.0 * m1))
@@ -360,6 +367,8 @@ def vanishing_moment_bound(
         raise ValueError(f"bound order r={r} not in 1..3")
     if f.max_theta < r:
         raise ValueError(f"{f.label}: needs Mellin derivatives through order {r}")
+    _check_rate(w)
+    _check_point(x)
     wt = w * math.log(x)
     for j in range(1, r):
         mj = algebraic_moment_at_log(kernel, j, wt)
@@ -417,6 +426,8 @@ def combo_bound(
     """
     if f.max_theta < 1:
         raise ValueError(f"{f.label}: needs a first Mellin derivative")
+    _check_rate(w)
+    _check_point(x)
     t = math.log(x)
     actual = apply_combo(f, kernel, scheme, w, x, quad_nodes)
     theta1 = f.theta(1)(x)

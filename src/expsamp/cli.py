@@ -37,7 +37,7 @@ from .analysis import (
 from .combinations import solve_coefficients
 from .functions import get_function
 from .kernels import parse_kernel_spec
-from .moments import build_moment_report
+from .moments import MAX_MOMENT_ORDER, build_moment_report
 from .operators import (
     OperatorConfig,
     SampleSeries,
@@ -75,11 +75,17 @@ def _parse_x_values(text: str) -> list[float]:
         except ValueError:
             bad = next(p for p in parts if not _is_float(p))
             raise UsageError(f"range {text!r}: bad number {bad!r} at position {text.index(bad)}") from None
+        for name, v in (("lo", lo), ("hi", hi), ("step", step)):
+            if not math.isfinite(v):
+                raise UsageError(f"range {text!r}: {name} must be finite, got {v}")
         if not lo < hi:
             raise UsageError(f"range {text!r}: lo must be < hi")
         if step <= 0.0:
             raise UsageError(f"range {text!r}: step must be positive")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        span = (hi - lo) / step
+        if not math.isfinite(span):
+            raise UsageError(f"range {text!r}: too many points, (hi - lo) / step = {span}")
+        count = int(math.floor(span + 1e-9)) + 1
         values = [lo + i * step for i in range(count)]
     else:
         values = []
@@ -196,9 +202,15 @@ def _scheme_payload(scheme) -> dict:
 # subcommand runners
 
 
+def _moment_orders(nu_max: int) -> range:
+    if not 0 <= nu_max <= MAX_MOMENT_ORDER:
+        raise UsageError(f"--nu-max must be in 0..{MAX_MOMENT_ORDER}, got {nu_max}")
+    return range(nu_max + 1)
+
+
 def _run_kernel_info(args) -> int:
     kernel = parse_kernel_spec(args.kernel)
-    reports = [build_moment_report(kernel, nu) for nu in range(args.nu_max + 1)]
+    reports = [build_moment_report(kernel, nu) for nu in _moment_orders(args.nu_max)]
     with _managed(args) as out:
         if args.format == "json":
             payload = {
@@ -223,7 +235,7 @@ def _run_kernel_info(args) -> int:
 
 def _run_moments(args) -> int:
     kernel = parse_kernel_spec(args.kernel)
-    reports = [build_moment_report(kernel, nu, at_u=args.u) for nu in range(args.nu_max + 1)]
+    reports = [build_moment_report(kernel, nu, at_u=args.u) for nu in _moment_orders(args.nu_max)]
     with _managed(args) as out:
         if args.format == "csv":
             out.write("nu,m_nu,M_nu_sup,u_independent\n")

@@ -133,9 +133,12 @@ def get_function(name: str) -> TestFunction:
     """Look up a built-in test function; ``const:<c>`` takes any constant."""
     if name.startswith("const:"):
         try:
-            return _constant(float(name.split(":", 1)[1]))
+            c = float(name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad constant in function name {name!r}") from None
+        if not math.isfinite(c):
+            raise ValueError(f"constant in function name {name!r} must be finite, got {c}")
+        return _constant(c)
     if name == "const":
         return _constant(1.0)
     try:

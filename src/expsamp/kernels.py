@@ -20,21 +20,25 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 __all__ = [
     "Kernel",
     "KernelSpecError",
     "MellinBSplineSpec",
     "TranslatedComboSpec",
-    "bspline_eval",
-    "bspline_mellin_transform",
     "build_bspline_kernel",
     "build_translated_combo",
     "parse_kernel_spec",
 ]
 
 MAX_ORDER = 10
+
+# Largest float spacing ulp(t) allowed at a window position t = w*log(x).
+# The kernel weights are read at the offsets t - k, which carry only
+# t's fractional part; from |t| >= 2^23 on it is known to no better than
+# ulp(t) >= 2^-29 > 1e-9, and at |t| >= 2^52 it is gone altogether.
+WINDOW_ULP_TOL = 1e-9
 
 
 class KernelSpecError(ValueError):
@@ -43,40 +47,43 @@ class KernelSpecError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Evaluatable kernel with compact log-support and transform metadata.
+    """Evaluatable kernel: a piecewise polynomial of t = log(u) on knots.
 
     ``eval_log`` is the primary evaluator: it takes t = log(u) and returns
     chi(u).  All operator and moment code works in log scale, so exp/log
-    round trips are avoided.  ``log_support`` is a closed interval [a, b];
-    eval_log returns exactly 0.0 outside it.
+    round trips are avoided.
 
-    ``mellin_transform`` maps t to the transform value at the purely
-    imaginary point it.  ``mellin_transform_derivs`` maps (j, t) to the
-    j-th derivative with respect to t of that same map; it is what the
-    frequency-side moment evaluation consumes.
+    ``log_knots`` and ``piece_degree`` describe the kernel's shape: between
+    consecutive knots (ascending, possibly repeated) eval_log is a
+    polynomial of degree at most ``piece_degree``, and outside the end
+    knots it is exactly 0.0.  The log-support, the summation window and
+    the exact moment sup all come from them.
 
-    ``log_knots`` and ``piece_degree`` describe the kernel as a piecewise
-    polynomial of t: between consecutive knots (ascending, possibly
-    repeated) eval_log is a polynomial of degree at most ``piece_degree``.
-    The exact moment sup consumes them.
+    ``mellin_transform_derivs`` maps (j, t) to the j-th derivative with
+    respect to t of the transform phi(t) = integral of u^(it-1) chi(u) du;
+    j = 0 is the transform itself.  The frequency-side moment evaluation
+    consumes it.
 
     Instances are immutable and compare by identity, so they are safe to
     use as cache keys.
     """
 
     eval_log: Callable[[float], float]
-    log_support: tuple[float, float]
     label: str
-    mellin_transform: Optional[Callable[[float], complex]] = None
-    mellin_transform_derivs: Optional[Callable[[int, float], complex]] = None
-    log_knots: Optional[tuple[float, ...]] = None
-    piece_degree: Optional[int] = None
+    mellin_transform_derivs: Callable[[int, float], complex]
+    log_knots: tuple[float, ...]
+    piece_degree: int
 
     def eval(self, u: float) -> float:
         """Value chi(u) for u > 0."""
         if u <= 0.0:
             raise ValueError(f"kernel argument must be positive, got {u}")
         return self.eval_log(math.log(u))
+
+    @property
+    def log_support(self) -> tuple[float, float]:
+        """The closed interval [a, b] spanned by the end knots."""
+        return self.log_knots[0], self.log_knots[-1]
 
     @property
     def support_radius(self) -> float:
@@ -90,11 +97,21 @@ class Kernel:
         Every sum over k of eval_log(t - k), in the operator and in the
         moments, runs over this range.  The widening absorbs the rounding of
         t - k at the support ends; the extra terms evaluate to exactly 0.
+        Raises ValueError for a non-finite t, and for one whose spacing
+        ulp(t) exceeds WINDOW_ULP_TOL, where t - k has lost the fractional
+        part the kernel weights depend on.
         """
-        if not math.isfinite(t):
-            raise ValueError(f"kernel window position t must be finite, got {t}")
-        a, b = self.log_support
-        return range(math.ceil(t - b) - 1, math.floor(t - a) + 2)
+        if not math.ulp(t) <= WINDOW_ULP_TOL:  # NaN and inf included
+            if not math.isfinite(t):
+                raise ValueError(f"kernel window position t must be finite, got {t}")
+            raise ValueError(
+                f"w*log(x) = {t!r} is too large: its float spacing {math.ulp(t):.3g} "
+                f"exceeds {WINDOW_ULP_TOL:g}, so its fractional part is lost"
+            )
+        # the end knots read directly: going through the log_support property
+        # adds a call to every window on the operator's hot path
+        knots = self.log_knots
+        return range(math.ceil(t - knots[-1]) - 1, math.floor(t - knots[0]) + 2)
 
 
 @dataclass(frozen=True)
@@ -133,17 +150,6 @@ def _bspline_log(n: int, t: float) -> float:
             a = t + shift - j
             values[j] = ((0.5 * m + a) * values[j] + (0.5 * m - a) * values[j + 1]) / (m - 1)
     return values[0]
-
-
-def bspline_eval(spec: MellinBSplineSpec, u: float) -> float:
-    """B-spline kernel value at u > 0; a function of log(u) only."""
-    if u <= 0.0:
-        raise ValueError(f"kernel argument must be positive, got {u}")
-    return _bspline_log(spec.order, math.log(u))
-
-
-def _sinc(x: float) -> float:
-    return 1.0 if x == 0.0 else math.sin(x) / x
 
 
 def _sinc_derivs(x: float, jmax: int) -> list[float]:
@@ -198,12 +204,6 @@ def _sincpow_derivs(n: int, t: float, jmax: int) -> list[float]:
     return [math.factorial(i) * coeffs[i] for i in range(jmax + 1)]
 
 
-def bspline_mellin_transform(spec: MellinBSplineSpec, t: float) -> float:
-    """Transform of the order-n B-spline kernel at the imaginary point it:
-    (sin(t/2)/(t/2))^n, with the t = 0 limit equal to 1."""
-    return _sinc(0.5 * t) ** spec.order
-
-
 def _bspline_knots(n: int) -> tuple[float, ...]:
     return tuple(j - 0.5 * n for j in range(n + 1))
 
@@ -213,9 +213,7 @@ def build_bspline_kernel(spec: MellinBSplineSpec) -> Kernel:
     n = spec.order
     return Kernel(
         eval_log=lambda t: _bspline_log(n, t),
-        log_support=(-0.5 * n, 0.5 * n),
         label=f"bspline:{n}",
-        mellin_transform=lambda t: _sinc(0.5 * t) ** n,
         mellin_transform_derivs=lambda j, t: _sincpow_derivs(n, t, j)[j],
         log_knots=_bspline_knots(n),
         piece_degree=n - 1,
@@ -239,20 +237,6 @@ class TranslatedComboSpec:
         if self.log_alpha == self.log_beta:
             raise ValueError("translate factors must differ (alpha != beta)")
 
-    @classmethod
-    def from_scales(cls, base: MellinBSplineSpec, alpha: float, beta: float) -> "TranslatedComboSpec":
-        if alpha <= 0.0 or beta <= 0.0:
-            raise ValueError("translate factors must be positive")
-        return cls(base, Fraction(math.log(alpha)), Fraction(math.log(beta)))
-
-    @property
-    def alpha(self) -> float:
-        return math.exp(float(self.log_alpha))
-
-    @property
-    def beta(self) -> float:
-        return math.exp(float(self.log_beta))
-
     @property
     def c1(self) -> Fraction:
         return self.log_beta / (self.log_beta - self.log_alpha)
@@ -262,30 +246,9 @@ class TranslatedComboSpec:
         return -self.log_alpha / (self.log_beta - self.log_alpha)
 
 
-def build_translated_combo(
-    base: MellinBSplineSpec,
-    alpha: float | Fraction | None = None,
-    beta: float | Fraction | None = None,
-    *,
-    log_alpha: Fraction | None = None,
-    log_beta: Fraction | None = None,
-) -> Kernel:
+def build_translated_combo(spec: TranslatedComboSpec) -> Kernel:
     """Kernel c1*Bn(alpha*u) + c2*Bn(beta*u) with the moment-preserving coefficients
-    c1 = log(beta)/(log(beta) - log(alpha)), c2 = -log(alpha)/(log(beta) - log(alpha)).
-
-    Pass alpha/beta as scale factors, or give log_alpha/log_beta directly
-    (exact rationals, e.g. from an ``e^q`` specifier).
-    """
-    if log_alpha is None or log_beta is None:
-        if alpha is None or beta is None:
-            raise ValueError("give either alpha/beta or log_alpha/log_beta")
-        spec = TranslatedComboSpec.from_scales(base, float(alpha), float(beta))
-    else:
-        spec = TranslatedComboSpec(base, log_alpha, log_beta)
-    return _build_combo_kernel(spec)
-
-
-def _build_combo_kernel(spec: TranslatedComboSpec) -> Kernel:
+    c1 = log(beta)/(log(beta) - log(alpha)), c2 = -log(alpha)/(log(beta) - log(alpha))."""
     n = spec.base.order
     la = float(spec.log_alpha)
     lb = float(spec.log_beta)
@@ -295,11 +258,8 @@ def _build_combo_kernel(spec: TranslatedComboSpec) -> Kernel:
     def eval_log(t: float) -> float:
         return c1 * _bspline_log(n, t + la) + c2 * _bspline_log(n, t + lb)
 
-    def transform(t: float) -> complex:
-        # translate by h scales the transform at it by h^(-it) = e^(-it*log h)
-        return (c1 * cmath.exp(-1j * t * la) + c2 * cmath.exp(-1j * t * lb)) * _sinc(0.5 * t) ** n
-
     def transform_deriv(j: int, t: float) -> complex:
+        # translate by h scales the transform at it by h^(-it) = e^(-it*log h)
         base_d = _sincpow_derivs(n, t, j)
         total = 0j
         for c, a in ((c1, la), (c2, lb)):
@@ -309,8 +269,6 @@ def _build_combo_kernel(spec: TranslatedComboSpec) -> Kernel:
             total += c * cmath.exp(-1j * t * a) * inner
         return total
 
-    support = (-0.5 * n - max(la, lb), 0.5 * n - min(la, lb))
-
     def scale_repr(logv: Fraction) -> str:
         # exact e^q specs keep the rational; float-born logs print as scales
         if logv.denominator <= 1000:
@@ -319,20 +277,19 @@ def _build_combo_kernel(spec: TranslatedComboSpec) -> Kernel:
 
     return Kernel(
         eval_log=eval_log,
-        log_support=support,
         label=f"combo:{n}:{scale_repr(spec.log_alpha)}:{scale_repr(spec.log_beta)}",
-        mellin_transform=transform,
         mellin_transform_derivs=transform_deriv,
         log_knots=tuple(sorted(k - a for a in (la, lb) for k in _bspline_knots(n))),
         piece_degree=n - 1,
     )
 
 
-def _parse_scale_token(token: str) -> tuple[Fraction | None, float | None]:
-    """A translate factor: either ``e^<rational>`` (exact) or a decimal literal."""
+def _parse_log_scale(token: str) -> Fraction:
+    """Log of a translate factor given as ``e^<rational>`` (kept exact) or
+    as a decimal literal (the float log, itself an exact rational)."""
     if token.startswith("e^"):
         try:
-            return Fraction(token[2:]), None
+            return Fraction(token[2:])
         except (ValueError, ZeroDivisionError) as exc:
             raise KernelSpecError(f"bad exponent in scale factor {token!r}: {exc}") from None
     try:
@@ -341,7 +298,10 @@ def _parse_scale_token(token: str) -> tuple[Fraction | None, float | None]:
         raise KernelSpecError(f"bad scale factor {token!r}: not a decimal or e^<rational>") from None
     if value <= 0.0:
         raise KernelSpecError(f"scale factor must be positive, got {token!r}")
-    return None, value
+    return Fraction(math.log(value))
+
+
+_SPEC_FIELDS = {"bspline": ("order",), "combo": ("order", "alpha", "beta")}
 
 
 def parse_kernel_spec(text: str) -> Kernel:
@@ -353,32 +313,21 @@ def parse_kernel_spec(text: str) -> Kernel:
     * ``combo:<n>:<alpha>:<beta>`` where alpha/beta are decimal literals or
       ``e^<rational>`` (the exponent is stored exactly, not as a float)
     """
-    parts = text.split(":")
-    family = parts[0]
-    if family == "bspline":
-        if len(parts) != 2:
-            raise KernelSpecError(f"bspline spec needs one order field, got {text!r}")
-        try:
-            order = int(parts[1])
-        except ValueError:
-            raise KernelSpecError(f"bad B-spline order {parts[1]!r} in {text!r}") from None
-        try:
-            return build_bspline_kernel(MellinBSplineSpec(order))
-        except ValueError as exc:
-            raise KernelSpecError(str(exc)) from None
-    if family == "combo":
-        if len(parts) != 4:
-            raise KernelSpecError(f"combo spec needs order, alpha, beta fields, got {text!r}")
-        try:
-            order = int(parts[1])
-        except ValueError:
-            raise KernelSpecError(f"bad B-spline order {parts[1]!r} in {text!r}") from None
-        exact_a, float_a = _parse_scale_token(parts[2])
-        exact_b, float_b = _parse_scale_token(parts[3])
-        log_a = exact_a if exact_a is not None else Fraction(math.log(float_a))
-        log_b = exact_b if exact_b is not None else Fraction(math.log(float_b))
-        try:
-            return build_translated_combo(MellinBSplineSpec(order), log_alpha=log_a, log_beta=log_b)
-        except ValueError as exc:
-            raise KernelSpecError(str(exc)) from None
-    raise KernelSpecError(f"unknown kernel family {family!r} in {text!r} (want bspline|combo)")
+    family, *fields = text.split(":")
+    if family not in _SPEC_FIELDS:
+        raise KernelSpecError(f"unknown kernel family {family!r} in {text!r} (want bspline|combo)")
+    names = _SPEC_FIELDS[family]
+    if len(fields) != len(names):
+        raise KernelSpecError(f"want {family}:<{'>:<'.join(names)}>, got {text!r}")
+    try:
+        order = int(fields[0])
+    except ValueError:
+        raise KernelSpecError(f"bad B-spline order {fields[0]!r} in {text!r}") from None
+    log_scales = [_parse_log_scale(token) for token in fields[1:]]
+    try:
+        base = MellinBSplineSpec(order)
+        if family == "bspline":
+            return build_bspline_kernel(base)
+        return build_translated_combo(TranslatedComboSpec(base, *log_scales))
+    except ValueError as exc:
+        raise KernelSpecError(str(exc)) from None

@@ -5,8 +5,8 @@ The algebraic moment of order nu at u is
     m_nu(chi, u) = sum_k chi(e^-k * u) * (k - log u)^nu
 
 and the absolute moment replaces both factors by absolute values.  Both
-are 1-periodic functions of log(u).  For kernels with transform metadata
-the same quantity can be evaluated on the frequency side,
+are 1-periodic functions of log(u).  The same quantity can be evaluated on
+the frequency side, from the kernel's transform derivatives,
 
     m_nu(chi, u) = i^nu * sum_m phi^(nu)(2*pi*m) * u^(-2*pi*i*m),
 
@@ -93,8 +93,6 @@ def absolute_moment_sup(kernel: Kernel, nu: int) -> float:
     from inside a piece that no u attains; so the interpolant's value at a
     piece end counts as well, where it differs from the value there by more
     than round-off (1e-12 relative).
-
-    Raises ValueError for a kernel without piecewise-polynomial metadata.
     """
     _check_order(nu)
     pieces = _pieces(kernel, absolute=True)
@@ -149,8 +147,6 @@ def _pieces(kernel: Kernel, absolute: bool) -> list[tuple[float, float]]:
     where chi changes sign, so for M_nu the fractional parts of those
     zeros are breakpoints as well.
     """
-    if kernel.log_knots is None or kernel.piece_degree is None:
-        raise ValueError(f"kernel {kernel.label!r} carries no piecewise-polynomial metadata")
     points = list(kernel.log_knots)
     if absolute:
         points += _sign_changes(kernel)
@@ -291,8 +287,6 @@ def poisson_moment(kernel: Kernel, nu: int, u: float, K_max: int) -> float:
     if K_max < 0:
         raise ValueError(f"K_max must be >= 0, got {K_max}")
     derivs = kernel.mellin_transform_derivs
-    if derivs is None:
-        raise ValueError(f"kernel {kernel.label!r} carries no transform derivative metadata")
     total = complex(derivs(nu, 0.0))
     for m in range(1, K_max + 1):
         freq = 2.0 * math.pi * m

@@ -78,6 +78,11 @@ def _check_rate(w: float) -> None:
         raise ValueError(f"sampling rate w must be positive and finite, got {w}")
 
 
+def _check_point(x: float) -> None:
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"evaluation point must be positive and finite, got {x}")
+
+
 def _as_callable(f: FuncLike) -> Callable[[float], float]:
     return f.f if isinstance(f, TestFunction) else f
 
@@ -126,8 +131,7 @@ def _apply_with_cache(
     kernel weight is nonzero; the nonzero terms are summed in ascending k
     with math.fsum.
     """
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"evaluation point must be positive and finite, got {x}")
+    _check_point(x)
     wt = w * math.log(x)
     terms = []
     for k in kernel.window(wt):

@@ -27,6 +27,7 @@ B2 = parse_kernel_spec("bspline:2")
 B4 = parse_kernel_spec("bspline:4")
 COMBO = parse_kernel_spec("combo:4:e^1:e^2")
 W_GEOM = [10.0, 20.0, 40.0, 80.0, 160.0]
+LOG = get_function("log")
 
 
 class TestSupNorm:
@@ -87,6 +88,38 @@ class TestVoronovskaya:
             voronovskaya_check(get_function("log"), B2, 2.0, [10.0, 20.0, 40.0])
         with pytest.raises(ValueError):
             voronovskaya_check(get_function("log"), B2, 2.0, [10.0, 10.0, 20.0, 40.0])
+
+
+class TestDomainGuards:
+    """The analysis entry points check w and x first, with the operator's
+    own messages, instead of failing inside log() or the kernel window."""
+
+    CALLS = {
+        "voronovskaya_check": lambda w, x: voronovskaya_check(LOG, B2, x, [w, 2 * w, 4 * w, 8 * w]),
+        "voronovskaya_check/p=2": lambda w, x: voronovskaya_check(
+            LOG, B2, x, [w, 2 * w, 4 * w, 8 * w], solve_coefficients(2)
+        ),
+        "expansion_prediction": lambda w, x: expansion_prediction(LOG, B2, x, w, 1),
+        "first_order_bound": lambda w, x: first_order_bound(LOG, B2, w, x),
+        "vanishing_moment_bound": lambda w, x: vanishing_moment_bound(LOG, B4, w, x, 2),
+        "combo_bound": lambda w, x: combo_bound(LOG, B2, solve_coefficients(2), w, x),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
+    def test_point(self, name, x):
+        with pytest.raises(ValueError, match=f"evaluation point must be positive and finite, got {x}"):
+            self.CALLS[name](10.0, x)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("w", [0.0, math.inf, math.nan])
+    def test_rate(self, name, w):
+        with pytest.raises(ValueError, match=f"sampling rate w must be positive and finite, got {w}"):
+            self.CALLS[name](w, 2.0)
+
+    def test_rate_list(self):
+        with pytest.raises(ValueError, match="sampling rate w must be positive and finite, got nan"):
+            estimate_order(LOG, B2, None, [10.0, 20.0, math.nan, 40.0, 80.0], [1.0, 2.0])
 
 
 class TestEstimateOrder:

@@ -204,6 +204,13 @@ class TestUsageErrors:
         assert code == 1
         assert "abc" in err
 
+    @pytest.mark.parametrize("command", ["kernel-info", "moments"])
+    @pytest.mark.parametrize("nu_max", ["-1", "9"])
+    def test_moment_order_range(self, capsys, command, nu_max):
+        code, out, err = run(capsys, command, "--kernel", "bspline:2", "--nu-max", nu_max)
+        assert (code, out) == (1, "")
+        assert f"--nu-max must be in 0..8, got {nu_max}" in err
+
 
 class TestNonFiniteInputs:
     """Inputs outside 0 < value < inf end in exit 1 and a message naming the
@@ -218,12 +225,63 @@ class TestNonFiniteInputs:
             (("--w", "nan", "--x", "1.5"), "sampling rate w must be positive and finite, got nan"),
             # w * log(x) overflows although both are finite
             (("--w", "1e308", "--x", "1e10"), "window position t must be finite, got inf"),
+            # finite w * log(x) whose fractional part is lost: the sum would
+            # print 2.079 against log(2) = 0.693
+            (("--w", "1e308", "--x", "2"), "w*log(x) = 6.931471805599452e+307 is too large"),
+            (("--w", "10", "--x", "1:inf:1"), "range '1:inf:1': hi must be finite, got inf"),
+            (("--w", "10", "--x=-inf:2:1"), "range '-inf:2:1': lo must be finite, got -inf"),
+            (("--w", "10", "--x", "1:2:nan"), "range '1:2:nan': step must be finite, got nan"),
+            (("--w", "10", "--x", "1:2:inf"), "range '1:2:inf': step must be finite, got inf"),
+            (("--w", "10", "--x", "1:1e300:1e-10"), "too many points, (hi - lo) / step = inf"),
         ],
     )
     def test_eval(self, capsys, flags, named):
         code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "log", *flags)
         assert code == 1
         assert out == ""
+        assert named in err
+
+    def test_window_position_tolerance_boundary(self, capsys):
+        """At x = e, w*log(x) = w: 2^23 - 1 is evaluated, 2^23 refused."""
+        x = repr(math.e)
+        code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "log",
+                             "--w", "8388607", "--x", x)
+        assert (code, err) == (0, "")
+        assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(1.0 + 0.5 / 8388607)
+        code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "log",
+                             "--w", "8388608", "--x", x)
+        assert (code, out) == (1, "")
+        assert "w*log(x) = 8388608.0 is too large" in err
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_constant_function(self, capsys, c):
+        code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", f"const:{c}",
+                             "--w", "10", "--x", "2")
+        assert (code, out) == (1, "")
+        assert f"'const:{c}' must be finite, got {c}" in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("voronovskaya", "--x", "0", "--w-list", "10,20,40,80"),
+             "evaluation point must be positive and finite, got 0.0"),
+            (("voronovskaya", "--x", "0", "--w-list", "10,20,40,80", "--p", "2"),
+             "evaluation point must be positive and finite, got 0.0"),
+            (("bounds", "--x", "-1", "--w", "10"),
+             "evaluation point must be positive and finite, got -1.0"),
+            (("bounds", "--x", "2", "--w", "nan"),
+             "sampling rate w must be positive and finite, got nan"),
+            (("bounds", "--x", "2", "--w", "inf", "--check", "combo", "--p", "2"),
+             "sampling rate w must be positive and finite, got inf"),
+            (("bounds", "--x", "inf", "--w", "10", "--check", "moment", "--r", "1"),
+             "evaluation point must be positive and finite, got inf"),
+            (("converge", "--w-list", "10,20,nan,40,80"),
+             "sampling rate w must be positive and finite, got nan"),
+        ],
+    )
+    def test_studies(self, capsys, argv, named):
+        code, out, err = run(capsys, argv[0], "--kernel", "bspline:2", "--fn", "log", *argv[1:])
+        assert (code, out) == (1, "")
         assert named in err
 
     @pytest.mark.parametrize("u", ["inf", "nan"])

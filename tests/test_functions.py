@@ -35,6 +35,11 @@ class TestRegistry:
         with pytest.raises(ValueError, match="bad constant"):
             get_function("const:abc")
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_non_finite_constant_rejected(self, c):
+        with pytest.raises(ValueError, match=f"'const:{c}' must be finite, got {c}"):
+            get_function(f"const:{c}")
+
     def test_missing_derivative_order_rejected(self):
         with pytest.raises(ValueError):
             get_function("log").theta(4)

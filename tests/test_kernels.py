@@ -1,18 +1,18 @@
 """Kernel family tests: spline values, transforms, translated combinations."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from expsamp.kernels import (
+    WINDOW_ULP_TOL,
     Kernel,
     KernelSpecError,
     MellinBSplineSpec,
     TranslatedComboSpec,
-    bspline_eval,
-    bspline_mellin_transform,
     build_bspline_kernel,
     build_translated_combo,
     parse_kernel_spec,
@@ -29,6 +29,12 @@ ALL_TEST_KERNELS = [
 ]
 
 
+def _sinc_power(n: int, t: float) -> float:
+    """Closed-form transform of the order-n B-spline at the imaginary
+    point it: (sin(t/2)/(t/2))^n, with the t = 0 limit equal to 1."""
+    return 1.0 if t == 0.0 else (math.sin(0.5 * t) / (0.5 * t)) ** n
+
+
 def _partition_residual(kernel: Kernel, x: float, w: float) -> float:
     a, b = kernel.log_support
     t = w * math.log(x)
@@ -42,24 +48,25 @@ def _partition_residual(kernel: Kernel, x: float, w: float) -> float:
 class TestBSplineValues:
     def test_order2_piecewise(self):
         """Order-2 spline is the hat 1 - |log u| on e^-1 < u < e."""
-        spec = MellinBSplineSpec(2)
-        assert bspline_eval(spec, 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert bspline_eval(spec, math.exp(0.5)) == pytest.approx(0.5, abs=1e-15)
-        assert bspline_eval(spec, math.exp(-0.5)) == pytest.approx(0.5, abs=1e-15)
-        assert bspline_eval(spec, math.e ** 2) == 0.0
+        kernel = build_bspline_kernel(MellinBSplineSpec(2))
+        assert kernel.eval(1.0) == pytest.approx(1.0, abs=1e-15)
+        assert kernel.eval(math.exp(0.5)) == pytest.approx(0.5, abs=1e-15)
+        assert kernel.eval(math.exp(-0.5)) == pytest.approx(0.5, abs=1e-15)
+        assert kernel.eval(math.e ** 2) == 0.0
         # both branches at a generic interior point
-        assert bspline_eval(spec, math.exp(0.25)) == pytest.approx(0.75, abs=1e-15)
-        assert bspline_eval(spec, math.exp(-0.8)) == pytest.approx(0.2, abs=1e-15)
+        assert kernel.eval(math.exp(0.25)) == pytest.approx(0.75, abs=1e-15)
+        assert kernel.eval(math.exp(-0.8)) == pytest.approx(0.2, abs=1e-15)
 
     def test_order4_center_value(self):
         """B4 at u = 1: the divided-difference formula gives
         (2^3 - 4*1^3) / 3! = 2/3."""
-        assert bspline_eval(MellinBSplineSpec(4), 1.0) == pytest.approx(2.0 / 3.0, abs=1e-14)
+        assert build_bspline_kernel(MellinBSplineSpec(4)).eval(1.0) == pytest.approx(
+            2.0 / 3.0, abs=1e-14
+        )
 
     def test_order4_center_matches_transform_inversion(self):
         """Independent route to B4(1): invert the closed-form transform,
         B4(e^0) = (1/pi) * int_0^inf (sinc(t/2))^4 dt by evenness."""
-        spec = MellinBSplineSpec(4)
         nodes, weights = np.polynomial.legendre.leggauss(12)
         total = 0.0
         for panel in range(600):
@@ -67,26 +74,25 @@ class TestBSplineValues:
             b = a + math.pi
             ts = 0.5 * (b - a) * nodes + 0.5 * (a + b)
             total += 0.5 * (b - a) * sum(
-                wq * bspline_mellin_transform(spec, t) for t, wq in zip(ts, weights)
+                wq * _sinc_power(4, t) for t, wq in zip(ts, weights)
             )
-        assert total / math.pi == pytest.approx(bspline_eval(spec, 1.0), abs=1e-6)
+        kernel = build_bspline_kernel(MellinBSplineSpec(4))
+        assert total / math.pi == pytest.approx(kernel.eval(1.0), abs=1e-6)
 
     def test_rejects_nonpositive_argument(self):
-        spec = MellinBSplineSpec(2)
+        kernel = build_bspline_kernel(MellinBSplineSpec(2))
         with pytest.raises(ValueError):
-            bspline_eval(spec, 0.0)
+            kernel.eval(0.0)
         with pytest.raises(ValueError):
-            bspline_eval(spec, -1.5)
+            kernel.eval(-1.5)
 
     def test_symmetry(self):
         """B_n(u) = B_n(1/u)."""
         rng = np.random.default_rng(42)
         for n in (2, 3, 4, 6):
-            spec = MellinBSplineSpec(n)
+            kernel = build_bspline_kernel(MellinBSplineSpec(n))
             for u in rng.uniform(0.05, 20.0, size=200):
-                assert bspline_eval(spec, u) == pytest.approx(
-                    bspline_eval(spec, 1.0 / u), abs=1e-13
-                )
+                assert kernel.eval(u) == pytest.approx(kernel.eval(1.0 / u), abs=1e-13)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
@@ -112,10 +118,10 @@ class TestBSplineValues:
                     assert abs(left - right) < 1e-7
 
     def test_order1_left_closed(self):
-        spec = MellinBSplineSpec(1)
-        assert bspline_eval(spec, math.exp(-0.5)) == 1.0
-        assert bspline_eval(spec, math.exp(0.5)) == 0.0
-        assert bspline_eval(spec, 1.0) == 1.0
+        kernel = build_bspline_kernel(MellinBSplineSpec(1))
+        assert kernel.eval(math.exp(-0.5)) == 1.0
+        assert kernel.eval(math.exp(0.5)) == 0.0
+        assert kernel.eval(1.0) == 1.0
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -141,9 +147,36 @@ class TestSupport:
 
     def test_combo_support_hull(self):
         kernel = build_translated_combo(
-            MellinBSplineSpec(4), log_alpha=Fraction(1), log_beta=Fraction(2)
+            TranslatedComboSpec(MellinBSplineSpec(4), Fraction(1), Fraction(2))
         )
         assert kernel.log_support == (-4.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [f"bspline:{n}" for n in range(1, 11)]
+        + ["combo:4:e^1:e^2", "combo:2:e^1/2:e^-1/2", "combo:7:e^-3/7:e^5/3",
+           "combo:3:1.3:0.6", "combo:6:2.5:0.3", "combo:10:0.1:7.25"],
+    )
+    def test_log_support_is_the_knot_hull(self, spec):
+        """[-n/2, n/2] for bspline:n; for combo:n the base support shifted by
+        -log(alpha) and by -log(beta), i.e. [-n/2 - max(la, lb), n/2 - min(la, lb)].
+        Both ends equal the end knots bit for bit."""
+        kernel = parse_kernel_spec(spec)
+        fields = spec.split(":")
+        n = int(fields[1])
+        if fields[0] == "bspline":
+            want = (-0.5 * n, 0.5 * n)
+        else:
+            la, lb = (
+                float(Fraction(t[2:])) if t.startswith("e^") else math.log(float(t))
+                for t in fields[2:]
+            )
+            want = (-0.5 * n - max(la, lb), 0.5 * n - min(la, lb))
+        assert kernel.log_support == want
+        assert kernel.log_support == (min(kernel.log_knots), max(kernel.log_knots))
+        a, b = want
+        assert kernel.eval_log(math.nextafter(a, -math.inf)) == 0.0
+        assert kernel.eval_log(math.nextafter(b, math.inf)) == 0.0
 
 
 class TestWindow:
@@ -170,6 +203,17 @@ class TestWindow:
         with pytest.raises(ValueError, match=f"must be finite, got {t}"):
             parse_kernel_spec("bspline:2").window(t)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_position_tolerance_boundary(self, sign):
+        """ulp(t) <= WINDOW_ULP_TOL holds up to |t| < 2^23 and fails from 2^23."""
+        kernel = parse_kernel_spec("bspline:2")
+        inside = sign * math.nextafter(2.0 ** 23, 0.0)
+        assert math.ulp(inside) <= WINDOW_ULP_TOL < math.ulp(2.0 ** 23)
+        assert math.floor(inside) in kernel.window(inside)
+        for t in (sign * 2.0 ** 23, sign * 1e300):
+            with pytest.raises(ValueError, match=re.escape(f"w*log(x) = {t!r} is too large")):
+                kernel.window(t)
+
 
 class TestPiecewisePolynomial:
     def test_knots(self):
@@ -186,7 +230,6 @@ class TestPiecewisePolynomial:
             d = kernel.piece_degree
             knots = kernel.log_knots
             assert list(knots) == sorted(knots)
-            assert (knots[0], knots[-1]) == pytest.approx(kernel.log_support, abs=1e-15)
             for lo, hi in zip(knots, knots[1:]):
                 if hi - lo < 1e-9:
                     continue
@@ -210,12 +253,12 @@ class TestPartitionOfUnity:
 
 class TestMellinTransform:
     def test_pinned_values(self):
-        assert bspline_mellin_transform(MellinBSplineSpec(2), 0.0) == 1.0
-        assert abs(bspline_mellin_transform(MellinBSplineSpec(2), 2.0 * math.pi)) < 1e-30
+        phi2 = build_bspline_kernel(MellinBSplineSpec(2)).mellin_transform_derivs
+        phi4 = build_bspline_kernel(MellinBSplineSpec(4)).mellin_transform_derivs
+        assert phi2(0, 0.0) == 1.0
+        assert abs(phi2(0, 2.0 * math.pi)) < 1e-30
         want = (2.0 / math.pi) ** 4
-        assert bspline_mellin_transform(MellinBSplineSpec(4), math.pi) == pytest.approx(
-            want, rel=1e-14
-        )
+        assert phi4(0, math.pi) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("t", [0.5, 1.0, math.pi, 5.0])
@@ -233,8 +276,8 @@ class TestMellinTransform:
                 wq * kernel.eval_log(v) * complex(math.cos(t * v), math.sin(t * v))
                 for v, wq in zip(vs, weights)
             )
-        want = bspline_mellin_transform(MellinBSplineSpec(n), t)
-        assert abs(total - want) < 1e-8
+        assert abs(total - kernel.mellin_transform_derivs(0, t)) < 1e-8
+        assert abs(total - _sinc_power(n, t)) < 1e-8
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("j", [0, 1, 2, 3])
@@ -263,9 +306,10 @@ class TestMellinTransform:
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("t0", [0.7, 2.0, 2.0 * math.pi])
     def test_derivative_map_matches_finite_differences(self, n, t0):
-        """Analytic transform derivatives vs Richardson central differences."""
+        """Analytic transform derivatives vs Richardson central differences
+        of the closed-form transform."""
         kernel = build_bspline_kernel(MellinBSplineSpec(n))
-        phi = kernel.mellin_transform
+        phi = lambda t: _sinc_power(n, t)
         h = 1e-3
 
         def fd1(t):
@@ -312,12 +356,12 @@ class TestTranslatedCombo:
 
     def test_eval_is_weighted_translates(self):
         kernel = build_translated_combo(
-            MellinBSplineSpec(4), log_alpha=Fraction(1), log_beta=Fraction(2)
+            TranslatedComboSpec(MellinBSplineSpec(4), Fraction(1), Fraction(2))
         )
-        b4 = MellinBSplineSpec(4)
+        b4 = build_bspline_kernel(MellinBSplineSpec(4))
         rng = np.random.default_rng(5)
         for u in rng.uniform(0.01, 2.0, size=300):
-            want = 2.0 * bspline_eval(b4, math.e * u) - bspline_eval(b4, math.e ** 2 * u)
+            want = 2.0 * b4.eval(math.e * u) - b4.eval(math.e ** 2 * u)
             assert kernel.eval(u) == pytest.approx(want, abs=1e-14)
 
     def test_combo_takes_negative_values(self):
@@ -326,8 +370,9 @@ class TestTranslatedCombo:
         assert min(kernel.eval_log(t) for t in ts) < -0.05
 
     def test_equal_factors_rejected(self):
+        log_scale = Fraction(math.log(1.5))
         with pytest.raises(ValueError):
-            build_translated_combo(MellinBSplineSpec(4), 1.5, 1.5)
+            TranslatedComboSpec(MellinBSplineSpec(4), log_scale, log_scale)
 
 
 class TestSpecParsing:
@@ -344,11 +389,11 @@ class TestSpecParsing:
 
     def test_combo_decimal_factors(self):
         kernel = parse_kernel_spec("combo:2:1.5:2.5")
-        b2 = MellinBSplineSpec(2)
+        b2 = build_bspline_kernel(MellinBSplineSpec(2))
         c1 = math.log(2.5) / (math.log(2.5) - math.log(1.5))
         c2 = 1.0 - c1
         for u in (0.4, 0.8, 1.1):
-            want = c1 * bspline_eval(b2, 1.5 * u) + c2 * bspline_eval(b2, 2.5 * u)
+            want = c1 * b2.eval(1.5 * u) + c2 * b2.eval(2.5 * u)
             assert kernel.eval(u) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize(

@@ -6,12 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from expsamp.kernels import (
-    Kernel,
-    MellinBSplineSpec,
-    build_bspline_kernel,
-    parse_kernel_spec,
-)
+from expsamp.kernels import parse_kernel_spec
 from expsamp.combinations import combo_moment_bracket, solve_coefficients
 from expsamp.moments import (
     absolute_moment,
@@ -32,11 +27,6 @@ COMBO = parse_kernel_spec("combo:4:e^1:e^2")
 # Kernels whose M_nu is continuous in u, and order-1 kernels, which jump.
 CONTINUOUS_SPECS = [f"bspline:{n}" for n in range(1, 11)] + ["combo:4:e^1:e^2", "combo:6:2.5:0.3"]
 JUMP_SPECS = ["combo:1:e^1/3:e^-1/2", "combo:1:1.3:0.6"]
-
-
-def _bare(kernel):
-    """The kernel's evaluator without transform or piece metadata."""
-    return Kernel(eval_log=kernel.eval_log, log_support=kernel.log_support, label="bare")
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +188,6 @@ class TestAbsoluteMomentSup:
             absolute_moment_sup(B2, 9)
         with pytest.raises(ValueError):
             absolute_moment_sup(B2, -1)
-        with pytest.raises(ValueError, match="piecewise-polynomial"):
-            absolute_moment_sup(_bare(B2), 1)
 
     @pytest.mark.parametrize("spec", CONTINUOUS_SPECS)
     def test_matches_grid_oracle(self, spec):
@@ -282,15 +270,6 @@ class TestPoissonMoment:
                 algebraic_moment(kernel, 2, u), abs=2e-3
             )
 
-    def test_requires_transform_metadata(self):
-        bare = Kernel(
-            eval_log=build_bspline_kernel(MellinBSplineSpec(2)).eval_log,
-            log_support=(-1.0, 1.0),
-            label="bare",
-        )
-        with pytest.raises(ValueError):
-            poisson_moment(bare, 1, 1.0, 10)
-
 
 class TestKantorovichBracket:
     def test_b4_values(self):
@@ -345,10 +324,6 @@ class TestMomentReport:
             mean = poisson_moment(kernel, nu, 1.0, 0)  # the same at every u
             deviation = max(abs(algebraic_moment_at_log(kernel, nu, s) - mean) for s in probes)
             assert build_moment_report(kernel, nu).u_independent == (deviation <= 1e-10), nu
-
-    def test_requires_piece_metadata(self):
-        with pytest.raises(ValueError, match="piecewise-polynomial"):
-            build_moment_report(_bare(B4), 2)
 
     def test_combo_second_moment_independent(self):
         rep = build_moment_report(COMBO, 2)
