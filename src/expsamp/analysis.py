@@ -10,23 +10,30 @@ Three kinds of studies:
   estimates, with the (uncomputable) K-functional infimum replaced by an
   upper bound over a list of smooth candidate functions.
 
-Studies are pure given their inputs.  Every operator value comes from the
-one sum in ``operators._apply_with_cache``: single values through ``apply``,
-and the sup-error and table sweeps, which evaluate I_{iw} for i = 1..p at
-many points, through ``combinations._rate_values`` with one cell-mean cache
-per rate.
+Studies are pure given their inputs.  The plain operator I_w is the p = 1
+combination, so a study without a scheme runs the combination path with
+``solve_coefficients(1)``.  Every operator value comes from the one sum in
+``operators._apply_with_cache``: through ``combinations._rate_values``,
+which evaluates I_{iw} for i = 1..p with one cell-mean cache per rate, or
+through ``apply`` for the vanishing-moment bound.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .combinations import CombinationScheme, _rate_values, apply_combo, combo_moment_bracket
+from .combinations import (
+    CombinationScheme,
+    _rate_values,
+    apply_combo,
+    combo_moment_bracket,
+    solve_coefficients,
+)
 from .functions import TestFunction
 from .kernels import Kernel
 from .moments import (
@@ -66,11 +73,11 @@ def sup_norm(
 ) -> float:
     """sup |g| over the interval: dense grid plus one local refinement pass."""
     lo, hi = interval
-    grid = np.linspace(lo, hi, points)
+    grid = np.linspace(lo, hi, points).tolist()
     vals = [abs(g(x)) for x in grid]
     i = int(np.argmax(vals))
     best = vals[i]
-    sub = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], 81)
+    sub = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], 81).tolist()
     for x in sub:
         v = abs(g(x))
         if v > best:
@@ -124,32 +131,19 @@ def voronovskaya_check(
 ) -> ConvergenceStudy:
     """w^q-scaled pointwise errors against the predicted limit constant.
 
-    Without a scheme, q = 1 and the limit is
-    (theta f)(x)/2 * (1 + 2 m_1(chi, x)); with an order-p scheme, q = p and
-    the limit is (theta^p f)(x) * Mbar_p / (p+1)! built from the combined
-    moment bracket.
+    For an order-p scheme (p = 1 without one), q = p and the limit is
+    (theta^p f)(x) * Mbar_p / (p+1)! built from the combined moment
+    bracket; at p = 1 that is (theta f)(x)/2 * (m_0 + 2 m_1)(chi, x).
     """
     _check_point(x)
     ws = _check_w_list(w_list, minimum=4)
-    q = 1 if scheme is None else scheme.p
+    scheme = scheme or solve_coefficients(1)
+    q = scheme.p
     if f.max_theta < q:
         raise ValueError(f"{f.label}: needs Mellin derivative of order {q}")
-
-    if scheme is None:
-        m1 = algebraic_moment_at_log(kernel, 1, math.log(x))
-        predicted = 0.5 * f.theta(1)(x) * (1.0 + 2.0 * m1)
-
-        def evaluate(w: float) -> float:
-            return apply(f, kernel, OperatorConfig(w=w, quad_nodes=quad_nodes), x)
-
-    else:
-        bracket = combo_moment_bracket(kernel, scheme, q, x)
-        predicted = f.theta(q)(x) * bracket / math.factorial(q + 1)
-
-        def evaluate(w: float) -> float:
-            return apply_combo(f, kernel, scheme, w, x, quad_nodes)
-
-    values = [evaluate(w) for w in ws]
+    bracket = combo_moment_bracket(kernel, scheme, q, x)
+    predicted = f.theta(q)(x) * bracket / math.factorial(q + 1)
+    values = [apply_combo(f, kernel, scheme, w, x, quad_nodes) for w in ws]
     fx = f.f(x)
     scaled = tuple(w ** q * (v - fx) for w, v in zip(ws, values))
     return ConvergenceStudy(
@@ -164,16 +158,15 @@ def voronovskaya_check(
 def _sup_error(
     f: TestFunction,
     kernel: Kernel,
-    scheme: Optional[CombinationScheme],
+    scheme: CombinationScheme,
     w: float,
     probe_grid: Sequence[float],
     quad_nodes: int,
 ) -> float:
-    p = 1 if scheme is None else scheme.p
     worst = 0.0
-    for x, values in zip(probe_grid, _rate_values(f, kernel, w, p, probe_grid, quad_nodes)):
-        value = values[0] if scheme is None else scheme.combine(values)
-        err = abs(value - f.f(x))
+    rows = _rate_values(f, kernel, w, scheme.p, probe_grid, quad_nodes)
+    for x, values in zip(probe_grid, rows):
+        err = abs(scheme.combine(values) - f.f(x))
         if err > worst:
             worst = err
     return worst
@@ -189,6 +182,7 @@ def estimate_order(
 ) -> ConvergenceStudy:
     """Fitted convergence order from sup errors over a geometric rate list.
 
+    Without a scheme the plain operator, the p = 1 combination, is fitted.
     The fit uses only the top half of the rates (the small-w entries are
     pre-asymptotic).  When the sup error sits at the round-off floor the
     function is reproduced exactly and an infinite order is reported
@@ -197,6 +191,7 @@ def estimate_order(
     ws = _check_w_list(w_list, minimum=5)
     if len(probe_grid) == 0:
         raise ValueError("empty probe grid")
+    scheme = scheme or solve_coefficients(1)
     errors = tuple(_sup_error(f, kernel, scheme, w, probe_grid, quad_nodes) for w in ws)
     floor = ERROR_FLOOR_SCALE * (1.0 + max(abs(f.f(x)) for x in probe_grid))
     if min(errors) < floor:
@@ -301,6 +296,11 @@ def _k_upper(
         if value < best:
             best = value
             best_label = g.label
+    if not math.isfinite(best):
+        raise ValueError(
+            f"the K-functional upper bound overflows on [{interval[0]:.6g}, {interval[1]:.6g}]; "
+            f"the rate is too small for a finite right side"
+        )
     desc = (
         f"K-functional upper bound min_g(||theta^{r}(f-g)|| + eps*||theta^{r + 1}g||), "
         f"candidates={[g.label for g in pool]}, best=g={best_label}, "
@@ -317,31 +317,13 @@ def first_order_bound(
     candidates: Sequence[TestFunction] = (),
     quad_nodes: int = 7,
 ) -> BoundReport:
-    """First-order remainder estimate.
+    """First-order remainder estimate: ``combo_bound`` of the p = 1 scheme.
 
     lhs: |(I_w f)(x) - f(x) - (theta f)(x)/(2w) * (1 + 2 m_1(chi, x^w))|
     rhs: (1 + 2 M_1)/w * K(f, (1 + 3 M_1 + 3 M_2) / (6w (1 + 2 M_1)))
     """
-    if f.max_theta < 1:
-        raise ValueError(f"{f.label}: needs a first Mellin derivative")
-    _check_rate(w)
-    _check_point(x)
-    m1 = algebraic_moment_at_log(kernel, 1, w * math.log(x))
-    actual = apply(f, kernel, OperatorConfig(w=w, quad_nodes=quad_nodes), x)
-    lhs = abs(actual - f.f(x) - f.theta(1)(x) / (2.0 * w) * (1.0 + 2.0 * m1))
-    M1 = _absolute_moment_sup_cached(kernel, 1)
-    M2 = _absolute_moment_sup_cached(kernel, 2)
-    eps = (1.0 + 3.0 * M1 + 3.0 * M2) / (6.0 * w * (1.0 + 2.0 * M1))
-    k_value, desc = _k_upper(f, candidates, 1, eps, _widened_interval(f, kernel, w))
-    rhs = (1.0 + 2.0 * M1) / w * k_value
-    return BoundReport(
-        bound="first_order",
-        lhs=lhs,
-        rhs=rhs,
-        satisfied=lhs <= rhs + 1e-12,
-        surrogate_desc=desc,
-        details={"M1": M1, "M2": M2, "eps": eps, "K_upper": k_value, "m1_at_xw": m1},
-    )
+    report = combo_bound(f, kernel, solve_coefficients(1), w, x, candidates, quad_nodes)
+    return replace(report, bound="first_order")
 
 
 def vanishing_moment_bound(
@@ -419,10 +401,10 @@ def combo_bound(
          A = sum_i c_i/i^2 * (1 + 3 M_1 + 3 M_2),
          B = sum_i c_i/i * (1 + 2 M_1).
 
-    For order-raising schemes (p >= 2) the coefficient sums vanish, the
-    right side degenerates to 0, and the report is emitted with
-    ``satisfied=None`` (not applicable).  For p = 1 this reduces exactly to
-    the plain first-order estimate.
+    For order-raising schemes (p >= 2) sum_i c_i/i vanishes, the right side
+    degenerates to 0, and the report is emitted with ``satisfied=None``
+    (not applicable).  For p = 1 this is the plain first-order estimate,
+    ``first_order_bound``.
     """
     if f.max_theta < 1:
         raise ValueError(f"{f.label}: needs a first Mellin derivative")
@@ -457,15 +439,6 @@ def combo_bound(
     eps = A / (6.0 * w * B)
     k_value, desc = _k_upper(f, candidates, 1, eps, _widened_interval(f, kernel, w))
     rhs = (1.0 + 2.0 * M1) / w * s1 * k_value
-    if rhs <= 0.0:
-        return BoundReport(
-            bound=f"combination:p={scheme.p}",
-            lhs=lhs,
-            rhs=rhs,
-            satisfied=None,
-            surrogate_desc="not applicable: right side is non-positive",
-            details=details,
-        )
     details.update({"eps": eps, "K_upper": k_value})
     return BoundReport(
         bound=f"combination:p={scheme.p}",

@@ -3,7 +3,9 @@
 Subcommands: kernel-info, moments, eval, reconstruct, table, converge,
 voronovskaya, bounds.  Exit status is 0 on success, 1 on usage errors
 (bad flags, malformed ranges, unknown kernels or functions, unreadable
-files) and 2 when a bound's moment precondition fails.
+files) and on inputs whose results leave the float range (a rate too
+small for the point, an f that overflows), and 2 when a bound's moment
+precondition fails.
 
 All floating output uses 12 significant digits except the table command,
 whose error cells are rounded to 4 decimals for comparison against
@@ -15,11 +17,12 @@ command line win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from dataclasses import asdict
-from typing import Optional, Sequence, TextIO
+from typing import ContextManager, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -170,10 +173,17 @@ def _inject_config(argv: list[str]) -> list[str]:
     return [out[0]] + _load_config_flags(config_path) + out[1:]
 
 
-def _open_output(args) -> TextIO:
+def _output(args) -> ContextManager[TextIO]:
+    """The --output file, closed on exit, or stdout, left open."""
     if args.output:
         return open(args.output, "w", newline="")
-    return sys.stdout
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _write_json(args, payload) -> None:
+    with _output(args) as out:
+        json.dump(payload, out, indent=2)
+        out.write("\n")
 
 
 def _study_payload(study: ConvergenceStudy) -> dict:
@@ -211,32 +221,33 @@ def _moment_orders(nu_max: int) -> range:
 def _run_kernel_info(args) -> int:
     kernel = parse_kernel_spec(args.kernel)
     reports = [build_moment_report(kernel, nu) for nu in _moment_orders(args.nu_max)]
-    with _managed(args) as out:
-        if args.format == "json":
-            payload = {
-                "label": kernel.label,
-                "log_support": list(kernel.log_support),
-                "moments": [asdict(r) for r in reports],
-            }
-            json.dump(payload, out, indent=2)
-            out.write("\n")
-        else:
-            out.write(f"kernel: {kernel.label}\n")
-            a, b = kernel.log_support
-            out.write(f"log_support: [{_fmt(a)}, {_fmt(b)}]\n")
-            out.write("nu  m_nu(u=1)        M_nu_sup         u_independent\n")
-            for r in reports:
-                out.write(
-                    f"{r.order:<3d} {_fmt(r.algebraic):<16} {_fmt(r.absolute_sup):<16} "
-                    f"{str(r.u_independent).lower()}\n"
-                )
+    if args.format == "json":
+        _write_json(args, {
+            "label": kernel.label,
+            "log_support": list(kernel.log_support),
+            "moments": [asdict(r) for r in reports],
+        })
+        return 0
+    with _output(args) as out:
+        out.write(f"kernel: {kernel.label}\n")
+        a, b = kernel.log_support
+        out.write(f"log_support: [{_fmt(a)}, {_fmt(b)}]\n")
+        out.write("nu  m_nu(u=1)        M_nu_sup         u_independent\n")
+        for r in reports:
+            out.write(
+                f"{r.order:<3d} {_fmt(r.algebraic):<16} {_fmt(r.absolute_sup):<16} "
+                f"{str(r.u_independent).lower()}\n"
+            )
     return 0
 
 
 def _run_moments(args) -> int:
     kernel = parse_kernel_spec(args.kernel)
     reports = [build_moment_report(kernel, nu, at_u=args.u) for nu in _moment_orders(args.nu_max)]
-    with _managed(args) as out:
+    if args.format == "json":
+        _write_json(args, [asdict(r) for r in reports])
+        return 0
+    with _output(args) as out:
         if args.format == "csv":
             out.write("nu,m_nu,M_nu_sup,u_independent\n")
             for r in reports:
@@ -244,9 +255,6 @@ def _run_moments(args) -> int:
                     f"{r.order},{_fmt(r.algebraic)},{_fmt(r.absolute_sup)},"
                     f"{str(r.u_independent).lower()}\n"
                 )
-        elif args.format == "json":
-            json.dump([asdict(r) for r in reports], out, indent=2)
-            out.write("\n")
         else:
             out.write(f"moments of {kernel.label} at u={_fmt(args.u)}\n")
             for r in reports:
@@ -266,7 +274,7 @@ def _run_eval(args) -> int:
     if args.emit_samples:
         series = SampleSeries.covering(f, kernel, args.w, xs, args.quad_nodes)
         write_sample_csv(args.emit_samples, series)
-    with _managed(args) as out:
+    with _output(args) as out:
         if args.format == "text":
             out.write(f"(I_w f)(x) with kernel {kernel.label}, f={f.label}, w={_fmt(args.w)}\n")
             for p in points:
@@ -284,7 +292,7 @@ def _run_reconstruct(args) -> int:
     series = read_sample_csv(args.samples)
     xs = _parse_x_values(args.x)
     values = [apply_from_samples(series, kernel, x) for x in xs]
-    with _managed(args) as out:
+    with _output(args) as out:
         out.write("x,approx\n")
         for x, v in zip(xs, values):
             out.write(f"{_fmt(x)},{_fmt(v)}\n")
@@ -297,7 +305,7 @@ def _run_table(args) -> int:
     xs = _parse_x_values(args.x)
     scheme = solve_coefficients(args.p)
     table = make_table(f, kernel, scheme, args.w, xs, args.quad_nodes)
-    with _managed(args) as out:
+    with _output(args) as out:
         if args.format == "latex":
             table.to_latex(out)
         else:
@@ -311,13 +319,11 @@ def _run_converge(args) -> int:
     w_list = _parse_w_list(args.w_list)
     scheme = solve_coefficients(args.p) if args.p is not None else None
     lo, hi = f.eval_interval
-    grid = list(np.linspace(lo, hi, args.grid_points))
+    grid = np.linspace(lo, hi, args.grid_points).tolist()
     study = estimate_order(f, kernel, scheme, w_list, grid, args.quad_nodes)
     payload = _study_payload(study)
     payload["combination"] = _scheme_payload(scheme) if scheme else None
-    with _managed(args) as out:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+    _write_json(args, payload)
     return 0
 
 
@@ -329,9 +335,7 @@ def _run_voronovskaya(args) -> int:
     study = voronovskaya_check(f, kernel, args.x, w_list, scheme, args.quad_nodes)
     payload = _study_payload(study)
     payload["combination"] = _scheme_payload(scheme) if scheme else None
-    with _managed(args) as out:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+    _write_json(args, payload)
     return 0
 
 
@@ -350,26 +354,8 @@ def _run_bounds(args) -> int:
     payload = asdict(report)
     if args.check == "combo":
         payload["combination"] = _scheme_payload(scheme)
-    with _managed(args) as out:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+    _write_json(args, payload)
     return 0
-
-
-class _managed:
-    """Context manager closing --output files but leaving stdout open."""
-
-    def __init__(self, args):
-        self.args = args
-        self.fh: Optional[TextIO] = None
-
-    def __enter__(self) -> TextIO:
-        self.fh = _open_output(self.args)
-        return self.fh
-
-    def __exit__(self, *exc) -> None:
-        if self.fh is not sys.stdout and self.fh is not None:
-            self.fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +457,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"expsamp: error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # overflow, or division by an underflowed value
+        print(f"expsamp: error: result beyond the float range: {exc}", file=sys.stderr)
         return 1
 
 

@@ -5,9 +5,15 @@ coefficients solve
 
     sum_i c_i = 1,    sum_i c_i / i^k = 0   for k = 1..p-1,
 
-a Vandermonde-type system in the nodes 1/i.  Coefficients are solved and
-stored in exact rational arithmetic (the system is badly conditioned in
-floating point) and converted to floats only when the operator is applied.
+a Vandermonde system in the nodes 1/i.  Its solution is the Richardson
+extrapolation weights, c_i = L_i(0) for the Lagrange basis on the nodes
+1/i, which in closed form is
+
+    c_i = (-1)^(p-i) * i^p / (i! * (p-i)!).
+
+The plain operator I_w is the p = 1 member, c = (1).  Coefficients are
+stored as exact rationals (their float sums cancel badly) and converted to
+floats only when the operator is applied.
 """
 
 from __future__ import annotations
@@ -43,34 +49,23 @@ class CombinationScheme:
         return sum((c / Fraction(i + 1) ** k for i, c in enumerate(self.coeffs)), Fraction(0))
 
     def combine(self, values: Sequence[float]) -> float:
-        """sum_i c_i * values[i-1], the combined operator from its rates."""
-        return math.fsum(float(c) * v for c, v in zip(self.coeffs, values))
+        """sum_i c_i * values[i-1], the combined operator from its rates;
+        ValueError where a term c_i * values[i-1] overflows."""
+        total = math.fsum(float(c) * v for c, v in zip(self.coeffs, values))
+        if not math.isfinite(total):
+            raise ValueError(f"the p={self.p} combination overflows at values {list(values)}")
+        return total
 
 
 def solve_coefficients(p: int) -> CombinationScheme:
-    """Exact rational solution of the order-raising coefficient system."""
+    """The order-p scheme: exact rational coefficients in closed form."""
     if not 1 <= p <= MAX_P:
         raise ValueError(f"combination size p must be in 1..{MAX_P}, got {p}")
-    # rows k = 0..p-1: sum_i c_i / i^k = (1, 0, ..., 0)
-    matrix = [[Fraction(1, i ** k) for i in range(1, p + 1)] for k in range(p)]
-    rhs = [Fraction(1)] + [Fraction(0)] * (p - 1)
-    for col in range(p):
-        pivot = next(r for r in range(col, p) if matrix[r][col] != 0)
-        if pivot != col:
-            matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        for r in range(col + 1, p):
-            factor = matrix[r][col] / matrix[col][col]
-            if factor == 0:
-                continue
-            for c in range(col, p):
-                matrix[r][c] -= factor * matrix[col][c]
-            rhs[r] -= factor * rhs[col]
-    coeffs = [Fraction(0)] * p
-    for r in range(p - 1, -1, -1):
-        acc = rhs[r] - sum((matrix[r][c] * coeffs[c] for c in range(r + 1, p)), Fraction(0))
-        coeffs[r] = acc / matrix[r][r]
-    return CombinationScheme(p=p, coeffs=tuple(coeffs))
+    coeffs = tuple(
+        Fraction((-1) ** (p - i) * i ** p, math.factorial(i) * math.factorial(p - i))
+        for i in range(1, p + 1)
+    )
+    return CombinationScheme(p=p, coeffs=coeffs)
 
 
 def _rate_values(

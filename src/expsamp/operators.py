@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, TextIO, Union
@@ -46,6 +47,11 @@ __all__ = [
 ]
 
 FuncLike = Union[TestFunction, Callable[[float], float]]
+
+# A cell's quadrature nodes e^u are normal floats only for log u strictly
+# between these: the logs of the smallest normal and of the largest float.
+_LOG_MIN = math.log(sys.float_info.min)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class MissingSampleError(ValueError):
@@ -89,21 +95,38 @@ def _as_callable(f: FuncLike) -> Callable[[float], float]:
 
 @lru_cache(maxsize=None)
 def _gauss_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes moved to [0, 1] and weights halved to sum to 1,
+    as Python floats: numpy scalars would double the cost of each node."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    return tuple(nodes), tuple(weights)
+    return (
+        tuple(0.5 * (xi + 1.0) for xi in nodes.tolist()),
+        tuple(0.5 * wt for wt in weights.tolist()),
+    )
 
 
 def cell_mean(f: FuncLike, w: float, k: int, quad_nodes: int = 7) -> float:
     """Normalized cell average w * integral_{k/w}^{(k+1)/w} f(e^u) du.
 
     Gauss-Legendre with ``quad_nodes`` points; exact whenever u -> f(e^u) is
-    a polynomial of degree <= 2*quad_nodes - 1 on the cell.
+    a polynomial of degree <= 2*quad_nodes - 1 on the cell.  Raises
+    ValueError for a cell whose points e^u overflow or underflow (a rate
+    too small for the evaluation point) and for an f that overflows there.
     """
+    lo, hi = k / w, (k + 1) / w
+    if not (_LOG_MIN < lo and hi < _LOG_MAX):
+        raise ValueError(
+            f"cell k={k} at w={w:g} spans log x in [{lo:g}, {hi:g}], beyond the float "
+            f"range ({_LOG_MIN:.1f}, {_LOG_MAX:.1f}); the rate is too small for this point, "
+            f"or the point lies too close to 0 or to the largest float"
+        )
     nodes, weights = _gauss_rule(quad_nodes)
     g = _as_callable(f)
-    return 0.5 * math.fsum(
-        wt * g(math.exp((k + 0.5 * (xi + 1.0)) / w)) for xi, wt in zip(nodes, weights)
-    )
+    try:
+        return math.fsum(wt * g(math.exp((k + s) / w)) for s, wt in zip(nodes, weights))
+    except OverflowError as exc:
+        raise ValueError(
+            f"cell k={k} at w={w:g}: f overflows on log x in [{lo:g}, {hi:g}] ({exc})"
+        ) from None
 
 
 class _CellMeans(dict):

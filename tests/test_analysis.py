@@ -83,6 +83,15 @@ class TestVoronovskaya:
         ratio = study.scaled_errors[-1] / study.scaled_errors[-2]
         assert abs(ratio - 1.0) < 0.05
 
+    @pytest.mark.parametrize(
+        "fn, kernel, x",
+        [("log2", B4, 2.0), ("cos4exp", B2, 0.75), ("log", COMBO, 1.3)],
+    )
+    def test_no_scheme_is_the_p1_scheme(self, fn, kernel, x):
+        f = get_function(fn)
+        plain = voronovskaya_check(f, kernel, x, W_GEOM)
+        assert plain == voronovskaya_check(f, kernel, x, W_GEOM, solve_coefficients(1))
+
     def test_w_list_validation(self):
         with pytest.raises(ValueError):
             voronovskaya_check(get_function("log"), B2, 2.0, [10.0, 20.0, 40.0])
@@ -129,6 +138,13 @@ class TestEstimateOrder:
         study = estimate_order(f, B2, None, W_GEOM, grid)
         assert study.fitted_order == pytest.approx(1.0, abs=0.15)
         assert study.fitted_constant > 0.0
+
+    @pytest.mark.parametrize("fn, kernel", [("cos4exp", B2), ("log2", B4), ("const:3", B2)])
+    def test_no_scheme_is_the_p1_scheme(self, fn, kernel):
+        f = get_function(fn)
+        grid = np.linspace(0.5, 1.0, 51).tolist()
+        plain = estimate_order(f, kernel, None, W_GEOM, grid)
+        assert plain == estimate_order(f, kernel, solve_coefficients(1), W_GEOM, grid)
 
     def test_order_three_when_moments_u_independent(self):
         """With the order-4 spline the brackets through order 3 are constant
@@ -305,13 +321,19 @@ class TestVanishingMomentBound:
 
 
 class TestComboBound:
-    def test_p1_reduces_to_first_order(self):
-        f = get_function("log2")
-        a = combo_bound(f, B4, solve_coefficients(1), 20.0, 2.0)
-        b = first_order_bound(f, B4, 20.0, 2.0)
-        assert a.lhs == pytest.approx(b.lhs, abs=1e-15)
-        assert a.rhs == pytest.approx(b.rhs, abs=1e-15)
-        assert a.satisfied
+    @pytest.mark.parametrize(
+        "fn, kernel, w, x",
+        [("log2", B4, 20.0, 2.0), ("const:2", B2, 10.0, 1.5), ("cos4exp", COMBO, 15.0, 0.75)],
+    )
+    def test_p1_reduces_to_first_order(self, fn, kernel, w, x):
+        """The first-order estimate is the p = 1 combination estimate.  For
+        a constant both sides are 0 (exact reproduction) and the bound holds."""
+        f = get_function(fn)
+        a = combo_bound(f, kernel, solve_coefficients(1), w, x)
+        b = first_order_bound(f, kernel, w, x)
+        assert (a.lhs, a.rhs, a.satisfied, a.details) == (b.lhs, b.rhs, b.satisfied, b.details)
+        assert (a.bound, b.bound) == ("combination:p=1", "first_order")
+        assert a.satisfied is True
 
     def test_p2_not_applicable(self):
         """sum c_i / i = 0 for the order-raising schemes, which zeroes the

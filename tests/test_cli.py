@@ -172,6 +172,26 @@ class TestBounds:
         assert code == 2
         assert "precondition" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--kernel", "bspline:2", "--fn", "const:2", "--w", "10", "--x", "1.5"),
+            ("--kernel", "bspline:4", "--fn", "log2", "--w", "20", "--x", "2.0"),
+        ],
+    )
+    def test_first_is_the_p1_combination(self, capsys, flags):
+        """--check first reports what --check combo --p 1 reports, bar the
+        bound's name and the scheme; for a reproduced constant both sides
+        are 0 and the bound holds."""
+        _, first, _ = run(capsys, "bounds", *flags, "--check", "first")
+        _, combo, _ = run(capsys, "bounds", *flags, "--check", "combo", "--p", "1")
+        first, combo = json.loads(first), json.loads(combo)
+        assert first.pop("bound") == "first_order"
+        assert combo.pop("bound") == "combination:p=1"
+        assert combo.pop("combination")["p"] == 1
+        assert first == combo
+        assert first["satisfied"] is True
+
     def test_combo_not_applicable(self, capsys):
         code, out, _ = run(capsys, "bounds", "--kernel", "bspline:4", "--fn", "log2",
                            "--w", "20", "--x", "2.0", "--check", "combo", "--p", "2")
@@ -301,6 +321,74 @@ class TestNonFiniteInputs:
         assert "line 4: mean value must be finite" in err
 
 
+class TestFloatRange:
+    """Rates so small that a cell's points e^u leave the float range, and
+    functions that overflow, end in exit 1 and a message, not a traceback
+    or a non-finite value."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--fn", "log", "--w", "0.001", "--x", "2"),
+            ("table", "--fn", "log", "--w", "0.001", "--x", "2", "--p", "2"),
+            ("bounds", "--fn", "log", "--w", "0.001", "--x", "2"),
+            ("voronovskaya", "--fn", "log", "--x", "2", "--w-list", "0.001,0.002,0.004,0.008"),
+            ("converge", "--fn", "log", "--w-list", "0.001,0.002,0.004,0.008,0.016"),
+            # 1/w is inf: the plain sum printed approx=inf with exit 0
+            ("eval", "--fn", "log", "--w", "5e-324", "--x", "2"),
+        ],
+    )
+    def test_rate_too_small(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], "--kernel", "bspline:2", *argv[1:])
+        assert (code, out) == (1, "")
+        assert "beyond the float range" in err and "the rate is too small" in err
+
+    def test_cell_named(self, capsys):
+        code, _, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "log",
+                           "--w", "0.001", "--x", "2")
+        assert code == 1
+        assert "cell k=0 at w=0.001 spans log x in [0, 1000]" in err
+
+    def test_f_overflows_on_a_cell(self, capsys):
+        code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "cos4exp",
+                             "--w", "10", "--x", "17553.5")
+        assert (code, out) == (1, "")
+        assert "cell k=97 at w=10: f overflows" in err
+
+    def test_f_overflows_at_the_point(self, capsys):
+        code, out, err = run(capsys, "voronovskaya", "--kernel", "bspline:2", "--fn", "cos4exp",
+                             "--x", "17553.5", "--w-list", "10,20,40,80")
+        assert (code, out) == (1, "")
+        assert "beyond the float range" in err
+
+    def test_largest_constant_reproduced(self, capsys):
+        """The halved quadrature weights sum to 1, so the cell sum of a
+        constant near the float maximum no longer overflows."""
+        code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "const:1e308",
+                             "--w", "10", "--x", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "2,1e+308,1e+308,0"
+
+    def test_combination_overflow(self, capsys):
+        code, out, err = run(capsys, "table", "--kernel", "bspline:2", "--fn", "const:1e308",
+                             "--w", "10", "--x", "2", "--p", "2")
+        assert (code, out) == (1, "")
+        assert "the p=2 combination overflows" in err
+
+    @pytest.mark.parametrize(
+        "fn, w, x",
+        [
+            ("sinmix", "0.004855267054199474", "1198386121.1955612"),  # rhs was inf
+            ("log3", "0.004743825884045989", "3563397.7335702246"),  # ZeroDivisionError
+        ],
+    )
+    def test_bound_norms_overflow(self, capsys, fn, w, x):
+        code, out, err = run(capsys, "bounds", "--kernel", "bspline:2", "--fn", fn,
+                             "--w", w, "--x", x)
+        assert (code, out) == (1, "")
+        assert err.startswith("expsamp: error: ")
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
         argv = ("table", "--kernel", "bspline:4", "--fn", "sinmix", "--w", "30",
@@ -354,3 +442,12 @@ class TestOutputFile:
         lines = dest.read_text().strip().split("\n")
         assert lines[0] == "x,approx,exact,abs_error"
         assert len(lines) == 3
+
+    def test_json_to_output_file(self, capsys, tmp_path):
+        dest = tmp_path / "out.json"
+        code, out, _ = run(capsys, "bounds", "--kernel", "bspline:2", "--fn", "log",
+                           "--w", "10", "--x", "1.5", "--output", str(dest))
+        assert (code, out) == (0, "")
+        text = dest.read_text()
+        assert text.endswith("}\n")
+        assert json.loads(text)["bound"] == "first_order"

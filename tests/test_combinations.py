@@ -28,8 +28,8 @@ class TestSolveCoefficients:
         assert solve_coefficients(3).coeffs == (Fraction(1, 2), Fraction(-4), Fraction(9, 2))
 
     def test_p4_solution(self):
-        """Exact elimination for p = 4, cross-checked below by the residuals
-        and the closed form."""
+        """The p = 4 weights, checked independently of the closed form by
+        the exact residuals below."""
         assert solve_coefficients(4).coeffs == (
             Fraction(-1, 6),
             Fraction(4),

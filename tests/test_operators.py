@@ -43,6 +43,21 @@ class TestCellMean:
         """w * int u^2 du = (3k^2 + 3k + 1)/(3w^2)."""
         assert cell_mean(get_function("log2"), 10.0, 2) == pytest.approx(19.0 / 300.0, abs=1e-15)
 
+    @pytest.mark.parametrize("w, k", [(0.001, 0), (0.001, -1), (5e-324, 0), (1.0, 710), (1.0, -709)])
+    def test_cell_beyond_float_range_refused(self, w, k):
+        """Cells whose points e^u overflow or fall below the smallest normal
+        float are refused, not summed into inf or a math domain error."""
+        with pytest.raises(ValueError, match=f"cell k={k} at w={w:g} .* beyond the float range"):
+            cell_mean(get_function("log"), w, k)
+
+    def test_cells_at_the_float_range_ends(self):
+        assert cell_mean(get_function("log"), 1.0, 708) == pytest.approx(708.5, rel=1e-15)
+        assert cell_mean(get_function("log"), 1.0, -708) == pytest.approx(-707.5, rel=1e-15)
+
+    def test_overflowing_f_named(self):
+        with pytest.raises(ValueError, match=r"cell k=97 at w=10: f overflows"):
+            cell_mean(get_function("cos4exp"), 10.0, 97, 7)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OperatorConfig(w=0.0)
