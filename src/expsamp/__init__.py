@@ -43,7 +43,6 @@ from .moments import (
     algebraic_moment,
     build_moment_report,
     kantorovich_bracket,
-    moment_tail,
     poisson_moment,
 )
 from .operators import (
@@ -100,7 +99,6 @@ __all__ = [
     "get_function",
     "kantorovich_bracket",
     "make_table",
-    "moment_tail",
     "parse_kernel_spec",
     "poisson_moment",
     "read_sample_csv",

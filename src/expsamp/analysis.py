@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import csv
 import math
+import statistics
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, TextIO, Union
-
-import numpy as np
 
 from .combinations import (
     CombinationScheme,
@@ -66,6 +65,17 @@ class MomentPreconditionError(Exception):
     """A bound requires vanishing lower moments and the kernel has none."""
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced points from lo to hi, both included: i*step + lo,
+    with the last point hi exactly."""
+    if n < 0:
+        raise ValueError(f"number of grid points must be non-negative, got {n}")
+    if n < 2:
+        return [lo] * n
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
 def sup_norm(
     g: Callable[[float], float],
     interval: tuple[float, float],
@@ -73,11 +83,11 @@ def sup_norm(
 ) -> float:
     """sup |g| over the interval: dense grid plus one local refinement pass."""
     lo, hi = interval
-    grid = np.linspace(lo, hi, points).tolist()
+    grid = _linspace(lo, hi, points)
     vals = [abs(g(x)) for x in grid]
-    i = int(np.argmax(vals))
+    i = max(range(points), key=vals.__getitem__)
     best = vals[i]
-    sub = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], 81).tolist()
+    sub = _linspace(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], 81)
     for x in sub:
         v = abs(g(x))
         if v > best:
@@ -203,14 +213,14 @@ def estimate_order(
             exact_reproduction=True,
         )
     half = (len(ws) + 1) // 2
-    log_w = np.log(ws[-half:])
-    log_e = np.log(errors[-half:])
-    slope, intercept = np.polyfit(log_w, log_e, 1)
+    log_w = [math.log(w) for w in ws[-half:]]
+    log_e = [math.log(e) for e in errors[-half:]]
+    slope, intercept = statistics.linear_regression(log_w, log_e)
     return ConvergenceStudy(
         w_list=ws,
         errors=errors,
-        fitted_order=float(-slope),
-        fitted_constant=float(math.exp(intercept)),
+        fitted_order=-slope,
+        fitted_constant=math.exp(intercept),
     )
 
 
@@ -260,8 +270,22 @@ class BoundReport:
 
 
 def _widened_interval(f: TestFunction, kernel: Kernel, w: float) -> tuple[float, float]:
-    # every cell the operator touches for x in eval_interval lies inside
-    margin = (kernel.support_radius + 1.0) / w
+    """f's eval_interval widened by the factor e^margin on each side,
+    margin = (radius + 1)/w: every cell the operator touches for x in
+    eval_interval lies inside.
+
+    A margin above 1, i.e. w < radius + 1, is refused: the norms would be
+    taken far outside f's interval (over about [6e-44, 1e44] for bspline:2
+    at w = 0.02), which makes the right side vacuous.
+    """
+    smallest = kernel.support_radius + 1.0
+    if w < smallest:
+        raise ValueError(
+            f"rate w={w} is too small for a bound with kernel {kernel.label!r}: its norms "
+            f"would be taken with margin (radius + 1)/w = {smallest / w:.6g} > 1 on each side "
+            f"of log x; the smallest admissible w is {smallest}"
+        )
+    margin = smallest / w
     lo, hi = f.eval_interval
     return lo * math.exp(-margin), hi * math.exp(margin)
 

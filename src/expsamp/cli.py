@@ -24,12 +24,11 @@ import sys
 from dataclasses import asdict
 from typing import ContextManager, Optional, Sequence, TextIO
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     ConvergenceStudy,
     MomentPreconditionError,
+    _linspace,
     combo_bound,
     estimate_order,
     first_order_bound,
@@ -319,7 +318,7 @@ def _run_converge(args) -> int:
     w_list = _parse_w_list(args.w_list)
     scheme = solve_coefficients(args.p) if args.p is not None else None
     lo, hi = f.eval_interval
-    grid = np.linspace(lo, hi, args.grid_points).tolist()
+    grid = _linspace(lo, hi, args.grid_points)
     study = estimate_order(f, kernel, scheme, w_list, grid, args.quad_nodes)
     payload = _study_payload(study)
     payload["combination"] = _scheme_payload(scheme) if scheme else None

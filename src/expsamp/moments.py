@@ -35,7 +35,6 @@ __all__ = [
     "poisson_moment",
     "kantorovich_bracket",
     "kantorovich_bracket_at_log",
-    "moment_tail",
     "build_moment_report",
 ]
 
@@ -312,21 +311,6 @@ def kantorovich_bracket_at_log(kernel: Kernel, i: int, log_u: float) -> float:
 
 def kantorovich_bracket(kernel: Kernel, i: int, u: float) -> float:
     return kantorovich_bracket_at_log(kernel, i, _log_location(u))
-
-
-def moment_tail(kernel: Kernel, r: int, u: float, gamma: float) -> float:
-    """Tail sum of |chi(e^-k u)| |k - log u|^r over |k - log u| > gamma.
-
-    Exactly 0 once gamma exceeds the log-support radius, which is the
-    compact-support form of the usual decay condition on kernels.
-    """
-    _check_order(r)
-    t = _log_location(u)
-    return math.fsum(
-        abs(kernel.eval_log(t - k)) * abs(k - t) ** r
-        for k in kernel.window(t)
-        if abs(k - t) > gamma
-    )
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,12 @@ precomputed means.
 from __future__ import annotations
 
 import csv
+import decimal
 import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, TextIO, Union
-
-import numpy as np
 
 from .functions import TestFunction
 from .kernels import Kernel
@@ -93,14 +92,55 @@ def _as_callable(f: FuncLike) -> Callable[[float], float]:
     return f.f if isinstance(f, TestFunction) else f
 
 
+def _newton_step(n: int, x, one):
+    """One Newton step towards a root of P_n, with P_n(x) and P_{n-1}(x) from
+    the three-term recurrence in the arithmetic of x and ``one`` (float or
+    Decimal).  Returns the new x and P_n'(x)."""
+    prev, cur = one, x
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+    dp = n * (x * cur - prev) / (x * x - one)
+    return x - cur / dp, dp
+
+
 @lru_cache(maxsize=None)
 def _gauss_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre nodes moved to [0, 1] and weights halved to sum to 1,
-    as Python floats: numpy scalars would double the cost of each node."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes moved to [0, 1], ascending, and weights halved
+    to sum to 1, as Python-float tuples.
+
+    Newton's method on the three-term Legendre recurrence finds the roots
+    x >= 0 of P_n from the guesses cos(pi (i - 1/4) / (n + 1/2)): float
+    steps first, then two polishing steps in ``decimal`` at 40 digits.  The
+    nodes (1 -+ x)/2 and the halved weight 1 / ((1 - x^2) P_n'(x)^2) are
+    each rounded to float once, and the lower half mirrors the upper, so
+    the weights are exactly symmetric.  No eigen-solver is involved, so the
+    rule is the same on every platform.
+    """
+    if n < 1:
+        raise ValueError(f"quad_nodes must be a positive integer, got {n}")
+    roots = [math.cos(math.pi * (i - 0.25) / (n + 0.5)) for i in range(1, n // 2 + 1)]
+    if n % 2:
+        roots.append(0.0)
+    lower, upper, weights = [], [], []
+    with decimal.localcontext(decimal.Context(prec=40)):
+        one = decimal.Decimal(1)
+        for x in roots:
+            for _ in range(100):  # float steps until a step is below 1e-12
+                new, _ = _newton_step(n, x, 1.0)
+                x, step = new, new - x
+                if abs(step) <= 1e-12:
+                    break
+            x = decimal.Decimal(x)
+            for _ in range(2):
+                x, dp = _newton_step(n, x, one)
+            lower.append(float((one - x) / 2))
+            upper.append(float((one + x) / 2))
+            weights.append(float(one / ((one - x * x) * dp * dp)))
+    if n % 2:  # the middle node x = 0 is its own mirror
+        upper.pop()
     return (
-        tuple(0.5 * (xi + 1.0) for xi in nodes.tolist()),
-        tuple(0.5 * wt for wt in weights.tolist()),
+        tuple(lower + upper[::-1]),
+        tuple(weights + weights[: len(upper)][::-1]),
     )
 
 

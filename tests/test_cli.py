@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +195,29 @@ class TestBounds:
         assert combo.pop("combination")["p"] == 1
         assert first == combo
         assert first["satisfied"] is True
+
+    @pytest.mark.parametrize("check", ["first", "combo", "moment"])
+    def test_smallest_admissible_rate(self, capsys, check):
+        """The norms are taken within a margin (radius + 1)/w <= 1 of f's
+        interval: w = radius + 1 is accepted, the next float below is not."""
+        flags = ("--kernel", "bspline:2", "--fn", "sinmix", "--x", "1.5", "--check", check)
+        code, out, _ = run(capsys, "bounds", *flags, "--w", "2.0")
+        assert code == 0
+        assert json.loads(out)["satisfied"] is True
+        below = repr(math.nextafter(2.0, 0.0))
+        code, out, err = run(capsys, "bounds", *flags, "--w", below)
+        assert (code, out) == (1, "")
+        assert f"rate w={below} is too small" in err
+        assert "the smallest admissible w is 2.0" in err
+
+    def test_vacuous_small_rate_refused(self, capsys):
+        """At w = 0.02 the norms ran over about [6e-44, 1e44], and a right
+        side of 6.8e92 was reported as satisfied."""
+        code, out, err = run(capsys, "bounds", "--kernel", "bspline:2", "--fn", "sinmix",
+                             "--w", "0.02", "--x", "1.5")
+        assert (code, out) == (1, "")
+        assert err.startswith("expsamp: error: rate w=0.02 is too small")
+        assert "the smallest admissible w is 2.0" in err
 
     def test_combo_not_applicable(self, capsys):
         code, out, _ = run(capsys, "bounds", "--kernel", "bspline:4", "--fn", "log2",
@@ -387,6 +414,48 @@ class TestFloatRange:
                              "--w", w, "--x", x)
         assert (code, out) == (1, "")
         assert err.startswith("expsamp: error: ")
+
+
+class TestNumpyFree:
+    """The library and every subcommand run on the standard library alone:
+    each command runs in a fresh interpreter that must end without numpy in
+    sys.modules.  (The tests themselves use numpy as an oracle.)"""
+
+    SCRIPT = (
+        "import sys, expsamp, expsamp.cli\n"
+        "code = expsamp.cli.main(sys.argv[1:])\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "sys.exit(code)\n"
+    )
+    COMMANDS = {
+        "kernel-info": ["--kernel", "bspline:4"],
+        "moments": ["--kernel", "combo:4:e^1:e^2", "--nu-max", "3"],
+        "eval": ["--kernel", "bspline:2", "--fn", "cos4exp", "--w", "15", "--x", "0.5:1.0:0.1",
+                 "--emit-samples", "samples.csv"],
+        "reconstruct": ["--kernel", "bspline:2", "--samples", "samples.csv", "--x", "0.5:1.0:0.1"],
+        "table": ["--kernel", "bspline:2", "--fn", "cos4exp", "--w", "15", "--p", "3",
+                  "--x", "0.60,0.75,0.80"],
+        "converge": ["--kernel", "bspline:4", "--fn", "cos4exp", "--w-list", "10,20,40,80,160",
+                     "--p", "3", "--grid-points", "21"],
+        "voronovskaya": ["--kernel", "bspline:4", "--fn", "log3", "--x", "2.718281828",
+                         "--w-list", "10,20,40,80,160", "--p", "2"],
+        "bounds": ["--kernel", "bspline:4", "--fn", "log3", "--w", "20", "--x", "1.5",
+                   "--check", "moment", "--r", "2"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_subcommand_imports_no_numpy(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        if command == "reconstruct":  # reads the samples that eval emits
+            assert main(["eval", *self.COMMANDS["eval"], "--output", "eval.csv"]) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, command, *self.COMMANDS[command]],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
 
 
 class TestDeterminism:

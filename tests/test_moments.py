@@ -16,7 +16,6 @@ from expsamp.moments import (
     algebraic_moment_at_log,
     build_moment_report,
     kantorovich_bracket,
-    moment_tail,
     poisson_moment,
 )
 
@@ -288,19 +287,6 @@ class TestKantorovichBracket:
             kantorovich_bracket(B4, 7, 1.0)
 
 
-class TestMomentTail:
-    def test_exactly_zero_beyond_support_radius(self):
-        rng = np.random.default_rng(8)
-        for kernel in (B2, B4, COMBO):
-            radius = kernel.support_radius
-            for u in rng.uniform(0.2, 5.0, size=30):
-                for r in (0, 1, 2):
-                    assert moment_tail(kernel, r, u, radius + 1e-9) == 0.0
-
-    def test_nonzero_inside(self):
-        assert moment_tail(B4, 1, math.exp(0.25), 0.5) > 0.0
-
-
 class TestMomentReport:
     def test_b4_flags_u_independent(self):
         for nu, want in [(0, 1.0), (1, 0.0), (2, 1.0 / 3.0), (3, 0.0)]:
@@ -346,7 +332,6 @@ class TestLocationValidation:
         "kantorovich_bracket": lambda u: kantorovich_bracket(B2, 1, u),
         "combo_moment_bracket": lambda u: combo_moment_bracket(B2, solve_coefficients(2), 2, u),
         "poisson_moment": lambda u: poisson_moment(B2, 1, u, 2),
-        "moment_tail": lambda u: moment_tail(B2, 1, u, 0.5),
     }
 
     @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))

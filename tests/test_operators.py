@@ -2,6 +2,7 @@
 
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from expsamp.functions import get_function
 from expsamp.kernels import parse_kernel_spec
 from expsamp.operators import (
     MissingSampleError,
+    _gauss_rule,
     OperatorConfig,
     SampleFormatError,
     SampleSeries,
@@ -24,6 +26,54 @@ from expsamp.operators import (
 
 B2 = parse_kernel_spec("bspline:2")
 B4 = parse_kernel_spec("bspline:4")
+
+
+class TestGaussRule:
+    """The standard-library Gauss-Legendre rule on [0, 1] with halved
+    weights; numpy's leggauss is a test-local oracle only."""
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_exact_on_monomials(self, n):
+        """int_0^1 x^k dx = 1/(k+1) for k <= 2n - 1, summed exactly in Fraction
+        over integer numerators on one power-of-two denominator per k."""
+        nodes, weights = _gauss_rule(n)
+        dx = max(Fraction(x).denominator for x in nodes)
+        dw = max(Fraction(wt).denominator for wt in weights)
+        terms = [int(Fraction(wt) * dw) for wt in weights]  # wt * x^k * dw * dx^k
+        scaled = [int(Fraction(x) * dx) for x in nodes]
+        for k in range(2 * n):
+            total = Fraction(sum(terms), dw * dx ** k)
+            assert abs(total - Fraction(1, k + 1)) <= 2e-16, k
+            terms = [t * x for t, x in zip(terms, scaled)]
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_agrees_with_leggauss(self, n):
+        x, wt = np.polynomial.legendre.leggauss(n)
+        nodes, weights = _gauss_rule(n)
+        assert np.max(np.abs(np.array(nodes) - 0.5 * (x + 1.0))) <= 1e-11
+        assert np.max(np.abs(np.array(weights) / (0.5 * wt) - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_shape(self, n):
+        nodes, weights = _gauss_rule(n)
+        assert len(nodes) == len(weights) == n
+        assert all(type(v) is float for v in nodes + weights)
+        assert 0.0 < nodes[0] and nodes[-1] < 1.0
+        assert all(a < b for a, b in zip(nodes, nodes[1:]))
+        assert all(wt > 0.0 for wt in weights)
+        assert weights == weights[::-1]
+        assert abs(math.fsum(weights) - 1.0) <= 1e-16
+
+    def test_cached(self):
+        assert _gauss_rule(7) is _gauss_rule(7)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_nodes_refused(self, n):
+        """cell_mean is public and does not check the node count itself;
+        without the rule's check, n = 0 gave a mean of 0 and n = -1 a mean
+        from one node, with no error."""
+        with pytest.raises(ValueError, match=f"quad_nodes must be a positive integer, got {n}"):
+            cell_mean(get_function("log"), 10.0, 0, n)
 
 
 class TestCellMean:
