@@ -7,8 +7,9 @@ Three kinds of studies:
 * convergence-order regression: least-squares slope of log(sup error)
   against log(w) over a geometric rate list;
 * quantitative bound checks: both sides of the K-functional error
-  estimates, with the (uncomputable) K-functional infimum replaced by an
-  upper bound over a list of smooth candidate functions.
+  estimates.  The left side subtracts ``expansion_prediction``, the one
+  place the truncated error expansion is written; the (uncomputable)
+  K-functional infimum on the right is bounded at g = f.
 
 Studies are pure given their inputs.  The plain operator I_w is the p = 1
 combination, so a study without a scheme runs the combination path with
@@ -24,7 +25,7 @@ import csv
 import math
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, TextIO, Union
+from typing import Callable, Optional, Sequence, TextIO
 
 from .combinations import (
     CombinationScheme,
@@ -126,8 +127,9 @@ def _check_w_list(w_list: Sequence[float], minimum: int) -> tuple[float, ...]:
         raise ValueError(f"need at least {minimum} rates, got {len(ws)}")
     for w in ws:
         _check_rate(w)
-    if any(b <= a for a, b in zip(ws, ws[1:])):
-        raise ValueError("rate list must be strictly increasing")
+    for a, b in zip(ws, ws[1:]):
+        if b <= a:
+            raise ValueError(f"rate list must be strictly increasing, got {b} after {a}")
     return ws
 
 
@@ -225,26 +227,34 @@ def estimate_order(
 
 
 def expansion_prediction(
-    f: TestFunction, kernel: Kernel, x: float, w: float, r: int
+    f: TestFunction,
+    kernel: Kernel,
+    scheme: CombinationScheme,
+    w: float,
+    x: float,
+    r: int,
 ) -> float:
-    """Truncated expansion of the operator error at x:
+    """Truncated expansion of the combined operator's error at x:
 
-    sum_{i=1}^{r} (theta^i f)(x) / ((i+1)! w^i) * bracket_i(chi, x^w),
+    sum_i c_i sum_{j=1}^{r} (theta^j f)(x) / ((j+1)! (iw)^j) * bracket_j(chi, x^{iw}),
 
-    where bracket_i is the order-i averaged-moment bracket evaluated at
-    u = x^w (in log scale, so large w cannot overflow).  The true error
-    minus this prediction decays like o(w^-r).
+    where bracket_j is the order-j averaged-moment bracket evaluated at
+    u = x^{iw} (in log scale, so large w cannot overflow).  The true error
+    minus this prediction decays like o(w^-r).  The plain operator is
+    ``solve_coefficients(1)``; both bounds subtract this sum from the
+    measured error.
     """
     if not 1 <= r <= f.max_theta:
         raise ValueError(f"expansion order r={r} not in 1..{f.max_theta}")
     _check_rate(w)
     _check_point(x)
-    wt = w * math.log(x)
+    t = math.log(x)
     return math.fsum(
-        f.theta(i)(x)
-        / (math.factorial(i + 1) * w ** i)
-        * kantorovich_bracket_at_log(kernel, i, wt)
-        for i in range(1, r + 1)
+        float(c) * f.theta(j)(x)
+        / (math.factorial(j + 1) * (i * w) ** j)
+        * kantorovich_bracket_at_log(kernel, j, i * w * t)
+        for i, c in enumerate(scheme.coeffs, start=1)
+        for j in range(1, r + 1)
     )
 
 
@@ -291,46 +301,27 @@ def _widened_interval(f: TestFunction, kernel: Kernel, w: float) -> tuple[float,
 
 
 def _k_upper(
-    f: TestFunction,
-    candidates: Sequence[TestFunction],
-    r: int,
-    eps: float,
-    interval: tuple[float, float],
+    f: TestFunction, r: int, eps: float, interval: tuple[float, float]
 ) -> tuple[float, str]:
-    """min over smooth g of ||theta^r(f-g)|| + eps*||theta^(r+1) g|| on the
-    interval; any such g upper-bounds the K-functional, keeping the
-    estimates testable without solving the infimum."""
-    pool = [g for g in candidates if g.max_theta >= r + 1]
-    if f.max_theta >= r + 1 and all(g is not f for g in pool):
-        pool.insert(0, f)
-    if not pool:
+    """K(f, eps) <= eps*||theta^(r+1) f|| on the interval: the infimum over
+    smooth g of ||theta^r(f-g)|| + eps*||theta^(r+1) g||, bounded at g = f,
+    keeps the estimates testable without solving the infimum."""
+    if f.max_theta < r + 1:
         raise ValueError(
             f"no candidate with a Mellin derivative of order {r + 1} to bound the K-functional"
         )
-    best = math.inf
-    best_label = ""
-    for g in pool:
-        if g is f:
-            dist = 0.0
-        else:
-            fr = f.theta(r)
-            gr = g.theta(r)
-            dist = sup_norm(lambda y: fr(y) - gr(y), interval)
-        value = dist + eps * sup_norm(g.theta(r + 1), interval)
-        if value < best:
-            best = value
-            best_label = g.label
-    if not math.isfinite(best):
+    value = eps * sup_norm(f.theta(r + 1), interval)
+    if not math.isfinite(value):
         raise ValueError(
             f"the K-functional upper bound overflows on [{interval[0]:.6g}, {interval[1]:.6g}]; "
             f"the rate is too small for a finite right side"
         )
     desc = (
         f"K-functional upper bound min_g(||theta^{r}(f-g)|| + eps*||theta^{r + 1}g||), "
-        f"candidates={[g.label for g in pool]}, best=g={best_label}, "
+        f"candidates={[f.label]}, best=g={f.label}, "
         f"norms on [{interval[0]:.6g}, {interval[1]:.6g}]"
     )
-    return best, desc
+    return value, desc
 
 
 def first_order_bound(
@@ -338,15 +329,14 @@ def first_order_bound(
     kernel: Kernel,
     w: float,
     x: float,
-    candidates: Sequence[TestFunction] = (),
     quad_nodes: int = 7,
 ) -> BoundReport:
     """First-order remainder estimate: ``combo_bound`` of the p = 1 scheme.
 
-    lhs: |(I_w f)(x) - f(x) - (theta f)(x)/(2w) * (1 + 2 m_1(chi, x^w))|
+    lhs: |(I_w f)(x) - f(x) - (theta f)(x)/(2w) * (m_0 + 2 m_1)(chi, x^w)|
     rhs: (1 + 2 M_1)/w * K(f, (1 + 3 M_1 + 3 M_2) / (6w (1 + 2 M_1)))
     """
-    report = combo_bound(f, kernel, solve_coefficients(1), w, x, candidates, quad_nodes)
+    report = combo_bound(f, kernel, solve_coefficients(1), w, x, quad_nodes)
     return replace(report, bound="first_order")
 
 
@@ -356,12 +346,13 @@ def vanishing_moment_bound(
     w: float,
     x: float,
     r: int,
-    candidates: Sequence[TestFunction] = (),
     quad_nodes: int = 7,
 ) -> BoundReport:
     """Order-r remainder estimate for kernels with m_1 = ... = m_{r-1} = 0.
 
-    lhs: |(I_w f)(x) - f(x) - sum_{i<=r} (theta^i f)(x)/((i+1)! w^i)
+    lhs: |(I_w f)(x) - f(x) - expansion_prediction at p = 1 and order r|,
+         which for m_0 = 1 and m_1 = ... = m_{r-1} = 0 is
+         |(I_w f)(x) - f(x) - sum_{i<=r} (theta^i f)(x)/((i+1)! w^i)
           - (theta^r f)(x) m_r(chi, x^w) / (r! w^r)|
     rhs: 2A/(w^r (r+1)!) * K(f, B/(2A(r+1)w)),
          A = 1 + (r+1) M_r,  B = 1 + (r+2) M_{r+1}.
@@ -385,18 +376,13 @@ def vanishing_moment_bound(
             )
     m_r = algebraic_moment_at_log(kernel, r, wt)
     actual = apply(f, kernel, OperatorConfig(w=w, quad_nodes=quad_nodes), x)
-    series = math.fsum(
-        f.theta(i)(x) / (math.factorial(i + 1) * w ** i) for i in range(1, r + 1)
-    )
-    lhs = abs(
-        actual - f.f(x) - series - f.theta(r)(x) * m_r / (math.factorial(r) * w ** r)
-    )
+    lhs = abs(actual - f.f(x) - expansion_prediction(f, kernel, solve_coefficients(1), w, x, r))
     Mr = _absolute_moment_sup_cached(kernel, r)
     Mr1 = _absolute_moment_sup_cached(kernel, r + 1)
     A = 1.0 + (r + 1) * Mr
     B = 1.0 + (r + 2) * Mr1
     eps = B / (2.0 * A * (r + 1) * w)
-    k_value, desc = _k_upper(f, candidates, r, eps, _widened_interval(f, kernel, w))
+    k_value, desc = _k_upper(f, r, eps, _widened_interval(f, kernel, w))
     rhs = 2.0 * A / (w ** r * math.factorial(r + 1)) * k_value
     return BoundReport(
         bound=f"vanishing_moment:r={r}",
@@ -414,13 +400,13 @@ def combo_bound(
     scheme: CombinationScheme,
     w: float,
     x: float,
-    candidates: Sequence[TestFunction] = (),
     quad_nodes: int = 7,
 ) -> BoundReport:
     """First-order estimate for the combined operator.
 
-    lhs: |(I_{w,p} f)(x) - f(x)
-          - (theta f)(x)/(2w) * sum_i (c_i/i)(1 + 2 m_1(chi, x^{iw}))|
+    lhs: |(I_{w,p} f)(x) - f(x) - expansion_prediction(f, kernel, scheme, w, x, 1)|
+         = |(I_{w,p} f)(x) - f(x)
+            - (theta f)(x)/(2w) * sum_i (c_i/i)(m_0 + 2 m_1)(chi, x^{iw})|
     rhs: (1 + 2 M_1)/w * (sum_i c_i/i) * K(theta f, A/(6wB)),
          A = sum_i c_i/i^2 * (1 + 3 M_1 + 3 M_2),
          B = sum_i c_i/i * (1 + 2 M_1).
@@ -434,14 +420,8 @@ def combo_bound(
         raise ValueError(f"{f.label}: needs a first Mellin derivative")
     _check_rate(w)
     _check_point(x)
-    t = math.log(x)
     actual = apply_combo(f, kernel, scheme, w, x, quad_nodes)
-    theta1 = f.theta(1)(x)
-    drift = math.fsum(
-        float(c) / i * (1.0 + 2.0 * algebraic_moment_at_log(kernel, 1, i * w * t))
-        for i, c in enumerate(scheme.coeffs, start=1)
-    )
-    lhs = abs(actual - f.f(x) - theta1 / (2.0 * w) * drift)
+    lhs = abs(actual - f.f(x) - expansion_prediction(f, kernel, scheme, w, x, 1))
     M1 = _absolute_moment_sup_cached(kernel, 1)
     M2 = _absolute_moment_sup_cached(kernel, 2)
     s1 = float(scheme.power_sum(1))
@@ -461,7 +441,7 @@ def combo_bound(
             details=details,
         )
     eps = A / (6.0 * w * B)
-    k_value, desc = _k_upper(f, candidates, 1, eps, _widened_interval(f, kernel, w))
+    k_value, desc = _k_upper(f, 1, eps, _widened_interval(f, kernel, w))
     rhs = (1.0 + 2.0 * M1) / w * s1 * k_value
     details.update({"eps": eps, "K_upper": k_value})
     return BoundReport(
@@ -491,21 +471,13 @@ class ErrorTable:
     def rounded_rows(self, decimals: int = 4) -> list[tuple[float, ...]]:
         return [tuple(round(v, decimals) for v in row) for row in self.rows]
 
-    def to_csv(self, dest: Union[str, TextIO], decimals: int = 4) -> None:
-        if isinstance(dest, str):
-            with open(dest, "w", newline="") as fh:
-                self.to_csv(fh, decimals)
-            return
+    def to_csv(self, dest: TextIO, decimals: int = 4) -> None:
         writer = csv.writer(dest, lineterminator="\n")
         writer.writerow(("x",) + self.column_labels)
         for x, row in zip(self.x_values, self.rows):
             writer.writerow([f"{x:.12g}"] + [f"{v:.{decimals}f}" for v in row])
 
-    def to_latex(self, dest: Union[str, TextIO], decimals: int = 4) -> None:
-        if isinstance(dest, str):
-            with open(dest, "w", newline="") as fh:
-                self.to_latex(fh, decimals)
-            return
+    def to_latex(self, dest: TextIO, decimals: int = 4) -> None:
         cols = "|" + "l|" * (1 + len(self.column_labels))
         dest.write("\\begin{tabular}{" + cols + "}\n\\hline\n")
         header = " & ".join(["$x$"] + [lab.replace("_", "\\_") for lab in self.column_labels])

@@ -45,8 +45,6 @@ __all__ = [
     "write_grid_csv",
 ]
 
-FuncLike = Union[TestFunction, Callable[[float], float]]
-
 # A cell's quadrature nodes e^u are normal floats only for log u strictly
 # between these: the logs of the smallest normal and of the largest float.
 _LOG_MIN = math.log(sys.float_info.min)
@@ -86,10 +84,6 @@ def _check_rate(w: float) -> None:
 def _check_point(x: float) -> None:
     if not 0.0 < x < math.inf:
         raise ValueError(f"evaluation point must be positive and finite, got {x}")
-
-
-def _as_callable(f: FuncLike) -> Callable[[float], float]:
-    return f.f if isinstance(f, TestFunction) else f
 
 
 def _newton_step(n: int, x, one):
@@ -144,7 +138,7 @@ def _gauss_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     )
 
 
-def cell_mean(f: FuncLike, w: float, k: int, quad_nodes: int = 7) -> float:
+def cell_mean(f: TestFunction, w: float, k: int, quad_nodes: int = 7) -> float:
     """Normalized cell average w * integral_{k/w}^{(k+1)/w} f(e^u) du.
 
     Gauss-Legendre with ``quad_nodes`` points; exact whenever u -> f(e^u) is
@@ -160,7 +154,7 @@ def cell_mean(f: FuncLike, w: float, k: int, quad_nodes: int = 7) -> float:
             f"or the point lies too close to 0 or to the largest float"
         )
     nodes, weights = _gauss_rule(quad_nodes)
-    g = _as_callable(f)
+    g = f.f
     try:
         return math.fsum(wt * g(math.exp((k + s) / w)) for s, wt in zip(nodes, weights))
     except OverflowError as exc:
@@ -176,7 +170,7 @@ class _CellMeans(dict):
     they both touch; a hit is a plain dict lookup.
     """
 
-    def __init__(self, f: FuncLike, cfg: OperatorConfig) -> None:
+    def __init__(self, f: TestFunction, cfg: OperatorConfig) -> None:
         super().__init__()
         self.f, self.w, self.quad_nodes = f, cfg.w, cfg.quad_nodes
 
@@ -204,7 +198,7 @@ def _apply_with_cache(
     return math.fsum(terms)
 
 
-def apply(f: FuncLike, kernel: Kernel, cfg: OperatorConfig, x: float) -> float:
+def apply(f: TestFunction, kernel: Kernel, cfg: OperatorConfig, x: float) -> float:
     """(I_w f)(x) for a function given in closed form."""
     return _apply_with_cache(kernel, cfg.w, x, _CellMeans(f, cfg).__getitem__)
 
@@ -230,7 +224,7 @@ class SampleSeries:
 
     @classmethod
     def from_function(
-        cls, f: FuncLike, w: float, k_min: int, k_max: int, quad_nodes: int = 7
+        cls, f: TestFunction, w: float, k_min: int, k_max: int, quad_nodes: int = 7
     ) -> "SampleSeries":
         means = {k: cell_mean(f, w, k, quad_nodes) for k in range(k_min, k_max + 1)}
         return cls(w=w, means=means, k_range=(k_min, k_max))
@@ -238,7 +232,7 @@ class SampleSeries:
     @classmethod
     def covering(
         cls,
-        f: FuncLike,
+        f: TestFunction,
         kernel: Kernel,
         w: float,
         xs: Sequence[float],
@@ -278,17 +272,16 @@ class GridPoint:
 
 
 def apply_grid(
-    f: FuncLike, kernel: Kernel, cfg: OperatorConfig, xs: Sequence[float]
+    f: TestFunction, kernel: Kernel, cfg: OperatorConfig, xs: Sequence[float]
 ) -> list[GridPoint]:
     """Per-point operator values with errors against f itself."""
     if len(xs) == 0:
         raise ValueError("empty evaluation grid")
-    g = _as_callable(f)
     mean = _CellMeans(f, cfg).__getitem__
     out = []
     for x in xs:
         value = _apply_with_cache(kernel, cfg.w, x, mean)
-        exact = g(x)
+        exact = f.f(x)
         out.append(GridPoint(x=x, approx=value, exact=exact, abs_error=abs(value - exact)))
     return out
 
@@ -350,12 +343,8 @@ def read_sample_csv(src: Union[str, TextIO]) -> SampleSeries:
     return SampleSeries(w=w, means=means, k_range=(min(means), max(means)))
 
 
-def write_grid_csv(dest: Union[str, TextIO], points: Iterable[GridPoint]) -> None:
+def write_grid_csv(dest: TextIO, points: Iterable[GridPoint]) -> None:
     """Output CSV: x,approx,exact,abs_error at 12 significant digits, LF."""
-    if isinstance(dest, str):
-        with open(dest, "w", newline="") as fh:
-            write_grid_csv(fh, points)
-        return
     writer = csv.writer(dest, lineterminator="\n")
     writer.writerow(["x", "approx", "exact", "abs_error"])
     for p in points:

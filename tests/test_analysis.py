@@ -18,7 +18,7 @@ from expsamp.analysis import (
     vanishing_moment_bound,
     voronovskaya_check,
 )
-from expsamp.combinations import solve_coefficients
+from expsamp.combinations import apply_combo, solve_coefficients
 from expsamp.functions import get_function
 from expsamp.kernels import parse_kernel_spec
 from expsamp.operators import OperatorConfig, apply
@@ -28,6 +28,7 @@ B4 = parse_kernel_spec("bspline:4")
 COMBO = parse_kernel_spec("combo:4:e^1:e^2")
 W_GEOM = [10.0, 20.0, 40.0, 80.0, 160.0]
 LOG = get_function("log")
+P1 = solve_coefficients(1)
 
 
 class TestSupNorm:
@@ -108,7 +109,7 @@ class TestDomainGuards:
         "voronovskaya_check/p=2": lambda w, x: voronovskaya_check(
             LOG, B2, x, [w, 2 * w, 4 * w, 8 * w], solve_coefficients(2)
         ),
-        "expansion_prediction": lambda w, x: expansion_prediction(LOG, B2, x, w, 1),
+        "expansion_prediction": lambda w, x: expansion_prediction(LOG, B2, P1, w, x, 1),
         "first_order_bound": lambda w, x: first_order_bound(LOG, B2, w, x),
         "vanishing_moment_bound": lambda w, x: vanishing_moment_bound(LOG, B4, w, x, 2),
         "combo_bound": lambda w, x: combo_bound(LOG, B2, solve_coefficients(2), w, x),
@@ -185,7 +186,7 @@ class TestExpansionPrediction:
         f = get_function("log")
         for w in (5.0, 40.0):
             for x in (0.7, 1.9):
-                pred = expansion_prediction(f, B2, x, w, 1)
+                pred = expansion_prediction(f, B2, P1, w, x, 1)
                 true = apply(f, B2, OperatorConfig(w), x) - math.log(x)
                 assert pred == pytest.approx(1.0 / (2.0 * w), abs=1e-13)
                 assert pred == pytest.approx(true, abs=1e-12)
@@ -194,7 +195,7 @@ class TestExpansionPrediction:
         """Kernels with m_1 = 0 predict (theta f)(x)/(2w) at order 1."""
         f = get_function("cos4exp")
         x, w = 0.8, 25.0
-        assert expansion_prediction(f, B4, x, w, 1) == pytest.approx(
+        assert expansion_prediction(f, B4, P1, w, x, 1) == pytest.approx(
             f.theta(1)(x) / (2.0 * w), rel=1e-10
         )
 
@@ -205,7 +206,7 @@ class TestExpansionPrediction:
         for x in (1.0, 1.3, 2.0):
             for w in (25.0, 50.0, 100.0):
                 actual = apply(f, B2, OperatorConfig(w), x) - f.f(x)
-                assert expansion_prediction(f, B2, x, w, 2) == pytest.approx(
+                assert expansion_prediction(f, B2, P1, w, x, 2) == pytest.approx(
                     actual, abs=1e-12
                 )
 
@@ -218,19 +219,78 @@ class TestExpansionPrediction:
         prev = None
         for w in (25.0, 50.0, 100.0, 200.0):
             actual = apply(f, B2, OperatorConfig(w), x) - f.f(x)
-            resid = abs(actual - expansion_prediction(f, B2, x, w, r)) * w ** r
+            resid = abs(actual - expansion_prediction(f, B2, P1, w, x, r)) * w ** r
             if prev is not None:
                 assert resid < 0.75 * prev
             prev = resid
 
     def test_large_rate_no_overflow(self):
         """u = x^w is handled in log scale; x = 2, w = 2000 would overflow."""
-        val = expansion_prediction(get_function("log2"), B4, 2.0, 2000.0, 2)
+        val = expansion_prediction(get_function("log2"), B4, P1, 2000.0, 2.0, 2)
         assert math.isfinite(val)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            expansion_prediction(get_function("log"), B2, 1.0, 10.0, 4)
+            expansion_prediction(get_function("log"), B2, P1, 10.0, 1.0, 4)
+
+    @pytest.mark.parametrize(
+        "fn, spec, x, w, r, want",
+        [
+            ("cos4exp", "bspline:2", 0.8, 25.0, 2, 0.053757888770697176),
+            ("log3", "bspline:4", 1.7, 40.0, 3, 0.011233741844776372),
+            ("sinmix", "combo:4:e^1:e^2", 2.6, 30.0, 2, -0.42313176538998315),
+            ("log2", "bspline:3", 1.3, 15.0, 1, 0.017490950964499406),
+        ],
+    )
+    def test_p1_values_pinned(self, fn, spec, x, w, r, want):
+        """At p = 1 the value is, bit for bit, the single-rate expansion
+        sum_j (theta^j f)(x) bracket_j(x^w) / ((j+1)! w^j): the coefficient 1
+        and the rate 1*w add no rounding."""
+        assert expansion_prediction(get_function(fn), parse_kernel_spec(spec), P1, w, x, r) == want
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize(
+        "fn, kernel, x, w, r",
+        [("cos4exp", B2, 0.8, 25.0, 2), ("log3", B4, 1.7, 40.0, 3), ("sinmix", COMBO, 2.6, 30.0, 2),
+         ("log3", B2, 1.7, 20.0, 3)],
+    )
+    def test_combination_is_the_sum_over_rates(self, p, fn, kernel, x, w, r):
+        """sum_i c_i times the p = 1 expansion at rate iw.  The terms cancel
+        by design, so the tolerance is 1e-15 of the sum of their sizes."""
+        f = get_function(fn)
+        scheme = solve_coefficients(p)
+        terms = [float(c) * expansion_prediction(f, kernel, P1, i * w, x, r)
+                 for i, c in enumerate(scheme.coeffs, start=1)]
+        got = expansion_prediction(f, kernel, scheme, w, x, r)
+        assert abs(got - math.fsum(terms)) <= 1e-15 * math.fsum(abs(t) for t in terms)
+
+
+class TestBoundsSubtractTheExpansion:
+    """Both bounds measure their left side as the operator error minus
+    ``expansion_prediction``."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "fn, kernel, w, x",
+        [("cos4exp", B2, 15.0, 0.75), ("log3", B4, 20.0, 1.5), ("sinmix", COMBO, 30.0, 2.6)],
+    )
+    def test_combo_bound(self, p, fn, kernel, w, x):
+        f = get_function(fn)
+        scheme = solve_coefficients(p)
+        rep = combo_bound(f, kernel, scheme, w, x)
+        value = apply_combo(f, kernel, scheme, w, x)
+        assert rep.lhs == abs(value - f.f(x) - expansion_prediction(f, kernel, scheme, w, x, 1))
+
+    @pytest.mark.parametrize(
+        "fn, kernel, w, x, r",
+        [("log3", B4, 12.0, 1.5, 2), ("cos4exp", B4, 25.0, 0.8, 1), ("log2", B2, 20.0, 1.3, 1),
+         ("sinmix", B2, 40.0, 2.6, 2)],
+    )
+    def test_vanishing_moment_bound(self, fn, kernel, w, x, r):
+        f = get_function(fn)
+        rep = vanishing_moment_bound(f, kernel, w, x, r)
+        value = apply(f, kernel, OperatorConfig(w), x)
+        assert rep.lhs == abs(value - f.f(x) - expansion_prediction(f, kernel, P1, w, x, r))
 
 
 class TestFirstOrderBound:
@@ -258,17 +318,9 @@ class TestFirstOrderBound:
             rep = first_order_bound(f, kernel, w, x)
             assert rep.satisfied, (f.label, kernel.label, w, x)
 
-    def test_candidate_list_tightens_bound(self):
-        """A candidate with smaller theta^2 can only shrink the surrogate."""
-        f = get_function("cos4exp")
-        loose = first_order_bound(f, B2, 20.0, 0.8)
-        tight = first_order_bound(f, B2, 20.0, 0.8, candidates=[get_function("log")])
-        assert tight.rhs <= loose.rhs + 1e-12
-        assert tight.satisfied
-
     def test_no_usable_candidate_rejected(self):
-        """A function without a second Mellin derivative and an empty
-        candidate list leaves nothing to bound the K-functional with."""
+        """A function without a second Mellin derivative leaves nothing to
+        bound the K-functional with: the surrogate is g = f itself."""
         from expsamp.functions import TestFunction
 
         bare = TestFunction(

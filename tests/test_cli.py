@@ -324,6 +324,9 @@ class TestNonFiniteInputs:
              "evaluation point must be positive and finite, got inf"),
             (("converge", "--w-list", "10,20,nan,40,80"),
              "sampling rate w must be positive and finite, got nan"),
+            # the rate list is checked once, by the study, which names the value
+            (("converge", "--w-list", "10,20,40,80,40"), "strictly increasing"),
+            (("voronovskaya", "--x", "2", "--w-list=-10,20,40,80"), "got -10.0"),
         ],
     )
     def test_studies(self, capsys, argv, named):
