@@ -23,7 +23,6 @@ from .analysis import (
 from .combinations import (
     CombinationScheme,
     apply_combo,
-    combo_moment_bracket,
     solve_coefficients,
 )
 from .functions import BUILTIN_FUNCTIONS, TestFunction, get_function
@@ -38,11 +37,9 @@ from .kernels import (
 )
 from .moments import (
     MomentReport,
-    absolute_moment,
     absolute_moment_sup,
     algebraic_moment,
     build_moment_report,
-    kantorovich_bracket,
     poisson_moment,
 )
 from .operators import (
@@ -80,7 +77,6 @@ __all__ = [
     "SampleSeries",
     "TestFunction",
     "TranslatedComboSpec",
-    "absolute_moment",
     "absolute_moment_sup",
     "algebraic_moment",
     "apply",
@@ -92,12 +88,10 @@ __all__ = [
     "build_translated_combo",
     "cell_mean",
     "combo_bound",
-    "combo_moment_bracket",
     "estimate_order",
     "expansion_prediction",
     "first_order_bound",
     "get_function",
-    "kantorovich_bracket",
     "make_table",
     "parse_kernel_spec",
     "poisson_moment",

@@ -31,7 +31,6 @@ from .combinations import (
     CombinationScheme,
     _rate_values,
     apply_combo,
-    combo_moment_bracket,
     solve_coefficients,
 )
 from .functions import TestFunction
@@ -103,8 +102,8 @@ class ConvergenceStudy:
     ``errors`` are absolute errors per rate.  For Voronovskaya studies
     ``scaled_errors`` holds the signed w^q-scaled errors, ``predicted_limit``
     the moment-bracket constant, and ``deviations`` the per-rate distance
-    from it.  ``exact_reproduction`` marks the infinite-order path taken
-    when the operator reproduces the function to round-off.
+    from it.  An infinite ``fitted_order`` marks the path taken when the
+    operator reproduces the function to round-off.
     """
 
     w_list: tuple[float, ...]
@@ -114,11 +113,6 @@ class ConvergenceStudy:
     scaled_errors: Optional[tuple[float, ...]] = None
     predicted_limit: Optional[float] = None
     deviations: Optional[tuple[float, ...]] = None
-    exact_reproduction: bool = False
-
-    @property
-    def deviation_at_largest_w(self) -> Optional[float]:
-        return self.deviations[-1] if self.deviations else None
 
 
 def _check_w_list(w_list: Sequence[float], minimum: int) -> tuple[float, ...]:
@@ -151,10 +145,9 @@ def voronovskaya_check(
     ws = _check_w_list(w_list, minimum=4)
     scheme = scheme or solve_coefficients(1)
     q = scheme.p
-    if f.max_theta < q:
-        raise ValueError(f"{f.label}: needs Mellin derivative of order {q}")
-    bracket = combo_moment_bracket(kernel, scheme, q, x)
-    predicted = f.theta(q)(x) * bracket / math.factorial(q + 1)
+    theta_q = f.theta(q)  # first: a missing derivative is named before the bracket's order limit
+    bracket = float(scheme.power_sum(q)) * kantorovich_bracket_at_log(kernel, q, math.log(x))
+    predicted = theta_q(x) * bracket / math.factorial(q + 1)
     values = [apply_combo(f, kernel, scheme, w, x, quad_nodes) for w in ws]
     fx = f.f(x)
     scaled = tuple(w ** q * (v - fx) for w, v in zip(ws, values))
@@ -212,7 +205,6 @@ def estimate_order(
             errors=errors,
             fitted_order=math.inf,
             fitted_constant=0.0,
-            exact_reproduction=True,
         )
     half = (len(ws) + 1) // 2
     log_w = [math.log(w) for w in ws[-half:]]
@@ -244,8 +236,8 @@ def expansion_prediction(
     ``solve_coefficients(1)``; both bounds subtract this sum from the
     measured error.
     """
-    if not 1 <= r <= f.max_theta:
-        raise ValueError(f"expansion order r={r} not in 1..{f.max_theta}")
+    if r < 1:
+        raise ValueError(f"expansion order r={r} must be >= 1")
     _check_rate(w)
     _check_point(x)
     t = math.log(x)
@@ -306,10 +298,6 @@ def _k_upper(
     """K(f, eps) <= eps*||theta^(r+1) f|| on the interval: the infimum over
     smooth g of ||theta^r(f-g)|| + eps*||theta^(r+1) g||, bounded at g = f,
     keeps the estimates testable without solving the infimum."""
-    if f.max_theta < r + 1:
-        raise ValueError(
-            f"no candidate with a Mellin derivative of order {r + 1} to bound the K-functional"
-        )
     value = eps * sup_norm(f.theta(r + 1), interval)
     if not math.isfinite(value):
         raise ValueError(
@@ -362,8 +350,6 @@ def vanishing_moment_bound(
     """
     if not 1 <= r <= 3:
         raise ValueError(f"bound order r={r} not in 1..3")
-    if f.max_theta < r:
-        raise ValueError(f"{f.label}: needs Mellin derivatives through order {r}")
     _check_rate(w)
     _check_point(x)
     wt = w * math.log(x)
@@ -416,8 +402,6 @@ def combo_bound(
     (not applicable).  For p = 1 this is the plain first-order estimate,
     ``first_order_bound``.
     """
-    if f.max_theta < 1:
-        raise ValueError(f"{f.label}: needs a first Mellin derivative")
     _check_rate(w)
     _check_point(x)
     actual = apply_combo(f, kernel, scheme, w, x, quad_nodes)
@@ -467,9 +451,6 @@ class ErrorTable:
     x_values: tuple[float, ...]
     column_labels: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
-
-    def rounded_rows(self, decimals: int = 4) -> list[tuple[float, ...]]:
-        return [tuple(round(v, decimals) for v in row) for row in self.rows]
 
     def to_csv(self, dest: TextIO, decimals: int = 4) -> None:
         writer = csv.writer(dest, lineterminator="\n")

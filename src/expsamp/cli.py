@@ -72,11 +72,7 @@ def _parse_x_values(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError(f"range {text!r}: want lo:hi:step with 3 fields, got {len(parts)}")
-        try:
-            lo, hi, step = (float(p) for p in parts)
-        except ValueError:
-            bad = next(p for p in parts if not _is_float(p))
-            raise UsageError(f"range {text!r}: bad number {bad!r} at position {text.index(bad)}") from None
+        lo, hi, step = (_number(p, text, "range") for p in parts)
         for name, v in (("lo", lo), ("hi", hi), ("step", step)):
             if not math.isfinite(v):
                 raise UsageError(f"range {text!r}: {name} must be finite, got {v}")
@@ -90,12 +86,7 @@ def _parse_x_values(text: str) -> list[float]:
         count = int(math.floor(span + 1e-9)) + 1
         values = [lo + i * step for i in range(count)]
     else:
-        values = []
-        for tok in text.split(","):
-            tok = tok.strip()
-            if not _is_float(tok):
-                raise UsageError(f"point list {text!r}: bad number {tok!r} at position {text.index(tok)}")
-            values.append(float(tok))
+        values = [_number(tok.strip(), text, "point list") for tok in text.split(",")]
     if not values:
         raise UsageError(f"empty evaluation grid from {text!r}")
     if any(v <= 0.0 for v in values):
@@ -103,20 +94,17 @@ def _parse_x_values(text: str) -> list[float]:
     return values
 
 
-def _is_float(tok: str) -> bool:
+def _number(tok: str, text: str, what: str) -> float:
+    """float(tok), or a UsageError naming tok and where it sits in text."""
     try:
-        float(tok)
-        return True
+        return float(tok)
     except ValueError:
-        return False
+        raise UsageError(f"{what} {text!r}: bad number {tok!r} at position {text.index(tok)}") from None
 
 
 def _parse_w_list(text: str) -> list[float]:
     """The numbers of a comma list; the studies validate the rates."""
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise UsageError(f"bad rate list {text!r}: want comma-separated numbers") from None
+    return [_number(tok, text, "rate list") for tok in text.split(",")]
 
 
 def _load_config_flags(path: str) -> list[str]:
@@ -143,31 +131,19 @@ def _load_config_flags(path: str) -> list[str]:
     return flags
 
 
+_CONFIG = _Parser(add_help=False, allow_abbrev=False)
+_CONFIG.add_argument("--config")
+
+
 def _inject_config(argv: list[str]) -> list[str]:
     """Pull out --config and splice its flags right after the subcommand,
     so explicit command-line flags override them."""
-    out = []
-    config_path = None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config needs a file path")
-            config_path = argv[i + 1]
-            i += 2
-            continue
-        if tok.startswith("--config="):
-            config_path = tok.split("=", 1)[1]
-            i += 1
-            continue
-        out.append(tok)
-        i += 1
-    if config_path is None:
+    known, out = _CONFIG.parse_known_args(argv)
+    if known.config is None:
         return out
     if not out:
         raise UsageError("--config given but no subcommand")
-    return [out[0]] + _load_config_flags(config_path) + out[1:]
+    return [out[0]] + _load_config_flags(known.config) + out[1:]
 
 
 def _output(args) -> ContextManager[TextIO]:
@@ -364,10 +340,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"expsamp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, kernel: bool = True) -> None:
-        if kernel:
-            p.add_argument("--kernel", required=True,
-                           help="kernel spec: bspline:<n> or combo:<n>:<alpha>:<beta>")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--kernel", required=True,
+                       help="kernel spec: bspline:<n> or combo:<n>:<alpha>:<beta>")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
         p.add_argument("--quad-nodes", type=int, default=7,
                        help="Gauss-Legendre nodes per cell (default 7)")

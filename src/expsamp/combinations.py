@@ -25,10 +25,9 @@ from typing import Sequence
 
 from .functions import TestFunction
 from .kernels import Kernel
-from .moments import _log_location, kantorovich_bracket_at_log
 from .operators import OperatorConfig, _apply_with_cache, _CellMeans
 
-__all__ = ["CombinationScheme", "solve_coefficients", "apply_combo", "combo_moment_bracket"]
+__all__ = ["CombinationScheme", "solve_coefficients", "apply_combo"]
 
 MAX_P = 8
 
@@ -94,12 +93,3 @@ def apply_combo(
     """sum_i c_i * (I_{i*w} f)(x)."""
     return scheme.combine(_rate_values(f, kernel, w, scheme.p, [x], quad_nodes)[0])
 
-
-def combo_moment_bracket(kernel: Kernel, scheme: CombinationScheme, k: int, u: float) -> float:
-    """(sum_i c_i / i^k) times the order-k averaged-moment bracket at u.
-
-    Divided by (k+1)!, this is the coefficient on (theta^k f)(x) w^-k in the
-    combined operator's expansion; the k = p value fixes the asymptotic
-    constant of the order-p scheme.
-    """
-    return float(scheme.power_sum(k)) * kantorovich_bracket_at_log(kernel, k, _log_location(u))

@@ -6,7 +6,9 @@ The Mellin derivative is theta f = x * f'(x); iterating,
     theta^3 f = x f' + 3 x^2 f'' + x^3 f'''
 
 so a function with hand-derived ordinary derivatives up to third order
-yields theta f, theta^2 f, theta^3 f in closed form.  The registry below
+yields theta f, theta^2 f, theta^3 f in closed form.  Powers of log x are
+written directly in theta, which maps (log x)^p to p (log x)^(p-1), so the
+terms above need not cancel for them.  The registry below
 holds the functions used in the numerical experiments; ``const:<c>`` is
 parsed dynamically.
 """
@@ -78,21 +80,21 @@ def _constant(c: float) -> TestFunction:
 
 
 def _log_power(p: int) -> TestFunction:
-    # (log x)^p for p = 1, 2, 3; theta lowers the power by one each time
-    derivs = {
-        1: (lambda x: 1.0 / x,
-            lambda x: -1.0 / x ** 2,
-            lambda x: 2.0 / x ** 3),
-        2: (lambda x: 2.0 * math.log(x) / x,
-            lambda x: (2.0 - 2.0 * math.log(x)) / x ** 2,
-            lambda x: (4.0 * math.log(x) - 6.0) / x ** 3),
-        3: (lambda x: 3.0 * math.log(x) ** 2 / x,
-            lambda x: (6.0 * math.log(x) - 3.0 * math.log(x) ** 2) / x ** 2,
-            lambda x: (6.0 - 18.0 * math.log(x) + 6.0 * math.log(x) ** 2) / x ** 3),
-    }[p]
+    """(log x)^p for p = 1, 2, 3: theta lowers the power by one each time,
+    theta^j (log x)^p = p!/(p-j)! (log x)^(p-j), and is exactly 0 for j > p."""
+
+    def theta(j: int) -> Real:
+        if j > p:
+            return lambda x: 0.0
+        c = float(math.perm(p, j))
+        return lambda x: c * math.log(x) ** (p - j)
+
     label = "log" if p == 1 else f"log{p}"
-    return TestFunction.from_derivatives(
-        label, lambda x: math.log(x) ** p, *derivs, eval_interval=(0.5, 3.0)
+    return TestFunction(
+        f=lambda x: math.log(x) ** p,
+        mellin_derivs=(theta(1), theta(2), theta(3)),
+        label=label,
+        eval_interval=(0.5, 3.0),
     )
 
 

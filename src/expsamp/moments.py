@@ -12,6 +12,10 @@ the frequency side, from the kernel's transform derivatives,
 
 where phi(t) is the transform at the imaginary point it; agreement of the
 two routes is the main correctness check for both.
+
+The sums are asked at log u (the ``*_at_log`` functions), so u = x^w
+cannot overflow; ``algebraic_moment`` and ``poisson_moment`` take u itself,
+for locations given from outside.
 """
 
 from __future__ import annotations
@@ -29,11 +33,9 @@ __all__ = [
     "MomentReport",
     "algebraic_moment",
     "algebraic_moment_at_log",
-    "absolute_moment",
     "absolute_moment_at_log",
     "absolute_moment_sup",
     "poisson_moment",
-    "kantorovich_bracket",
     "kantorovich_bracket_at_log",
     "build_moment_report",
 ]
@@ -69,16 +71,13 @@ def algebraic_moment(kernel: Kernel, nu: int, u: float) -> float:
 
 
 def absolute_moment_at_log(kernel: Kernel, nu: int, log_u: float) -> float:
+    """Absolute moment M_nu(chi, u) with u given as log(u); dominates
+    |m_nu(chi, u)| pointwise."""
     _check_order(nu)
     return math.fsum(
         abs(kernel.eval_log(log_u - k)) * abs(k - log_u) ** nu
         for k in kernel.window(log_u)
     )
-
-
-def absolute_moment(kernel: Kernel, nu: int, u: float) -> float:
-    """Absolute moment M_nu(chi, u); dominates |m_nu(chi, u)| pointwise."""
-    return absolute_moment_at_log(kernel, nu, _log_location(u))
 
 
 def absolute_moment_sup(kernel: Kernel, nu: int) -> float:
@@ -307,10 +306,6 @@ def kantorovich_bracket_at_log(kernel: Kernel, i: int, log_u: float) -> float:
         math.comb(i + 1, j) * algebraic_moment_at_log(kernel, i - j + 1, log_u)
         for j in range(1, i + 2)
     )
-
-
-def kantorovich_bracket(kernel: Kernel, i: int, u: float) -> float:
-    return kantorovich_bracket_at_log(kernel, i, _log_location(u))
 
 
 @dataclass(frozen=True)

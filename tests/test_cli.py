@@ -219,6 +219,15 @@ class TestBounds:
         assert err.startswith("expsamp: error: rate w=0.02 is too small")
         assert "the smallest admissible w is 2.0" in err
 
+    def test_vanishing_derivative_gives_zero_right_side(self, capsys):
+        """theta^3 (log x)^2 is exactly 0, so the K-functional bound and the
+        right side are 0.0, not the round-off of cancelling terms."""
+        code, out, _ = run(capsys, "bounds", "--kernel", "bspline:3", "--fn", "log2",
+                           "--w", "39.85", "--x", "2.2585", "--check", "moment", "--r", "2")
+        assert code == 0
+        assert '"rhs": 0.0' in out
+        assert json.loads(out)["details"]["K_upper"] == 0.0
+
     def test_combo_not_applicable(self, capsys):
         code, out, _ = run(capsys, "bounds", "--kernel", "bspline:4", "--fn", "log2",
                            "--w", "20", "--x", "2.0", "--check", "combo", "--p", "2")
@@ -250,6 +259,12 @@ class TestUsageErrors:
                            "--w", "5", "--x", "1.0:2.0:abc")
         assert code == 1
         assert "abc" in err
+
+    def test_bad_rate_names_the_token(self, capsys):
+        code, out, err = run(capsys, "converge", "--kernel", "bspline:2", "--fn", "log",
+                             "--w-list", "10,20,4o,80,160")
+        assert (code, out) == (1, "")
+        assert err == "expsamp: error: rate list '10,20,4o,80,160': bad number '4o' at position 6\n"
 
     @pytest.mark.parametrize("command", ["kernel-info", "moments"])
     @pytest.mark.parametrize("nu_max", ["-1", "9"])
@@ -502,6 +517,27 @@ class TestConfigFile:
         code, _, err = run(capsys, "eval", "--config", str(cfg), "--kernel", "bspline:2",
                            "--fn", "log", "--w", "5", "--x", "1,2")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ((), ("--config={cfg}",)),  # the = form
+            (("--config", "{cfg}"), ()),  # before the subcommand
+        ],
+    )
+    def test_config_flag_forms(self, capsys, tmp_path, before, after):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kernel=bspline:2\nfn=const:3\nw=10\n")
+        fill = lambda flags: [t.format(cfg=cfg) for t in flags]
+        code, out, _ = run(capsys, *fill(before), "eval", *fill(after), "--x", "1.5")
+        assert code == 0
+        assert out.strip().split("\n")[1].split(",")[:2] == ["1.5", "3"]
+
+    def test_config_without_value(self, capsys):
+        code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "log",
+                             "--w", "5", "--x", "1,2", "--config")
+        assert (code, out) == (1, "")
+        assert "--config" in err
 
 
 class TestOutputFile:

@@ -9,11 +9,11 @@ import pytest
 from expsamp.combinations import (
     CombinationScheme,
     apply_combo,
-    combo_moment_bracket,
     solve_coefficients,
 )
 from expsamp.functions import get_function
 from expsamp.kernels import parse_kernel_spec
+from expsamp.moments import kantorovich_bracket_at_log
 from expsamp.operators import OperatorConfig, apply
 
 B2 = parse_kernel_spec("bspline:2")
@@ -121,24 +121,30 @@ class TestApplyCombo:
 
 
 class TestComboMomentBracket:
+    """(sum_i c_i / i^k) times the order-k bracket: divided by (k+1)!, the
+    coefficient on (theta^k f)(x) w^-k in the combined operator's expansion."""
+
     def test_b4_p2_second_order(self):
         """(c_1 + c_2/4) * 2 = (-1 + 1/2) * 2 = -1; dividing by 3! gives the
         -1/6 asymptotic constant."""
         scheme = solve_coefficients(2)
         for u in (0.5, 1.0, 2.0):
-            assert combo_moment_bracket(B4, scheme, 2, u) == pytest.approx(-1.0, abs=1e-12)
+            bracket = kantorovich_bracket_at_log(B4, 2, math.log(u))
+            assert float(scheme.power_sum(2)) * bracket == pytest.approx(-1.0, abs=1e-12)
 
     def test_b4_p3_third_order(self):
         """(1/2 - 4/8 + (9/2)/27) * 3 = 1/2; dividing by 4! gives 1/48."""
         scheme = solve_coefficients(3)
         for u in (0.5, 1.0, 2.0):
-            assert combo_moment_bracket(B4, scheme, 3, u) == pytest.approx(0.5, abs=1e-12)
+            bracket = kantorovich_bracket_at_log(B4, 3, math.log(u))
+            assert float(scheme.power_sum(3)) * bracket == pytest.approx(0.5, abs=1e-12)
 
     def test_translated_kernel_p2(self):
         """(-1 + 1/2) * (-4) = 2; dividing by 3! gives the 1/3 constant."""
         scheme = solve_coefficients(2)
         for u in (0.5, 1.0, 2.0):
-            assert combo_moment_bracket(COMBO, scheme, 2, u) == pytest.approx(2.0, abs=1e-12)
+            bracket = kantorovich_bracket_at_log(COMBO, 2, math.log(u))
+            assert float(scheme.power_sum(2)) * bracket == pytest.approx(2.0, abs=1e-12)
 
     def test_killed_orders_vanish(self):
         """sum c_i / i^k = 0 for k < p forces the bracket product to zero
@@ -147,6 +153,5 @@ class TestComboMomentBracket:
         for kernel in (B2, B4, COMBO):
             for p in (2, 3):
                 scheme = solve_coefficients(p)
-                assert combo_moment_bracket(kernel, scheme, 1, 1.7) == pytest.approx(
-                    0.0, abs=1e-12
-                )
+                bracket = kantorovich_bracket_at_log(kernel, 1, math.log(1.7))
+                assert float(scheme.power_sum(1)) * bracket == pytest.approx(0.0, abs=1e-12)

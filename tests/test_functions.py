@@ -59,13 +59,15 @@ class TestDerivativeConsistency:
             fd = _mellin_fd(prev, x)
             assert fd == pytest.approx(cur(x), abs=1e-6 * (1.0 + abs(cur(x))))
 
-    def test_log_family_closed_forms(self):
-        f = get_function("log3")
-        for x in (0.6, 1.0, 2.3):
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_log_family_closed_forms(self, p):
+        """theta^j (log x)^p = p!/(p-j)! (log x)^(p-j), and exactly 0 for j > p."""
+        f = get_function("log" if p == 1 else f"log{p}")
+        for x in (0.6, 1.0, 2.2585, 2.9):
             L = math.log(x)
-            assert f.theta(1)(x) == pytest.approx(3.0 * L * L, rel=1e-13, abs=1e-13)
-            assert f.theta(2)(x) == pytest.approx(6.0 * L, rel=1e-13, abs=1e-13)
-            assert f.theta(3)(x) == pytest.approx(6.0, rel=1e-13)
+            for j in range(1, 4):
+                want = math.perm(p, j) * L ** (p - j) if j <= p else 0.0
+                assert f.theta(j)(x) == want, (j, x)
 
     def test_from_derivatives_composition(self):
         """theta^2 f = x f' + x^2 f'' and theta^3 adds 3x^2 f'' + x^3 f'''."""
