@@ -328,6 +328,7 @@ class TestLocationValidation:
     ENTRY_POINTS = {
         "algebraic_moment": lambda u: algebraic_moment(B2, 1, u),
         "poisson_moment": lambda u: poisson_moment(B2, 1, u, 2),
+        "build_moment_report": lambda u: build_moment_report(B2, 1, at_u=u),
     }
 
     @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
