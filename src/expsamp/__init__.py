@@ -29,10 +29,6 @@ from .functions import BUILTIN_FUNCTIONS, TestFunction, get_function
 from .kernels import (
     Kernel,
     KernelSpecError,
-    MellinBSplineSpec,
-    TranslatedComboSpec,
-    build_bspline_kernel,
-    build_translated_combo,
     parse_kernel_spec,
 )
 from .moments import (
@@ -68,7 +64,6 @@ __all__ = [
     "GridPoint",
     "Kernel",
     "KernelSpecError",
-    "MellinBSplineSpec",
     "MissingSampleError",
     "MomentPreconditionError",
     "MomentReport",
@@ -76,16 +71,13 @@ __all__ = [
     "SampleFormatError",
     "SampleSeries",
     "TestFunction",
-    "TranslatedComboSpec",
     "absolute_moment_sup",
     "algebraic_moment",
     "apply",
     "apply_combo",
     "apply_from_samples",
     "apply_grid",
-    "build_bspline_kernel",
     "build_moment_report",
-    "build_translated_combo",
     "cell_mean",
     "combo_bound",
     "estimate_order",

@@ -273,14 +273,15 @@ class BoundReport:
 
 def _widened_interval(f: TestFunction, kernel: Kernel, w: float) -> tuple[float, float]:
     """f's eval_interval widened by the factor e^margin on each side,
-    margin = (radius + 1)/w: every cell the operator touches for x in
+    margin = (radius + 1)/w, where radius is the larger end of the kernel's
+    log-support in absolute value: every cell the operator touches for x in
     eval_interval lies inside.
 
     A margin above 1, i.e. w < radius + 1, is refused: the norms would be
     taken far outside f's interval (over about [6e-44, 1e44] for bspline:2
     at w = 0.02), which makes the right side vacuous.
     """
-    smallest = kernel.support_radius + 1.0
+    smallest = max(map(abs, kernel.log_support)) + 1.0
     if w < smallest:
         raise ValueError(
             f"rate w={w} is too small for a bound with kernel {kernel.label!r}: its norms "
@@ -306,7 +307,7 @@ def _k_upper(
         )
     desc = (
         f"K-functional upper bound min_g(||theta^{r}(f-g)|| + eps*||theta^{r + 1}g||), "
-        f"candidates={[f.label]}, best=g={f.label}, "
+        f"bounded at g={f.label}, "
         f"norms on [{interval[0]:.6g}, {interval[1]:.6g}]"
     )
     return value, desc

@@ -2,10 +2,10 @@
 
 Subcommands: kernel-info, moments, eval, reconstruct, table, converge,
 voronovskaya, bounds.  Exit status is 0 on success, 1 on usage errors
-(bad flags, malformed ranges, unknown kernels or functions, unreadable
-files) and on inputs whose results leave the float range (a rate too
-small for the point, an f that overflows), and 2 when a bound's moment
-precondition fails.
+(bad flags, malformed ranges, grids of more than a million points, unknown
+kernels or functions, unreadable files) and on inputs whose results leave
+the float range (a rate too small for the point, an f that overflows), and
+2 when a bound's moment precondition fails.
 
 Text and CSV output prints floats with 12 significant digits, except the
 table command, whose error cells are rounded to 4 decimals for comparison
@@ -52,6 +52,10 @@ from .operators import (
 
 __all__ = ["main"]
 
+# Most points one evaluation grid may hold: a range such as 1:2:1e-10 would
+# otherwise ask for 10^10 floats.
+_MAX_GRID_POINTS = 1_000_000
+
 
 class UsageError(Exception):
     pass
@@ -84,6 +88,7 @@ def _parse_x_values(text: str) -> list[float]:
         if not math.isfinite(span):
             raise UsageError(f"range {text!r}: too many points, (hi - lo) / step = {span}")
         count = int(math.floor(span + 1e-9)) + 1
+        _check_grid_size(count, f"range {text!r}")
         values = [lo + i * step for i in range(count)]
     else:
         values = [_number(tok.strip(), text, "point list") for tok in text.split(",")]
@@ -92,6 +97,11 @@ def _parse_x_values(text: str) -> list[float]:
     if any(v <= 0.0 for v in values):
         raise UsageError(f"evaluation points must be positive, got {min(values)}")
     return values
+
+
+def _check_grid_size(count: int, what: str) -> None:
+    if count > _MAX_GRID_POINTS:
+        raise UsageError(f"{what}: {count} points, more than the {_MAX_GRID_POINTS} allowed")
 
 
 def _number(tok: str, text: str, what: str) -> float:
@@ -291,6 +301,7 @@ def _run_converge(args) -> int:
     f = get_function(args.fn)
     w_list = _parse_w_list(args.w_list)
     scheme = solve_coefficients(args.p) if args.p is not None else None
+    _check_grid_size(args.grid_points, "--grid-points")
     lo, hi = f.eval_interval
     grid = _linspace(lo, hi, args.grid_points)
     study = estimate_order(f, kernel, scheme, w_list, grid, args.quad_nodes)

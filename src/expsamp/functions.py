@@ -47,10 +47,6 @@ class TestFunction:
             return self.mellin_derivs[j - 1]
         raise ValueError(f"{self.label}: Mellin derivative of order {j} not available")
 
-    @property
-    def max_theta(self) -> int:
-        return len(self.mellin_derivs)
-
     @classmethod
     def from_derivatives(
         cls,

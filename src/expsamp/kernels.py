@@ -2,13 +2,16 @@
 
 A kernel is a function chi on the positive half-line whose values depend on
 log(u) only, with compact support in log scale and a known transform
-phi(t) = integral of u^(it-1) * chi(u) du.  Two families are provided:
+phi(t) = integral of u^(it-1) * chi(u) du.  Every kernel here is a weighted
+sum of log-translates of one Mellin B-spline, sum_i c_i B_n(log(u) + a_i),
+built by a single constructor from its spec string (``parse_kernel_spec``):
 
-* Mellin B-splines of order n: the centered cardinal B-spline of order n
-  evaluated at log(u), with transform (sin(t/2) / (t/2))^n.
-* Linear combinations of two log-translates of a Mellin B-spline, with
-  coefficients chosen so that the combined kernel keeps the zeroth moment
-  equal to 1 and kills the first moment.
+* ``bspline:<n>``, the Mellin B-spline of order n: the centered cardinal
+  B-spline evaluated at log(u), with transform (sin(t/2) / (t/2))^n; the
+  single term (1, 0).
+* ``combo:<n>:<alpha>:<beta>``, two log-translates c1*B_n(alpha*u) +
+  c2*B_n(beta*u), with coefficients chosen so that the combined kernel
+  keeps the zeroth moment equal to 1 and kills the first moment.
 
 Both families satisfy the partition-of-unity identity
 sum_k chi(e^-k * x^w) = 1 for every x > 0, w > 0.
@@ -25,10 +28,6 @@ from typing import Callable
 __all__ = [
     "Kernel",
     "KernelSpecError",
-    "MellinBSplineSpec",
-    "TranslatedComboSpec",
-    "build_bspline_kernel",
-    "build_translated_combo",
     "parse_kernel_spec",
 ]
 
@@ -49,9 +48,8 @@ class KernelSpecError(ValueError):
 class Kernel:
     """Evaluatable kernel: a piecewise polynomial of t = log(u) on knots.
 
-    ``eval_log`` is the primary evaluator: it takes t = log(u) and returns
-    chi(u).  All operator and moment code works in log scale, so exp/log
-    round trips are avoided.
+    ``eval_log`` takes t = log(u) and returns chi(u): all operator and
+    moment code works in log scale, so exp/log round trips are avoided.
 
     ``log_knots`` and ``piece_degree`` describe the kernel's shape: between
     consecutive knots (ascending, possibly repeated) eval_log is a
@@ -74,21 +72,10 @@ class Kernel:
     log_knots: tuple[float, ...]
     piece_degree: int
 
-    def eval(self, u: float) -> float:
-        """Value chi(u) for u > 0."""
-        if u <= 0.0:
-            raise ValueError(f"kernel argument must be positive, got {u}")
-        return self.eval_log(math.log(u))
-
     @property
     def log_support(self) -> tuple[float, float]:
         """The closed interval [a, b] spanned by the end knots."""
         return self.log_knots[0], self.log_knots[-1]
-
-    @property
-    def support_radius(self) -> float:
-        a, b = self.log_support
-        return max(abs(a), abs(b))
 
     def window(self, t: float) -> range:
         """Integers k with t - k in the log-support, widened by one on each
@@ -112,17 +99,6 @@ class Kernel:
         # adds a call to every window on the operator's hot path
         knots = self.log_knots
         return range(math.ceil(t - knots[-1]) - 1, math.floor(t - knots[0]) + 2)
-
-
-@dataclass(frozen=True)
-class MellinBSplineSpec:
-    """Order of a Mellin B-spline kernel; log-support is [-n/2, n/2]."""
-
-    order: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.order <= MAX_ORDER:
-            raise ValueError(f"B-spline order must be in 1..{MAX_ORDER}, got {self.order}")
 
 
 def _bspline_log(n: int, t: float) -> float:
@@ -204,84 +180,64 @@ def _sincpow_derivs(n: int, t: float, jmax: int) -> list[float]:
     return [math.factorial(i) * coeffs[i] for i in range(jmax + 1)]
 
 
-def _bspline_knots(n: int) -> tuple[float, ...]:
-    return tuple(j - 0.5 * n for j in range(n + 1))
+def _spline_sum(n: int, terms: tuple[tuple[float, float], ...], label: str) -> Kernel:
+    """Kernel sum_i c_i B_n(t + a_i) for terms ((c_i, a_i), ...); the Mellin
+    B-spline of order n is the single term (1, 0).
 
-
-def build_bspline_kernel(spec: MellinBSplineSpec) -> Kernel:
-    """Kernel object for a Mellin B-spline of the given order."""
-    n = spec.order
-    return Kernel(
-        eval_log=lambda t: _bspline_log(n, t),
-        label=f"bspline:{n}",
-        mellin_transform_derivs=lambda j, t: _sincpow_derivs(n, t, j)[j],
-        log_knots=_bspline_knots(n),
-        piece_degree=n - 1,
-    )
-
-
-@dataclass(frozen=True)
-class TranslatedComboSpec:
-    """Two log-translates of a B-spline combined as c1*Bn(alpha*u) + c2*Bn(beta*u).
-
-    Logs of the translate factors are kept as exact rationals (every float
-    is one), so the defining identities c1 + c2 = 1 and
-    c1*log(alpha) + c2*log(beta) = 0 hold exactly as constructed.
+    Each translate B_n(t + a) has the knots j - n/2 - a and the transform
+    e^(-ita) phi_n(t), whose j-th derivative the Leibniz rule expands.
     """
+    if not 1 <= n <= MAX_ORDER:
+        raise KernelSpecError(f"B-spline order must be in 1..{MAX_ORDER}, got {n}")
 
-    base: MellinBSplineSpec
-    log_alpha: Fraction
-    log_beta: Fraction
+    # The evaluator runs on the operator's hot path, so it is written out for
+    # the two shapes the spec strings build: the bare spline and two terms.
+    if terms == ((1.0, 0.0),):
+        eval_log = lambda t: _bspline_log(n, t)
+    else:
+        (c1, la), (c2, lb) = terms
 
-    def __post_init__(self) -> None:
-        if self.log_alpha == self.log_beta:
-            raise ValueError("translate factors must differ (alpha != beta)")
+        def eval_log(t: float) -> float:
+            return c1 * _bspline_log(n, t + la) + c2 * _bspline_log(n, t + lb)
 
-    @property
-    def c1(self) -> Fraction:
-        return self.log_beta / (self.log_beta - self.log_alpha)
-
-    @property
-    def c2(self) -> Fraction:
-        return -self.log_alpha / (self.log_beta - self.log_alpha)
-
-
-def build_translated_combo(spec: TranslatedComboSpec) -> Kernel:
-    """Kernel c1*Bn(alpha*u) + c2*Bn(beta*u) with the moment-preserving coefficients
-    c1 = log(beta)/(log(beta) - log(alpha)), c2 = -log(alpha)/(log(beta) - log(alpha))."""
-    n = spec.base.order
-    la = float(spec.log_alpha)
-    lb = float(spec.log_beta)
-    c1 = float(spec.c1)
-    c2 = float(spec.c2)
-
-    def eval_log(t: float) -> float:
-        return c1 * _bspline_log(n, t + la) + c2 * _bspline_log(n, t + lb)
-
-    def transform_deriv(j: int, t: float) -> complex:
-        # translate by h scales the transform at it by h^(-it) = e^(-it*log h)
-        base_d = _sincpow_derivs(n, t, j)
+    def transform_derivs(j: int, t: float) -> complex:
+        base = _sincpow_derivs(n, t, j)
         total = 0j
-        for c, a in ((c1, la), (c2, lb)):
+        for c, a in terms:
             inner = 0j
             for l in range(j + 1):
-                inner += math.comb(j, l) * (-1j * a) ** l * base_d[j - l]
+                inner += math.comb(j, l) * (-1j * a) ** l * base[j - l]
             total += c * cmath.exp(-1j * t * a) * inner
         return total
 
-    def scale_repr(logv: Fraction) -> str:
-        # exact e^q specs keep the rational; float-born logs print as scales
-        if logv.denominator <= 1000:
-            return f"e^{logv}"
-        return f"{math.exp(float(logv)):.12g}"
-
     return Kernel(
         eval_log=eval_log,
-        label=f"combo:{n}:{scale_repr(spec.log_alpha)}:{scale_repr(spec.log_beta)}",
-        mellin_transform_derivs=transform_deriv,
-        log_knots=tuple(sorted(k - a for a in (la, lb) for k in _bspline_knots(n))),
+        label=label,
+        mellin_transform_derivs=transform_derivs,
+        log_knots=tuple(sorted(j - 0.5 * n - a for _, a in terms for j in range(n + 1))),
         piece_degree=n - 1,
     )
+
+
+def _combo_coefficients(log_alpha: Fraction, log_beta: Fraction) -> tuple[Fraction, Fraction]:
+    """Coefficients of c1*B_n(alpha*u) + c2*B_n(beta*u) that keep the zeroth
+    moment 1 and kill the first: c1 = log(beta)/(log(beta) - log(alpha)),
+    c2 = -log(alpha)/(log(beta) - log(alpha)).
+
+    The logs are exact rationals (every float is one), so c1 + c2 = 1 and
+    c1*log(alpha) + c2*log(beta) = 0 hold exactly.
+    """
+    if log_alpha == log_beta:
+        raise KernelSpecError("translate factors must differ (alpha != beta)")
+    gap = log_beta - log_alpha
+    return log_beta / gap, -log_alpha / gap
+
+
+def _scale_repr(log_scale: Fraction) -> str:
+    # exact e^q specs keep the rational; float-born logs print as scales
+    if log_scale.denominator <= 1000:
+        return f"e^{log_scale}"
+    return f"{math.exp(float(log_scale)):.12g}"
 
 
 def _parse_log_scale(token: str) -> Fraction:
@@ -323,11 +279,9 @@ def parse_kernel_spec(text: str) -> Kernel:
         order = int(fields[0])
     except ValueError:
         raise KernelSpecError(f"bad B-spline order {fields[0]!r} in {text!r}") from None
-    log_scales = [_parse_log_scale(token) for token in fields[1:]]
-    try:
-        base = MellinBSplineSpec(order)
-        if family == "bspline":
-            return build_bspline_kernel(base)
-        return build_translated_combo(TranslatedComboSpec(base, *log_scales))
-    except ValueError as exc:
-        raise KernelSpecError(str(exc)) from None
+    if family == "bspline":
+        return _spline_sum(order, ((1.0, 0.0),), f"bspline:{order}")
+    la, lb = (_parse_log_scale(token) for token in fields[1:])
+    c1, c2 = _combo_coefficients(la, lb)
+    label = f"combo:{order}:{_scale_repr(la)}:{_scale_repr(lb)}"
+    return _spline_sum(order, ((float(c1), float(la)), (float(c2), float(lb))), label)

@@ -3,13 +3,15 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from expsamp.cli import main
+from expsamp.cli import _MAX_GRID_POINTS, UsageError, _parse_x_values, main
 
 
 def run(capsys, *argv):
@@ -356,6 +358,18 @@ class TestNonFiniteInputs:
         assert out == ""
         assert f"moment location u must be positive and finite, got {u}" in err
 
+    def test_sample_indices_far_apart(self, capsys, tmp_path):
+        """Two rows 10^12 cells apart are refused as a gap at once; the check
+        reads the rows, not the 10^12 indices between them."""
+        samples = tmp_path / "s.csv"
+        samples.write_text("# w=10.0\nk,mean\n0,1.0\n1000000000000,1.0\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reconstruct", "--kernel", "bspline:2",
+                             "--samples", str(samples), "--x", "1.0")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert "sample series has gaps at k=[1, 2, 3, 4, 5, 6, 7, 8]" in err
+
     def test_non_finite_sample_mean(self, capsys, tmp_path):
         samples = tmp_path / "s.csv"
         samples.write_text("# w=10.0\nk,mean\n-1,0.5\n0,nan\n1,0.5\n")
@@ -364,6 +378,33 @@ class TestNonFiniteInputs:
         assert code == 1
         assert out == ""
         assert "line 4: mean value must be finite" in err
+
+
+class TestGridSize:
+    """An evaluation grid holds at most 1,000,000 points; a larger one is
+    refused before any of it is allocated."""
+
+    def test_range_boundary(self):
+        assert len(_parse_x_values("1:1000000:1")) == _MAX_GRID_POINTS == 1_000_000
+        with pytest.raises(UsageError, match=re.escape(
+                "range '1:1000001:1': 1000001 points, more than the 1000000 allowed")):
+            _parse_x_values("1:1000001:1")
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("eval", "--fn", "log", "--w", "10", "--x", "1:2:1e-10"),
+             "range '1:2:1e-10': 10000000001 points, more than the 1000000 allowed"),
+            (("table", "--fn", "log", "--w", "10", "--p", "2", "--x", "1:1000001:1"),
+             "range '1:1000001:1': 1000001 points, more than the 1000000 allowed"),
+            (("converge", "--fn", "log", "--w-list", "10,20,40", "--grid-points", "1000001"),
+             "--grid-points: 1000001 points, more than the 1000000 allowed"),
+        ],
+    )
+    def test_refused(self, capsys, argv, named):
+        code, out, err = run(capsys, argv[0], "--kernel", "bspline:2", *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == f"expsamp: error: {named}\n"
 
 
 class TestFloatRange:

@@ -21,7 +21,9 @@ class TestRegistry:
         for name in ("log", "log2", "log3", "cos4exp", "sinmix"):
             f = get_function(name)
             assert f.label == name
-            assert f.max_theta == 3
+            assert callable(f.theta(3))
+            with pytest.raises(ValueError, match=f"{name}: Mellin derivative of order 4 not available"):
+                f.theta(4)
 
     def test_constant_parsing(self):
         f = get_function("const:2.5")

@@ -11,10 +11,7 @@ from expsamp.kernels import (
     WINDOW_ULP_TOL,
     Kernel,
     KernelSpecError,
-    MellinBSplineSpec,
-    TranslatedComboSpec,
-    build_bspline_kernel,
-    build_translated_combo,
+    _combo_coefficients,
     parse_kernel_spec,
 )
 
@@ -48,19 +45,19 @@ def _partition_residual(kernel: Kernel, x: float, w: float) -> float:
 class TestBSplineValues:
     def test_order2_piecewise(self):
         """Order-2 spline is the hat 1 - |log u| on e^-1 < u < e."""
-        kernel = build_bspline_kernel(MellinBSplineSpec(2))
-        assert kernel.eval(1.0) == pytest.approx(1.0, abs=1e-15)
-        assert kernel.eval(math.exp(0.5)) == pytest.approx(0.5, abs=1e-15)
-        assert kernel.eval(math.exp(-0.5)) == pytest.approx(0.5, abs=1e-15)
-        assert kernel.eval(math.e ** 2) == 0.0
+        kernel = parse_kernel_spec("bspline:2")
+        assert kernel.eval_log(math.log(1.0)) == pytest.approx(1.0, abs=1e-15)
+        assert kernel.eval_log(math.log(math.exp(0.5))) == pytest.approx(0.5, abs=1e-15)
+        assert kernel.eval_log(math.log(math.exp(-0.5))) == pytest.approx(0.5, abs=1e-15)
+        assert kernel.eval_log(math.log(math.e ** 2)) == 0.0
         # both branches at a generic interior point
-        assert kernel.eval(math.exp(0.25)) == pytest.approx(0.75, abs=1e-15)
-        assert kernel.eval(math.exp(-0.8)) == pytest.approx(0.2, abs=1e-15)
+        assert kernel.eval_log(math.log(math.exp(0.25))) == pytest.approx(0.75, abs=1e-15)
+        assert kernel.eval_log(math.log(math.exp(-0.8))) == pytest.approx(0.2, abs=1e-15)
 
     def test_order4_center_value(self):
         """B4 at u = 1: the divided-difference formula gives
         (2^3 - 4*1^3) / 3! = 2/3."""
-        assert build_bspline_kernel(MellinBSplineSpec(4)).eval(1.0) == pytest.approx(
+        assert parse_kernel_spec("bspline:4").eval_log(math.log(1.0)) == pytest.approx(
             2.0 / 3.0, abs=1e-14
         )
 
@@ -76,28 +73,22 @@ class TestBSplineValues:
             total += 0.5 * (b - a) * sum(
                 wq * _sinc_power(4, t) for t, wq in zip(ts, weights)
             )
-        kernel = build_bspline_kernel(MellinBSplineSpec(4))
-        assert total / math.pi == pytest.approx(kernel.eval(1.0), abs=1e-6)
-
-    def test_rejects_nonpositive_argument(self):
-        kernel = build_bspline_kernel(MellinBSplineSpec(2))
-        with pytest.raises(ValueError):
-            kernel.eval(0.0)
-        with pytest.raises(ValueError):
-            kernel.eval(-1.5)
+        kernel = parse_kernel_spec("bspline:4")
+        assert total / math.pi == pytest.approx(kernel.eval_log(math.log(1.0)), abs=1e-6)
 
     def test_symmetry(self):
         """B_n(u) = B_n(1/u)."""
         rng = np.random.default_rng(42)
         for n in (2, 3, 4, 6):
-            kernel = build_bspline_kernel(MellinBSplineSpec(n))
+            kernel = parse_kernel_spec(f"bspline:{n}")
             for u in rng.uniform(0.05, 20.0, size=200):
-                assert kernel.eval(u) == pytest.approx(kernel.eval(1.0 / u), abs=1e-13)
+                mirror = kernel.eval_log(math.log(1.0 / u))
+                assert kernel.eval_log(math.log(u)) == pytest.approx(mirror, abs=1e-13)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
         for n in range(1, 7):
-            kernel = build_bspline_kernel(MellinBSplineSpec(n))
+            kernel = parse_kernel_spec(f"bspline:{n}")
             ts = np.concatenate(
                 [rng.uniform(-0.6 * n, 0.6 * n, size=500), np.linspace(-n / 2, n / 2, 257)]
             )
@@ -109,7 +100,7 @@ class TestBSplineValues:
         round-off of an integer, where the order-1 start of the recursion
         must still mark a single cell."""
         for n in (2, 3, 4, 5):
-            kernel = build_bspline_kernel(MellinBSplineSpec(n))
+            kernel = parse_kernel_spec(f"bspline:{n}")
             knots = [-0.5 * n + j for j in range(n + 1)]
             for knot in knots:
                 for h in (1e-9, 5.55e-17):
@@ -118,22 +109,21 @@ class TestBSplineValues:
                     assert abs(left - right) < 1e-7
 
     def test_order1_left_closed(self):
-        kernel = build_bspline_kernel(MellinBSplineSpec(1))
-        assert kernel.eval(math.exp(-0.5)) == 1.0
-        assert kernel.eval(math.exp(0.5)) == 0.0
-        assert kernel.eval(1.0) == 1.0
+        kernel = parse_kernel_spec("bspline:1")
+        assert kernel.eval_log(math.log(math.exp(-0.5))) == 1.0
+        assert kernel.eval_log(math.log(math.exp(0.5))) == 0.0
+        assert kernel.eval_log(math.log(1.0)) == 1.0
 
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            MellinBSplineSpec(0)
-        with pytest.raises(ValueError):
-            MellinBSplineSpec(11)
+    @pytest.mark.parametrize("spec", ["bspline:0", "bspline:11"])
+    def test_order_validation(self, spec):
+        with pytest.raises(KernelSpecError, match="order must be in 1..10"):
+            parse_kernel_spec(spec)
 
 
 class TestSupport:
     def test_log_support_bounds(self):
-        assert build_bspline_kernel(MellinBSplineSpec(2)).log_support == (-1.0, 1.0)
-        assert build_bspline_kernel(MellinBSplineSpec(4)).log_support == (-2.0, 2.0)
+        assert parse_kernel_spec("bspline:2").log_support == (-1.0, 1.0)
+        assert parse_kernel_spec("bspline:4").log_support == (-2.0, 2.0)
 
     def test_exact_zero_outside_support(self):
         """eval returns exactly 0.0 (not merely tiny) outside the support."""
@@ -146,9 +136,7 @@ class TestSupport:
                 assert kernel.eval_log(t) == 0.0
 
     def test_combo_support_hull(self):
-        kernel = build_translated_combo(
-            TranslatedComboSpec(MellinBSplineSpec(4), Fraction(1), Fraction(2))
-        )
+        kernel = parse_kernel_spec("combo:4:e^1:e^2")
         assert kernel.log_support == (-4.0, 1.0)
 
     @pytest.mark.parametrize(
@@ -253,8 +241,8 @@ class TestPartitionOfUnity:
 
 class TestMellinTransform:
     def test_pinned_values(self):
-        phi2 = build_bspline_kernel(MellinBSplineSpec(2)).mellin_transform_derivs
-        phi4 = build_bspline_kernel(MellinBSplineSpec(4)).mellin_transform_derivs
+        phi2 = parse_kernel_spec("bspline:2").mellin_transform_derivs
+        phi4 = parse_kernel_spec("bspline:4").mellin_transform_derivs
         assert phi2(0, 0.0) == 1.0
         assert abs(phi2(0, 2.0 * math.pi)) < 1e-30
         want = (2.0 / math.pi) ** 4
@@ -265,7 +253,7 @@ class TestMellinTransform:
     def test_matches_quadrature(self, n, t):
         """Closed form equals the defining integral int u^(it-1) chi(u) du,
         computed as int e^(itv) B_n(v) dv panel by panel between the knots."""
-        kernel = build_bspline_kernel(MellinBSplineSpec(n))
+        kernel = parse_kernel_spec(f"bspline:{n}")
         nodes, weights = np.polynomial.legendre.leggauss(20)
         total = 0j
         for j in range(n):
@@ -286,7 +274,7 @@ class TestMellinTransform:
         """Differentiating the transform under the integral sign gives
         phi^(j)(t) = int (iv)^j e^(itv) B_n(v) dv, an oracle independent of
         the polynomial-power evaluation used by the derivative map."""
-        kernel = build_bspline_kernel(MellinBSplineSpec(n))
+        kernel = parse_kernel_spec(f"bspline:{n}")
         nodes, weights = np.polynomial.legendre.leggauss(24)
         total = 0j
         for panel in range(n):
@@ -308,7 +296,7 @@ class TestMellinTransform:
     def test_derivative_map_matches_finite_differences(self, n, t0):
         """Analytic transform derivatives vs Richardson central differences
         of the closed-form transform."""
-        kernel = build_bspline_kernel(MellinBSplineSpec(n))
+        kernel = parse_kernel_spec(f"bspline:{n}")
         phi = lambda t: _sinc_power(n, t)
         h = 1e-3
 
@@ -332,15 +320,11 @@ class TestTranslatedCombo:
     def test_coefficients_for_e_e2(self):
         """alpha = e, beta = e^2 gives c1 = 2, c2 = -1 from
         c1 = log(beta)/(log(beta) - log(alpha))."""
-        spec = TranslatedComboSpec(MellinBSplineSpec(4), Fraction(1), Fraction(2))
-        assert spec.c1 == Fraction(2)
-        assert spec.c2 == Fraction(-1)
+        assert _combo_coefficients(Fraction(1), Fraction(2)) == (Fraction(2), Fraction(-1))
 
     def test_coefficients_half_logs(self):
         """alpha = e^(1/2), beta = e^(-1/2): c1 = (-1/2)/(-1) = 1/2, c2 = 1/2."""
-        spec = TranslatedComboSpec(MellinBSplineSpec(2), Fraction(1, 2), Fraction(-1, 2))
-        assert spec.c1 == Fraction(1, 2)
-        assert spec.c2 == Fraction(1, 2)
+        assert _combo_coefficients(Fraction(1, 2), Fraction(-1, 2)) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_coefficient_identities_exact(self):
         """c1 + c2 = 1 and c1 log(alpha) + c2 log(beta) = 0, exactly."""
@@ -350,19 +334,17 @@ class TestTranslatedCombo:
             (Fraction(math.log(1.7)), Fraction(math.log(0.4))),
         ]
         for la, lb in cases:
-            spec = TranslatedComboSpec(MellinBSplineSpec(3), la, lb)
-            assert spec.c1 + spec.c2 == 1
-            assert spec.c1 * la + spec.c2 * lb == 0
+            c1, c2 = _combo_coefficients(la, lb)
+            assert c1 + c2 == 1
+            assert c1 * la + c2 * lb == 0
 
     def test_eval_is_weighted_translates(self):
-        kernel = build_translated_combo(
-            TranslatedComboSpec(MellinBSplineSpec(4), Fraction(1), Fraction(2))
-        )
-        b4 = build_bspline_kernel(MellinBSplineSpec(4))
+        kernel = parse_kernel_spec("combo:4:e^1:e^2")
+        b4 = parse_kernel_spec("bspline:4")
         rng = np.random.default_rng(5)
         for u in rng.uniform(0.01, 2.0, size=300):
-            want = 2.0 * b4.eval(math.e * u) - b4.eval(math.e ** 2 * u)
-            assert kernel.eval(u) == pytest.approx(want, abs=1e-14)
+            want = 2.0 * b4.eval_log(math.log(math.e * u)) - b4.eval_log(math.log(math.e ** 2 * u))
+            assert kernel.eval_log(math.log(u)) == pytest.approx(want, abs=1e-14)
 
     def test_combo_takes_negative_values(self):
         kernel = parse_kernel_spec("combo:4:e^1:e^2")
@@ -371,8 +353,8 @@ class TestTranslatedCombo:
 
     def test_equal_factors_rejected(self):
         log_scale = Fraction(math.log(1.5))
-        with pytest.raises(ValueError):
-            TranslatedComboSpec(MellinBSplineSpec(4), log_scale, log_scale)
+        with pytest.raises(KernelSpecError, match="translate factors must differ"):
+            _combo_coefficients(log_scale, log_scale)
 
 
 class TestSpecParsing:
@@ -389,12 +371,12 @@ class TestSpecParsing:
 
     def test_combo_decimal_factors(self):
         kernel = parse_kernel_spec("combo:2:1.5:2.5")
-        b2 = build_bspline_kernel(MellinBSplineSpec(2))
+        b2 = parse_kernel_spec("bspline:2")
         c1 = math.log(2.5) / (math.log(2.5) - math.log(1.5))
         c2 = 1.0 - c1
         for u in (0.4, 0.8, 1.1):
-            want = c1 * b2.eval(1.5 * u) + c2 * b2.eval(2.5 * u)
-            assert kernel.eval(u) == pytest.approx(want, rel=1e-12, abs=1e-15)
+            want = c1 * b2.eval_log(math.log(1.5 * u)) + c2 * b2.eval_log(math.log(2.5 * u))
+            assert kernel.eval_log(math.log(u)) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize(
         "bad",

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -262,6 +263,28 @@ class TestSampleSeries:
     def test_gap_rejected(self):
         with pytest.raises(ValueError, match="gaps"):
             SampleSeries(w=5.0, means={0: 1.0, 2: 1.0}, k_range=(0, 2))
+
+    @pytest.mark.parametrize(
+        "keys, k_range",
+        [
+            ((0, 2), (0, 2)),
+            ((0, 3, 5, 9, 10), (0, 12)),
+            ((-5, 7), (-6, 7)),
+            ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (-3, 20)),
+            ((4, 100), (0, 200)),
+            ((-50, 50), (-50, 50)),
+        ],
+    )
+    def test_gaps_named_as_the_first_eight_missing_indices(self, keys, k_range):
+        """The message lists the first 8 indices of k_range absent from the
+        means, ascending, whichever side of the stored cells they lie on."""
+        want = [k for k in range(k_range[0], k_range[1] + 1) if k not in keys][:8]
+        with pytest.raises(ValueError, match=re.escape(f"sample series has gaps at k={want}")):
+            SampleSeries(w=5.0, means=dict.fromkeys(keys, 1.0), k_range=k_range)
+
+    def test_gap_check_ignores_cells_outside_the_range(self):
+        series = SampleSeries(w=5.0, means={-9: 1.0, 0: 1.0, 1: 1.0, 9: 1.0}, k_range=(0, 1))
+        assert series.k_range == (0, 1)
 
 
 class TestSampleCsv:
