@@ -38,7 +38,7 @@ from .analysis import (
 )
 from .combinations import solve_coefficients
 from .functions import get_function
-from .kernels import parse_kernel_spec
+from .kernels import Kernel, parse_kernel_spec
 from .moments import MAX_MOMENT_ORDER, build_moment_report
 from .operators import (
     OperatorConfig,
@@ -52,8 +52,9 @@ from .operators import (
 
 __all__ = ["main"]
 
-# Most points one evaluation grid may hold: a range such as 1:2:1e-10 would
-# otherwise ask for 10^10 floats.
+# Most points one evaluation grid may hold, and most cells one emitted sample
+# series may hold: a range such as 1:2:1e-10 would otherwise ask for 10^10
+# floats, and two points far apart at a high rate for as many cell means.
 _MAX_GRID_POINTS = 1_000_000
 
 
@@ -99,9 +100,15 @@ def _parse_x_values(text: str) -> list[float]:
     return values
 
 
-def _check_grid_size(count: int, what: str) -> None:
+def _check_grid_size(count: int, what: str, unit: str = "points") -> None:
     if count > _MAX_GRID_POINTS:
-        raise UsageError(f"{what}: {count} points, more than the {_MAX_GRID_POINTS} allowed")
+        raise UsageError(f"{what}: {count} {unit}, more than the {_MAX_GRID_POINTS} allowed")
+
+
+def _check_series_size(kernel: Kernel, w: float, xs: list[float]) -> None:
+    """Refuse an emitted sample series of more cells than the grid cap."""
+    k_min, k_max = SampleSeries.covering_range(kernel, w, xs)
+    _check_grid_size(k_max - k_min + 1, "--emit-samples series", "cells")
 
 
 def _number(tok: str, text: str, what: str) -> float:
@@ -253,6 +260,8 @@ def _run_eval(args) -> int:
     f = get_function(args.fn)
     xs = _parse_x_values(args.x)
     cfg = OperatorConfig(w=args.w, quad_nodes=args.quad_nodes)
+    if args.emit_samples:
+        _check_series_size(kernel, args.w, xs)
     points = apply_grid(f, kernel, cfg, xs)
     if args.emit_samples:
         series = SampleSeries.covering(f, kernel, args.w, xs, args.quad_nodes)

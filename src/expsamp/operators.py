@@ -245,9 +245,12 @@ class SampleSeries:
         quad_nodes: int = 7,
     ) -> "SampleSeries":
         """Series whose k_range covers the kernel window of every x in xs."""
-        k_min = kernel.window(w * math.log(min(xs)))[0]
-        k_max = kernel.window(w * math.log(max(xs)))[-1]
-        return cls.from_function(f, w, k_min, k_max, quad_nodes)
+        return cls.from_function(f, w, *cls.covering_range(kernel, w, xs), quad_nodes)
+
+    @staticmethod
+    def covering_range(kernel: Kernel, w: float, xs: Sequence[float]) -> tuple[int, int]:
+        """The k_range of ``covering``, found without computing a cell."""
+        return kernel.window(w * math.log(min(xs)))[0], kernel.window(w * math.log(max(xs)))[-1]
 
 
 def apply_from_samples(series: SampleSeries, kernel: Kernel, x: float) -> float:

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from expsamp.cli import _MAX_GRID_POINTS, UsageError, _parse_x_values, main
+from expsamp.cli import _MAX_GRID_POINTS, UsageError, _check_series_size, _parse_x_values, main
+from expsamp.kernels import parse_kernel_spec
+from expsamp.operators import SampleSeries
 
 
 def run(capsys, *argv):
@@ -381,8 +383,9 @@ class TestNonFiniteInputs:
 
 
 class TestGridSize:
-    """An evaluation grid holds at most 1,000,000 points; a larger one is
-    refused before any of it is allocated."""
+    """An evaluation grid holds at most 1,000,000 points, and an emitted
+    sample series at most 1,000,000 cells; a larger one is refused before
+    any of it is allocated or computed."""
 
     def test_range_boundary(self):
         assert len(_parse_x_values("1:1000000:1")) == _MAX_GRID_POINTS == 1_000_000
@@ -405,6 +408,34 @@ class TestGridSize:
         code, out, err = run(capsys, argv[0], "--kernel", "bspline:2", *argv[1:])
         assert (code, out) == (1, "")
         assert err == f"expsamp: error: {named}\n"
+
+    # bspline:2 at w = 10000 covers cells -2 .. floor(10000 log x) + 2 for
+    # x in [1, x_max]: 999995 + 5 cells at the first end, one more at the second
+    SERIES_AT_CAP = [1.0, math.exp(99.99955)]
+    SERIES_PAST_CAP = [1.0, math.exp(99.99965)]
+
+    def test_series_boundary(self):
+        kernel = parse_kernel_spec("bspline:2")
+        k_min, k_max = SampleSeries.covering_range(kernel, 10000.0, self.SERIES_AT_CAP)
+        assert k_max - k_min + 1 == _MAX_GRID_POINTS
+        _check_series_size(kernel, 10000.0, self.SERIES_AT_CAP)
+        with pytest.raises(UsageError, match=re.escape(
+                "--emit-samples series: 1000001 cells, more than the 1000000 allowed")):
+            _check_series_size(kernel, 10000.0, self.SERIES_PAST_CAP)
+
+    def test_series_refused_before_any_cell(self, capsys, tmp_path, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr("expsamp.operators.cell_mean", no_cells)
+        samples = tmp_path / "s.csv"
+        xs = ",".join(repr(x) for x in self.SERIES_PAST_CAP)
+        code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "log",
+                             "--w", "10000", "--x", xs, "--emit-samples", str(samples))
+        assert (code, out) == (1, "")
+        assert err == ("expsamp: error: --emit-samples series: 1000001 cells, "
+                       "more than the 1000000 allowed\n")
+        assert not samples.exists()
 
 
 class TestFloatRange:

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from expsamp.kernels import (
+    MAX_ORDER,
     WINDOW_ULP_TOL,
     Kernel,
     KernelSpecError,
     _combo_coefficients,
+    _parse_log_scale,
+    _piece_table,
     parse_kernel_spec,
 )
 
@@ -96,9 +99,9 @@ class TestBSplineValues:
 
     def test_continuous_across_knots_for_order_two_up(self):
         """Orders >= 2 are continuous, including at the knots and the
-        support endpoints.  The offset 5.55e-17 puts t + n/2 within
-        round-off of an integer, where the order-1 start of the recursion
-        must still mark a single cell."""
+        support endpoints.  The offset 5.55e-17 puts n/2 - |t| within
+        round-off of an integer, where the evaluator may take either
+        neighbouring piece and the two polynomials must agree."""
         for n in (2, 3, 4, 5):
             kernel = parse_kernel_spec(f"bspline:{n}")
             knots = [-0.5 * n + j for j in range(n + 1)]
@@ -118,6 +121,112 @@ class TestBSplineValues:
     def test_order_validation(self, spec):
         with pytest.raises(KernelSpecError, match="order must be in 1..10"):
             parse_kernel_spec(spec)
+
+
+def _exact_bspline(n: int, t: Fraction) -> Fraction:
+    """B_n(t) in exact rationals, by the truncated-power sum
+    sum_j (-1)^j C(n, j) (t + n/2 - j)_+^(n-1) / (n-1)!; for n = 1 the
+    convention (x)_+^0 = [x >= 0] gives the left-closed indicator."""
+    total = Fraction(0)
+    for j in range(n + 1):
+        x = t + Fraction(n, 2) - j
+        if x >= 0:
+            total += (-1) ** j * math.comb(n, j) * x ** (n - 1)
+    return total / math.factorial(n - 1)
+
+
+def _recursion_bspline(n: int, t: float) -> float:
+    """The triangular convolution recursion the evaluator replaced, kept as
+    the oracle of which values are zero:
+    B_m(s) = ((m/2 + s) B_{m-1}(s + 1/2) + (m/2 - s) B_{m-1}(s - 1/2)) / (m - 1)."""
+    half = 0.5 * n
+    if n == 1:
+        return 1.0 if -0.5 <= t < 0.5 else 0.0
+    if not -half < t < half:
+        return 0.0
+    values = [0.0] * n
+    values[min(math.floor(t + half), n - 1)] = 1.0
+    for m in range(2, n + 1):
+        shift = 0.5 * (n - m)
+        for j in range(n - m + 1):
+            a = t + shift - j
+            values[j] = ((0.5 * m + a) * values[j] + (0.5 * m - a) * values[j + 1]) / (m - 1)
+    return values[0]
+
+
+ORACLE_SPECS = [f"bspline:{n}" for n in range(1, MAX_ORDER + 1)] + [
+    "combo:4:e^1:e^2", "combo:2:e^1/2:e^-1/2", "combo:7:e^-3/7:e^5/3",
+    "combo:3:1.3:0.6", "combo:10:0.1:7.25", "combo:1:e^1:e^2",
+]
+
+
+def _terms(spec: str) -> list[tuple[Fraction, Fraction]]:
+    """Exact (c_i, a_i) of chi(t) = sum_i c_i B_n(t + a_i)."""
+    family, _, *scales = spec.split(":")
+    if family == "bspline":
+        return [(Fraction(1), Fraction(0))]
+    la, lb = (_parse_log_scale(token) for token in scales)
+    return list(zip(_combo_coefficients(la, lb), (la, lb)))
+
+
+def _oracle_points(kernel: Kernel) -> list[float]:
+    """Every knot, each one also at +-5.55e-17 and +-1e-12, every piece's
+    midpoint, and random t across the support and past its ends."""
+    knots = sorted(set(kernel.log_knots))
+    ts = [k + h for k in knots for h in (0.0, 5.55e-17, -5.55e-17, 1e-12, -1e-12)]
+    ts += [0.5 * (lo + hi) for lo, hi in zip(knots, knots[1:])]
+    a, b = kernel.log_support
+    rng = np.random.default_rng(11)
+    return ts + [float(t) for t in rng.uniform(a - 0.5, b + 0.5, 300)]
+
+
+class TestExactOracle:
+    """The evaluator against exact rational B-spline values."""
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_within_round_off_of_exact(self, spec):
+        """|eval_log(t) - chi(t)| <= 2.3e-16 per unit of sum_i |c_i|."""
+        kernel = parse_kernel_spec(spec)
+        n = int(spec.split(":")[1])
+        terms = _terms(spec)
+        tol = 2.3e-16 * float(sum(abs(c) for c, _ in terms))
+        for t in _oracle_points(kernel):
+            exact = sum(c * _exact_bspline(n, Fraction(t) + a) for c, a in terms)
+            assert abs(Fraction(kernel.eval_log(t)) - exact) <= tol, (t, kernel.eval_log(t))
+
+    @pytest.mark.parametrize("n", range(2, MAX_ORDER + 1))
+    def test_even_bit_for_bit(self, n):
+        kernel = parse_kernel_spec(f"bspline:{n}")
+        for t in _oracle_points(kernel):
+            assert kernel.eval_log(t) == kernel.eval_log(-t), t
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_zero_pattern_matches_recursion(self, spec):
+        kernel = parse_kernel_spec(spec)
+        n = int(spec.split(":")[1])
+        terms = [(float(c), float(a)) for c, a in _terms(spec)]
+        for t in _oracle_points(kernel):
+            old = sum(c * _recursion_bspline(n, t + a) for c, a in terms)
+            assert (kernel.eval_log(t) == 0.0) == (old == 0.0), t
+
+    def test_outer_piece_is_a_monomial(self):
+        """In the tails B_n(t) = s^(n-1)/(n-1)! with s = t + n/2, so tiny
+        values keep their relative precision."""
+        for n in range(2, MAX_ORDER + 1):
+            assert _piece_table(n)[0] == (1.0 / math.factorial(n - 1),) + (0.0,) * (n - 1)
+            s = 2.0 ** -40
+            got = parse_kernel_spec(f"bspline:{n}").eval_log(s - 0.5 * n)
+            assert got == pytest.approx(s ** (n - 1) / math.factorial(n - 1), rel=1e-15)
+
+    def test_table_cached_per_order(self):
+        """Parsing an order again reuses its coefficient table."""
+        parse_kernel_spec("bspline:7")
+        before = _piece_table.cache_info()
+        parse_kernel_spec("bspline:7")
+        parse_kernel_spec("combo:7:1.3:0.6")
+        after = _piece_table.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+        assert after.maxsize == MAX_ORDER
 
 
 class TestSupport:
