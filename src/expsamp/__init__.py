@@ -13,7 +13,6 @@ from .analysis import (
     combo_bound,
     estimate_order,
     expansion_prediction,
-    first_order_bound,
     make_table,
     sup_norm,
     table_deviations,
@@ -82,7 +81,6 @@ __all__ = [
     "combo_bound",
     "estimate_order",
     "expansion_prediction",
-    "first_order_bound",
     "get_function",
     "make_table",
     "parse_kernel_spec",

@@ -15,8 +15,9 @@ Studies are pure given their inputs.  The plain operator I_w is the p = 1
 combination, so a study without a scheme runs the combination path with
 ``solve_coefficients(1)``.  Every operator value comes from the one sum in
 ``operators._apply_with_cache``: through ``combinations._rate_values``,
-which evaluates I_{iw} for i = 1..p with one cell-mean cache per rate, or
-through ``apply`` for the vanishing-moment bound.
+which each study or table asks once for every rate it needs (so 2w of one
+entry of a doubling list and w of the next are one rate), or through
+``apply`` for the vanishing-moment bound.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TextIO
 
 from .combinations import (
     CombinationScheme,
+    _combined_values,
     _rate_values,
     apply_combo,
     solve_coefficients,
@@ -51,7 +53,6 @@ __all__ = [
     "voronovskaya_check",
     "estimate_order",
     "expansion_prediction",
-    "first_order_bound",
     "vanishing_moment_bound",
     "combo_bound",
     "make_table",
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 ERROR_FLOOR_SCALE = 1e-13
+TABLE_DECIMALS = 4  # error-table cells, compared against published values
 
 
 class MomentPreconditionError(Exception):
@@ -140,6 +142,7 @@ def voronovskaya_check(
     For an order-p scheme (p = 1 without one), q = p and the limit is
     (theta^p f)(x) * Mbar_p / (p+1)! built from the combined moment
     bracket; at p = 1 that is (theta f)(x)/2 * (m_0 + 2 m_1)(chi, x).
+    The values at every rate come from one rate table.
     """
     _check_point(x)
     ws = _check_w_list(w_list, minimum=4)
@@ -148,7 +151,7 @@ def voronovskaya_check(
     theta_q = f.theta(q)  # first: a missing derivative is named before the bracket's order limit
     bracket = float(scheme.power_sum(q)) * kantorovich_bracket_at_log(kernel, q, math.log(x))
     predicted = theta_q(x) * bracket / math.factorial(q + 1)
-    values = [apply_combo(f, kernel, scheme, w, x, quad_nodes) for w in ws]
+    values = [row[0] for row in _combined_values(f, kernel, scheme, ws, [x], quad_nodes)]
     fx = f.f(x)
     scaled = tuple(w ** q * (v - fx) for w, v in zip(ws, values))
     return ConvergenceStudy(
@@ -158,23 +161,6 @@ def voronovskaya_check(
         predicted_limit=predicted,
         deviations=tuple(abs(s - predicted) for s in scaled),
     )
-
-
-def _sup_error(
-    f: TestFunction,
-    kernel: Kernel,
-    scheme: CombinationScheme,
-    w: float,
-    probe_grid: Sequence[float],
-    quad_nodes: int,
-) -> float:
-    worst = 0.0
-    rows = _rate_values(f, kernel, w, scheme.p, probe_grid, quad_nodes)
-    for x, values in zip(probe_grid, rows):
-        err = abs(scheme.combine(values) - f.f(x))
-        if err > worst:
-            worst = err
-    return worst
 
 
 def estimate_order(
@@ -191,31 +177,26 @@ def estimate_order(
     The fit uses only the top half of the rates (the small-w entries are
     pre-asymptotic).  When the sup error sits at the round-off floor the
     function is reproduced exactly and an infinite order is reported
-    instead of a meaningless fit.
+    instead of a meaningless fit.  Every entry's rates come from one rate
+    table, and f is evaluated once per grid point.
     """
     ws = _check_w_list(w_list, minimum=5)
     if len(probe_grid) == 0:
         raise ValueError("empty probe grid")
     scheme = scheme or solve_coefficients(1)
-    errors = tuple(_sup_error(f, kernel, scheme, w, probe_grid, quad_nodes) for w in ws)
-    floor = ERROR_FLOOR_SCALE * (1.0 + max(abs(f.f(x)) for x in probe_grid))
+    combined = _combined_values(f, kernel, scheme, ws, probe_grid, quad_nodes)
+    exact = [f.f(x) for x in probe_grid]
+    errors = tuple(max(abs(v - fx) for v, fx in zip(row, exact)) for row in combined)
+    floor = ERROR_FLOOR_SCALE * (1.0 + max(map(abs, exact)))
     if min(errors) < floor:
-        return ConvergenceStudy(
-            w_list=ws,
-            errors=errors,
-            fitted_order=math.inf,
-            fitted_constant=0.0,
-        )
-    half = (len(ws) + 1) // 2
-    log_w = [math.log(w) for w in ws[-half:]]
-    log_e = [math.log(e) for e in errors[-half:]]
-    slope, intercept = statistics.linear_regression(log_w, log_e)
-    return ConvergenceStudy(
-        w_list=ws,
-        errors=errors,
-        fitted_order=-slope,
-        fitted_constant=math.exp(intercept),
-    )
+        order, constant = math.inf, 0.0
+    else:
+        half = (len(ws) + 1) // 2
+        log_w = [math.log(w) for w in ws[-half:]]
+        log_e = [math.log(e) for e in errors[-half:]]
+        slope, intercept = statistics.linear_regression(log_w, log_e)
+        order, constant = -slope, math.exp(intercept)
+    return ConvergenceStudy(w_list=ws, errors=errors, fitted_order=order, fitted_constant=constant)
 
 
 def expansion_prediction(
@@ -313,22 +294,6 @@ def _k_upper(
     return value, desc
 
 
-def first_order_bound(
-    f: TestFunction,
-    kernel: Kernel,
-    w: float,
-    x: float,
-    quad_nodes: int = 7,
-) -> BoundReport:
-    """First-order remainder estimate: ``combo_bound`` of the p = 1 scheme.
-
-    lhs: |(I_w f)(x) - f(x) - (theta f)(x)/(2w) * (m_0 + 2 m_1)(chi, x^w)|
-    rhs: (1 + 2 M_1)/w * K(f, (1 + 3 M_1 + 3 M_2) / (6w (1 + 2 M_1)))
-    """
-    report = combo_bound(f, kernel, solve_coefficients(1), w, x, quad_nodes)
-    return replace(report, bound="first_order")
-
-
 def vanishing_moment_bound(
     f: TestFunction,
     kernel: Kernel,
@@ -401,7 +366,7 @@ def combo_bound(
     For order-raising schemes (p >= 2) sum_i c_i/i vanishes, the right side
     degenerates to 0, and the report is emitted with ``satisfied=None``
     (not applicable).  For p = 1 this is the plain first-order estimate,
-    ``first_order_bound``.
+    which ``expsamp bounds --check first`` reports as ``first_order``.
     """
     _check_rate(w)
     _check_point(x)
@@ -453,19 +418,19 @@ class ErrorTable:
     column_labels: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
 
-    def to_csv(self, dest: TextIO, decimals: int = 4) -> None:
+    def to_csv(self, dest: TextIO) -> None:
         writer = csv.writer(dest, lineterminator="\n")
         writer.writerow(("x",) + self.column_labels)
         for x, row in zip(self.x_values, self.rows):
-            writer.writerow([f"{x:.12g}"] + [f"{v:.{decimals}f}" for v in row])
+            writer.writerow([f"{x:.12g}"] + [f"{v:.{TABLE_DECIMALS}f}" for v in row])
 
-    def to_latex(self, dest: TextIO, decimals: int = 4) -> None:
+    def to_latex(self, dest: TextIO) -> None:
         cols = "|" + "l|" * (1 + len(self.column_labels))
         dest.write("\\begin{tabular}{" + cols + "}\n\\hline\n")
         header = " & ".join(["$x$"] + [lab.replace("_", "\\_") for lab in self.column_labels])
         dest.write(header + " \\\\\n\\hline\n")
         for x, row in zip(self.x_values, self.rows):
-            cells = " & ".join([f"{x:.12g}"] + [f"{v:.{decimals}f}" for v in row])
+            cells = " & ".join([f"{x:.12g}"] + [f"{v:.{TABLE_DECIMALS}f}" for v in row])
             dest.write(cells + " \\\\\n\\hline\n")
         dest.write("\\end{tabular}\n")
 
@@ -483,9 +448,11 @@ def make_table(
     if len(xs) == 0:
         raise ValueError("empty point list")
     p = scheme.p
-    labels = tuple(f"abs_err_w{i * w:g}" for i in range(1, p + 1)) + (f"abs_err_combo_p{p}",)
+    rates = scheme.rates(w)
+    labels = tuple(f"abs_err_w{r:g}" for r in rates) + (f"abs_err_combo_p{p}",)
+    values = _rate_values(f, kernel, rates, xs, quad_nodes)
     rows = []
-    for x, singles in zip(xs, _rate_values(f, kernel, w, p, xs, quad_nodes)):
+    for x, singles in zip(xs, zip(*(values[r] for r in rates))):
         fx = f.f(x)
         combo = scheme.combine(singles)
         rows.append(tuple(abs(v - fx) for v in singles) + (abs(combo - fx),))

@@ -31,7 +31,6 @@ from .analysis import (
     _linspace,
     combo_bound,
     estimate_order,
-    first_order_bound,
     make_table,
     vanishing_moment_bound,
     voronovskaya_check,
@@ -335,17 +334,19 @@ def _run_voronovskaya(args) -> int:
 def _run_bounds(args) -> int:
     kernel = parse_kernel_spec(args.kernel)
     f = get_function(args.fn)
-    if args.check == "first":
-        report = first_order_bound(f, kernel, args.w, args.x, quad_nodes=args.quad_nodes)
-    elif args.check == "moment":
+    if args.check == "moment":
         report = vanishing_moment_bound(
             f, kernel, args.w, args.x, args.r, quad_nodes=args.quad_nodes
         )
+        _write_json(args, asdict(report))
+        return 0
+    # the first-order estimate is the p = 1 combination's; --p is ignored for it
+    p = args.p if args.check == "combo" and args.p is not None else 1
+    scheme = solve_coefficients(p)
+    payload = asdict(combo_bound(f, kernel, scheme, args.w, args.x, quad_nodes=args.quad_nodes))
+    if args.check == "first":
+        payload["bound"] = "first_order"
     else:
-        scheme = solve_coefficients(args.p if args.p is not None else 1)
-        report = combo_bound(f, kernel, scheme, args.w, args.x, quad_nodes=args.quad_nodes)
-    payload = asdict(report)
-    if args.check == "combo":
         payload["combination"] = _scheme_payload(scheme)
     _write_json(args, payload)
     return 0
@@ -453,7 +454,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ArithmeticError as exc:  # overflow, or division by an underflowed value
         print(f"expsamp: error: result beyond the float range: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .functions import TestFunction
 from .kernels import Kernel
@@ -42,6 +42,10 @@ class CombinationScheme:
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.p:
             raise ValueError(f"expected {self.p} coefficients, got {len(self.coeffs)}")
+
+    def rates(self, w: float) -> tuple[float, ...]:
+        """The rates w, 2w, ..., pw, in the order of the coefficients."""
+        return tuple(i * w for i in range(1, self.p + 1))
 
     def power_sum(self, k: int) -> Fraction:
         """sum_i c_i / i^k, exactly."""
@@ -70,16 +74,30 @@ def solve_coefficients(p: int) -> CombinationScheme:
 def _rate_values(
     f: TestFunction,
     kernel: Kernel,
-    w: float,
-    p: int,
+    rates: Iterable[float],
     xs: Sequence[float],
     quad_nodes: int,
+) -> dict[float, list[float]]:
+    """{rate: [(I_rate f)(x) for x in xs]}: each distinct rate (equal as floats)
+    validated, then evaluated once in ascending order with one cell-mean
+    cache shared across the points."""
+    cfgs = [OperatorConfig(w=rate, quad_nodes=quad_nodes) for rate in sorted(set(rates))]
+    values = {}
+    for cfg in cfgs:
+        mean = _CellMeans(f, cfg).__getitem__
+        values[cfg.w] = [_apply_with_cache(kernel, cfg.w, x, mean) for x in xs]
+    return values
+
+
+def _combined_values(
+    f: TestFunction, kernel: Kernel, scheme: CombinationScheme, ws: Sequence[float],
+    xs: Sequence[float], quad_nodes: int,
 ) -> list[list[float]]:
-    """[(I_{iw} f)(x) for i = 1..p] for each x in xs, with one cell-mean
-    cache per rate shared across the points."""
-    cfgs = [OperatorConfig(w=i * w, quad_nodes=quad_nodes) for i in range(1, p + 1)]
-    means = [_CellMeans(f, cfg).__getitem__ for cfg in cfgs]
-    return [[_apply_with_cache(kernel, cfg.w, x, m) for cfg, m in zip(cfgs, means)] for x in xs]
+    """[[sum_i c_i * (I_{i*w} f)(x) for x in xs] for w in ws], from one rate
+    table over the rates of every w."""
+    rates = [scheme.rates(w) for w in ws]
+    table = _rate_values(f, kernel, [r for rs in rates for r in rs], xs, quad_nodes)
+    return [[scheme.combine(v) for v in zip(*(table[r] for r in rs))] for rs in rates]
 
 
 def apply_combo(
@@ -91,5 +109,4 @@ def apply_combo(
     quad_nodes: int = 7,
 ) -> float:
     """sum_i c_i * (I_{i*w} f)(x)."""
-    return scheme.combine(_rate_values(f, kernel, w, scheme.p, [x], quad_nodes)[0])
-
+    return _combined_values(f, kernel, scheme, [w], [x], quad_nodes)[0][0]

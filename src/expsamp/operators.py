@@ -348,7 +348,7 @@ def read_sample_csv(src: Union[str, TextIO]) -> SampleSeries:
             raise SampleFormatError(f"line {lineno}: duplicate cell index k={k}")
         means[k] = mean
     if not means:
-        raise SampleFormatError("sample file contains no rows")
+        raise SampleFormatError("sample file contains no rows after the header on line 2")
     return SampleSeries(w=w, means=means, k_range=(min(means), max(means)))
 
 

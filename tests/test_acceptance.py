@@ -205,7 +205,7 @@ def test_criterion_8_bound_dominance():
         w = float(rng.uniform(5.0, 100.0))
         lo, hi = f.eval_interval
         x = float(rng.uniform(lo, hi))
-        rep1 = es.first_order_bound(f, kernel, w, x)
+        rep1 = es.combo_bound(f, kernel, es.solve_coefficients(1), w, x)
         rep2 = es.vanishing_moment_bound(f, B4, w, x, 2)
         ok &= bool(rep1.satisfied) and bool(rep2.satisfied)
     raised = False

@@ -11,7 +11,6 @@ from expsamp.analysis import (
     combo_bound,
     estimate_order,
     expansion_prediction,
-    first_order_bound,
     make_table,
     sup_norm,
     table_deviations,
@@ -21,7 +20,7 @@ from expsamp.analysis import (
 from expsamp.combinations import apply_combo, solve_coefficients
 from expsamp.functions import TestFunction, get_function
 from expsamp.kernels import parse_kernel_spec
-from expsamp.operators import OperatorConfig, apply
+from expsamp.operators import OperatorConfig, _apply_with_cache, apply
 
 B2 = parse_kernel_spec("bspline:2")
 B4 = parse_kernel_spec("bspline:4")
@@ -110,7 +109,6 @@ class TestDomainGuards:
             LOG, B2, x, [w, 2 * w, 4 * w, 8 * w], solve_coefficients(2)
         ),
         "expansion_prediction": lambda w, x: expansion_prediction(LOG, B2, P1, w, x, 1),
-        "first_order_bound": lambda w, x: first_order_bound(LOG, B2, w, x),
         "vanishing_moment_bound": lambda w, x: vanishing_moment_bound(LOG, B4, w, x, 2),
         "combo_bound": lambda w, x: combo_bound(LOG, B2, solve_coefficients(2), w, x),
     }
@@ -143,7 +141,6 @@ class TestMissingMellinDerivative:
     CALLS = {
         "voronovskaya_check": lambda f: voronovskaya_check(f, B2, 2.0, W_GEOM, solve_coefficients(2)),
         "combo_bound": lambda f: combo_bound(f, B2, P1, 20.0, 1.5),
-        "first_order_bound": lambda f: first_order_bound(f, B2, 20.0, 1.5),
         "vanishing_moment_bound": lambda f: vanishing_moment_bound(f, B4, 20.0, 1.5, 2),
     }
 
@@ -197,6 +194,63 @@ class TestEstimateOrder:
     def test_needs_five_rates(self):
         with pytest.raises(ValueError):
             estimate_order(get_function("log"), B2, None, [10.0, 20.0, 40.0, 80.0], [1.0])
+
+
+W_APART = [10.0, 13.0, 17.0, 22.0, 29.0]  # no i*w of one entry equals j*w' of another
+
+
+class TestOneRateTable:
+    """Each study evaluates every distinct rate of its rate list once: on a
+    doubling list 2w of one entry is the next entry's w.  Operator sums are
+    counted at the one sum, ``_apply_with_cache``, as the rate table calls it."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        calls = []
+
+        def spy(kernel, w, x, mean):
+            calls.append((w, x))
+            return _apply_with_cache(kernel, w, x, mean)
+
+        monkeypatch.setattr("expsamp.combinations._apply_with_cache", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "p, w_list, per_point",
+        [(2, W_GEOM, 6), (3, W_GEOM, 11), (2, W_APART, 10)],
+        ids=["p2-doubling", "p3-doubling", "p2-apart"],
+    )
+    def test_estimate_order_sums(self, sums, p, w_list, per_point):
+        grid = [0.6, 0.75, 0.9]
+        estimate_order(get_function("cos4exp"), B2, solve_coefficients(p), w_list, grid)
+        assert len(sums) == per_point * len(grid)
+        assert len(set(sums)) == len(sums)
+
+    def test_voronovskaya_sums(self, sums):
+        voronovskaya_check(get_function("log3"), B4, 1.7, [10.0, 20.0, 40.0, 80.0],
+                           solve_coefficients(2))
+        assert sorted(w for w, _ in sums) == [10.0, 20.0, 40.0, 80.0, 160.0]
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("w_list", [W_GEOM, W_APART], ids=["doubling", "apart"])
+    def test_estimate_order_errors_are_per_entry(self, p, w_list):
+        """The shared table gives, bit for bit, the sup errors of the
+        combined operator evaluated entry by entry."""
+        f, scheme = get_function("sinmix"), solve_coefficients(p)
+        grid = np.linspace(*f.eval_interval, 7).tolist()
+        study = estimate_order(f, B4, scheme, w_list, grid)
+        want = tuple(max(abs(apply_combo(f, B4, scheme, w, x) - f.f(x)) for x in grid)
+                     for w in w_list)
+        assert study.errors == want
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("w_list", [W_GEOM, W_APART], ids=["doubling", "apart"])
+    def test_voronovskaya_errors_are_per_entry(self, p, w_list):
+        f, scheme, x = get_function("cos4exp"), solve_coefficients(p), 0.8
+        study = voronovskaya_check(f, COMBO, x, w_list, scheme)
+        diffs = [apply_combo(f, COMBO, scheme, w, x) - f.f(x) for w in w_list]
+        assert study.errors == tuple(abs(d) for d in diffs)
+        assert study.scaled_errors == tuple(w ** p * d for w, d in zip(w_list, diffs))
 
 
 class TestExpansionPrediction:
@@ -316,15 +370,17 @@ class TestBoundsSubtractTheExpansion:
 
 
 class TestFirstOrderBound:
+    """The first-order estimate: ``combo_bound`` of the p = 1 scheme."""
+
     def test_log_lhs_vanishes(self):
         """The expansion is exact on log, so the measured left side is zero
         and any right side dominates."""
-        rep = first_order_bound(get_function("log"), B2, 20.0, 1.0)
+        rep = combo_bound(get_function("log"), B2, P1, 20.0, 1.0)
         assert rep.lhs < 1e-12
         assert rep.satisfied
 
     def test_oscillatory_satisfied(self):
-        rep = first_order_bound(get_function("cos4exp"), B2, 15.0, 0.75)
+        rep = combo_bound(get_function("cos4exp"), B2, P1, 15.0, 0.75)
         assert rep.satisfied
         assert rep.lhs <= rep.rhs
 
@@ -337,7 +393,7 @@ class TestFirstOrderBound:
             w = float(rng.uniform(5.0, 100.0))
             lo, hi = f.eval_interval
             x = float(rng.uniform(lo, hi))
-            rep = first_order_bound(f, kernel, w, x)
+            rep = combo_bound(f, kernel, P1, w, x)
             assert rep.satisfied, (f.label, kernel.label, w, x)
 
     def test_no_usable_candidate_rejected(self):
@@ -350,7 +406,7 @@ class TestFirstOrderBound:
             eval_interval=(0.5, 2.0),
         )
         with pytest.raises(ValueError, match="bare-log: Mellin derivative of order 2 not available"):
-            first_order_bound(bare, B2, 10.0, 1.0)
+            combo_bound(bare, B2, P1, 10.0, 1.0)
 
 
 class TestVanishingMomentBound:
@@ -393,20 +449,6 @@ class TestVanishingMomentBound:
 
 
 class TestComboBound:
-    @pytest.mark.parametrize(
-        "fn, kernel, w, x",
-        [("log2", B4, 20.0, 2.0), ("const:2", B2, 10.0, 1.5), ("cos4exp", COMBO, 15.0, 0.75)],
-    )
-    def test_p1_reduces_to_first_order(self, fn, kernel, w, x):
-        """The first-order estimate is the p = 1 combination estimate.  For
-        a constant both sides are 0 (exact reproduction) and the bound holds."""
-        f = get_function(fn)
-        a = combo_bound(f, kernel, solve_coefficients(1), w, x)
-        b = first_order_bound(f, kernel, w, x)
-        assert (a.lhs, a.rhs, a.satisfied, a.details) == (b.lhs, b.rhs, b.satisfied, b.details)
-        assert (a.bound, b.bound) == ("combination:p=1", "first_order")
-        assert a.satisfied is True
-
     def test_p2_not_applicable(self):
         """sum c_i / i = 0 for the order-raising schemes, which zeroes the
         stated right side; the report is emitted but marked not applicable."""

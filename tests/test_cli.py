@@ -45,24 +45,52 @@ class TestKernelInfo:
 
 
 class TestMoments:
-    def test_csv_table(self, capsys):
-        code, out, _ = run(capsys, "moments", "--kernel", "bspline:2", "--nu-max", "2")
+    @pytest.mark.parametrize(
+        "flags, header, rows",
+        [
+            ((), "nu,m_nu,M_nu_sup,u_independent",
+             ["0,1,1,true", "1,0,0.5,true", "2,0,0.25,false"]),
+            (("--format", "text"), "moments of bspline:2 at u=1",
+             ["nu=0: m_nu=1  M_nu_sup=1  u_independent=true",
+              "nu=1: m_nu=0  M_nu_sup=0.5  u_independent=true",
+              "nu=2: m_nu=0  M_nu_sup=0.25  u_independent=false"]),
+        ],
+        ids=["csv", "text"],
+    )
+    def test_table(self, capsys, flags, header, rows):
+        """A header line, then one row per order nu = 0..nu_max."""
+        code, out, _ = run(capsys, "moments", "--kernel", "bspline:2", "--nu-max", "2", *flags)
         assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "nu,m_nu,M_nu_sup,u_independent"
-        row2 = lines[3].split(",")
-        assert float(row2[2]) == pytest.approx(0.25, abs=1e-9)
-        assert row2[3] == "false"
+        assert out.split("\n") == [header, *rows, ""]
+
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "moments", "--kernel", "bspline:2", "--nu-max", "2",
+                           "--u", "1.5", "--format", "json")
+        assert code == 0
+        records = json.loads(out)
+        assert [r["order"] for r in records] == [0, 1, 2]
+        t = math.log(1.5)  # m_2(u) = {log u}(1 - {log u}) for the order-2 spline
+        assert records[2] == {"order": 2, "algebraic": pytest.approx(t * (1.0 - t), abs=1e-15),
+                              "absolute_sup": 0.25, "u_independent": False, "at_u": 1.5}
 
 
 class TestEval:
-    def test_constant_column(self, capsys):
+    @pytest.mark.parametrize(
+        "flags, header, rows",
+        [
+            ((), "x,approx,exact,abs_error", ["1,3,3,0", "1.5,3,3,0", "2,3,3,0"]),
+            (("--format", "text"), "(I_w f)(x) with kernel bspline:2, f=const:3, w=7",
+             [f"x={x:<16} approx=3                  exact=3                  abs_error=0"
+              for x in ("1", "1.5", "2")]),
+        ],
+        ids=["csv", "text"],
+    )
+    def test_constant_column(self, capsys, flags, header, rows):
+        """A header line, then one row per point."""
         code, out, _ = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "const:3",
-                           "--w", "7", "--x", "1.0:2.0:0.5")
+                           "--w", "7", "--x", "1.0:2.0:0.5", *flags)
         assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "x,approx,exact,abs_error"
-        assert [line.split(",")[1] for line in lines[1:]] == ["3", "3", "3"]
+        assert out.split("\n") == [header, *rows, ""]
 
     def test_constant_next_to_a_knot(self, capsys):
         """w log x = -5.55e-17 sits one rounding away from the order-2
@@ -546,6 +574,19 @@ class TestNumpyFree:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
+
+
+class TestModuleEntryPoint:
+    def test_version(self, tmp_path):
+        """``python -m expsamp`` runs the CLI through ``expsamp.__main__``."""
+        from expsamp import __version__
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "expsamp", "--version"], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"expsamp {__version__}\n", "")
 
 
 class TestDeterminism:

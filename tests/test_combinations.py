@@ -63,6 +63,12 @@ class TestSolveCoefficients:
         with pytest.raises(ValueError):
             CombinationScheme(p=2, coeffs=(Fraction(1),))
 
+    def test_rates(self):
+        """w, 2w, ..., pw in coefficient order; on a doubling list 2w is
+        the next rate as a float, which lets studies share it."""
+        assert solve_coefficients(1).rates(10.37) == (10.37,)
+        assert solve_coefficients(3).rates(10.37) == (10.37, 20.74, 3 * 10.37)
+
 
 class TestApplyCombo:
     def test_constant_reproduction(self):

@@ -323,6 +323,20 @@ class TestSampleCsv:
         with pytest.raises(SampleFormatError, match="line 4"):
             read_sample_csv(io.StringIO("# w=4.0\nk,mean\n0,1.0\n1,abc\n"))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# w=abc\nk,mean\n0,1.0\n", "line 1: bad rate value 'abc'"),
+            ("# w=4.0\nx,mean\n0,1.0\n", "line 2: expected header 'k,mean', got ['x', 'mean']"),
+            ("# w=4.0\nk,mean\n0,1.0,2.0\n", "line 3: expected 2 fields, got 3"),
+            ("# w=4.0\nk,mean\n\n", "no rows after the header on line 2"),
+        ],
+        ids=["bad-rate", "wrong-header", "three-fields", "no-rows"],
+    )
+    def test_malformed_file_rejected_with_line(self, text, message):
+        with pytest.raises(SampleFormatError, match=re.escape(message)):
+            read_sample_csv(io.StringIO(text))
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_mean_rejected_with_line(self, token):
         with pytest.raises(SampleFormatError, match=f"line 4: mean value must be finite, got '{token}'"):
