@@ -12,12 +12,14 @@ table command, whose error cells are rounded to 4 decimals for comparison
 against published values; JSON output carries full round-trip precision.
 A ``--config <file>`` of key=value lines supplies defaults for any long
 flag of the chosen subcommand; flags given on the command line win.
+The parser is built on the first ``main`` call and reused by later calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -57,7 +59,7 @@ __all__ = ["main"]
 _MAX_GRID_POINTS = 1_000_000
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -73,10 +75,10 @@ def _fmt(v: float) -> str:
 def _parse_x_values(text: str) -> list[float]:
     """Either ``lo:hi:step`` (inclusive range) or a comma list of points."""
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"range {text!r}: want lo:hi:step with 3 fields, got {len(parts)}")
-        lo, hi, step = (_number(p, text, "range") for p in parts)
+        fields = text.count(":") + 1
+        if fields != 3:
+            raise UsageError(f"range {text!r}: want lo:hi:step with 3 fields, got {fields}")
+        lo, hi, step = _numbers(text, ":", "range")
         for name, v in (("lo", lo), ("hi", hi), ("step", step)):
             if not math.isfinite(v):
                 raise UsageError(f"range {text!r}: {name} must be finite, got {v}")
@@ -91,7 +93,7 @@ def _parse_x_values(text: str) -> list[float]:
         _check_grid_size(count, f"range {text!r}")
         values = [lo + i * step for i in range(count)]
     else:
-        values = [_number(tok.strip(), text, "point list") for tok in text.split(",")]
+        values = _numbers(text, ",", "point list")
     if not values:
         raise UsageError(f"empty evaluation grid from {text!r}")
     if any(v <= 0.0 for v in values):
@@ -110,17 +112,18 @@ def _check_series_size(kernel: Kernel, w: float, xs: list[float]) -> None:
     _check_grid_size(k_max - k_min + 1, "--emit-samples series", "cells")
 
 
-def _number(tok: str, text: str, what: str) -> float:
-    """float(tok), or a UsageError naming tok and where it sits in text."""
-    try:
-        return float(tok)
-    except ValueError:
-        raise UsageError(f"{what} {text!r}: bad number {tok!r} at position {text.index(tok)}") from None
-
-
-def _parse_w_list(text: str) -> list[float]:
-    """The numbers of a comma list; the studies validate the rates."""
-    return [_number(tok, text, "rate list") for tok in text.split(",")]
+def _numbers(text: str, sep: str, what: str) -> list[float]:
+    """The floats of text's sep-separated fields; the callers validate them.
+    A bad field raises a UsageError naming it, stripped, and its offset."""
+    values, start = [], 0
+    for tok in text.split(sep):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            at = start + len(tok) - len(tok.lstrip())
+            raise UsageError(f"{what} {text!r}: bad number {tok.strip()!r} at position {at}") from None
+        start += len(tok) + len(sep)
+    return values
 
 
 def _load_config_flags(path: str) -> list[str]:
@@ -175,7 +178,7 @@ def _write_json(args, payload) -> None:
         out.write("\n")
 
 
-def _study_payload(study: ConvergenceStudy) -> dict:
+def _study_payload(study: ConvergenceStudy, scheme) -> dict:
     infinite = study.fitted_order is not None and math.isinf(study.fitted_order)
     return {
         "w_list": list(study.w_list),
@@ -186,6 +189,7 @@ def _study_payload(study: ConvergenceStudy) -> dict:
         "scaled_errors": list(study.scaled_errors) if study.scaled_errors else None,
         "predicted_limit": study.predicted_limit,
         "deviations": list(study.deviations) if study.deviations else None,
+        "combination": _scheme_payload(scheme) if scheme else None,
     }
 
 
@@ -307,27 +311,23 @@ def _run_table(args) -> int:
 def _run_converge(args) -> int:
     kernel = parse_kernel_spec(args.kernel)
     f = get_function(args.fn)
-    w_list = _parse_w_list(args.w_list)
+    w_list = _numbers(args.w_list, ",", "rate list")
     scheme = solve_coefficients(args.p) if args.p is not None else None
     _check_grid_size(args.grid_points, "--grid-points")
     lo, hi = f.eval_interval
     grid = _linspace(lo, hi, args.grid_points)
     study = estimate_order(f, kernel, scheme, w_list, grid, args.quad_nodes)
-    payload = _study_payload(study)
-    payload["combination"] = _scheme_payload(scheme) if scheme else None
-    _write_json(args, payload)
+    _write_json(args, _study_payload(study, scheme))
     return 0
 
 
 def _run_voronovskaya(args) -> int:
     kernel = parse_kernel_spec(args.kernel)
     f = get_function(args.fn)
-    w_list = _parse_w_list(args.w_list)
+    w_list = _numbers(args.w_list, ",", "rate list")
     scheme = solve_coefficients(args.p) if args.p is not None else None
     study = voronovskaya_check(f, kernel, args.x, w_list, scheme, args.quad_nodes)
-    payload = _study_payload(study)
-    payload["combination"] = _scheme_payload(scheme) if scheme else None
-    _write_json(args, payload)
+    _write_json(args, _study_payload(study, scheme))
     return 0
 
 
@@ -356,6 +356,7 @@ def _run_bounds(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="expsamp", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"expsamp {__version__}")
@@ -442,9 +443,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(_inject_config(argv))
         return args.run(args)
-    except UsageError as exc:
-        print(f"expsamp: error: {exc}", file=sys.stderr)
-        return 1
     except MomentPreconditionError as exc:
         print(f"expsamp: precondition failed: {exc}", file=sys.stderr)
         return 2

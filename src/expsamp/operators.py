@@ -324,6 +324,8 @@ def read_sample_csv(src: Union[str, TextIO]) -> SampleSeries:
         w = float(first[4:])
     except ValueError:
         raise SampleFormatError(f"line 1: bad rate value {first[4:]!r}") from None
+    if not (w > 0.0 and math.isfinite(w)):
+        raise SampleFormatError(f"line 1: rate must be positive and finite, got {first[4:]!r}")
     reader = csv.reader(src)
     header = next(reader, None)
     if header != ["k", "mean"]:

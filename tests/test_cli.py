@@ -1,5 +1,6 @@
 """Command-line behaviour: output formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -297,6 +298,26 @@ class TestUsageErrors:
                              "--w-list", "10,20,4o,80,160")
         assert (code, out) == (1, "")
         assert err == "expsamp: error: rate list '10,20,4o,80,160': bad number '4o' at position 6\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--x", "1,,2"), "point list '1,,2': bad number '' at position 2"),
+            (("--x", "1::2"), "range '1::2': bad number '' at position 2"),
+            (("--x", "inf,in"), "point list 'inf,in': bad number 'in' at position 4"),
+            (("--x", "1, abc"), "point list '1, abc': bad number 'abc' at position 3"),
+            (("--w-list", "10,20,40,80,160,"), "rate list '10,20,40,80,160,': bad number '' at position 16"),
+            (("--w-list", "10, 2x ,40"), "rate list '10, 2x ,40': bad number '2x' at position 4"),
+        ],
+        ids=["empty-point", "empty-range-field", "token-inside-earlier", "spaced-point",
+             "trailing-comma-rate", "spaced-rate"],
+    )
+    def test_bad_number_position(self, capsys, flags, message):
+        """The position is where the bad field sits in the flag's text, not
+        where the same characters first occur."""
+        common = ("--kernel", "bspline:2", "--fn", "log")
+        command = ("converge", *common) if flags[0] == "--w-list" else ("eval", *common, "--w", "5")
+        assert run(capsys, *command, *flags) == (1, "", f"expsamp: error: {message}\n")
 
     @pytest.mark.parametrize("command", ["kernel-info", "moments"])
     @pytest.mark.parametrize("nu_max", ["-1", "9"])
@@ -596,6 +617,57 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+class TestOneParser:
+    """main builds its parser on the first call and reuses it; no call
+    leaves anything behind for the next."""
+
+    EVAL = ("eval", "--kernel", "bspline:3", "--fn", "cos4exp", "--w", "10", "--x", "1.1,1.7")
+    COMMANDS = ("kernel-info", "moments", "eval", "reconstruct", "table", "converge",
+                "voronovskaya", "bounds")
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        run(capsys, *self.EVAL)
+        added = []
+        add_argument = argparse._ActionsContainer.add_argument
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                            lambda container, *a, **kw: added.append(a) or add_argument(container, *a, **kw))
+        assert run(capsys, *self.EVAL)[0] == 0
+        assert added == []
+
+    def test_format_does_not_stick(self, capsys):
+        code, text, _ = run(capsys, *self.EVAL, "--format", "text")
+        assert (code, text.split()[0]) == (0, "(I_w")
+        code, out, _ = run(capsys, *self.EVAL)
+        assert (code, out.split("\n")[0]) == (0, "x,approx,exact,abs_error")
+
+    @pytest.mark.parametrize("line", ["format=text", "quad-nodes=1"])
+    def test_config_does_not_stick(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        default = run(capsys, *self.EVAL)
+        assert run(capsys, *self.EVAL, "--config", str(cfg))[1] != default[1]
+        assert run(capsys, *self.EVAL) == default
+
+    def test_usage_error_does_not_stick(self, capsys):
+        _, out, _ = run(capsys, *self.EVAL)
+        assert run(capsys, "eval", "--kernel", "bspline:3", "--bogus")[:2] == (1, "")
+        assert run(capsys, *self.EVAL) == (0, out, "")
+
+    @pytest.mark.parametrize("argv, listed", [
+        (("--help",), COMMANDS),
+        (("eval", "--help"), ("--emit-samples",)),
+    ])
+    def test_help_repeats(self, capsys, argv, listed):
+        outs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as stop:
+                main(list(argv))
+            assert stop.value.code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert all(name in outs[0] for name in listed)
 
 
 class TestConfigFile:

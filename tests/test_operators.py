@@ -327,11 +327,16 @@ class TestSampleCsv:
         "text, message",
         [
             ("# w=abc\nk,mean\n0,1.0\n", "line 1: bad rate value 'abc'"),
+            ("# w=0\nk,mean\n0,1.0\n", "line 1: rate must be positive and finite, got '0'"),
+            ("# w=-4.0\nk,mean\n0,1.0\n", "line 1: rate must be positive and finite, got '-4.0'"),
+            ("# w=nan\nk,mean\n0,1.0\n", "line 1: rate must be positive and finite, got 'nan'"),
+            ("# w=inf\nk,mean\n0,1.0\n", "line 1: rate must be positive and finite, got 'inf'"),
             ("# w=4.0\nx,mean\n0,1.0\n", "line 2: expected header 'k,mean', got ['x', 'mean']"),
             ("# w=4.0\nk,mean\n0,1.0,2.0\n", "line 3: expected 2 fields, got 3"),
             ("# w=4.0\nk,mean\n\n", "no rows after the header on line 2"),
         ],
-        ids=["bad-rate", "wrong-header", "three-fields", "no-rows"],
+        ids=["bad-rate", "zero-rate", "negative-rate", "nan-rate", "inf-rate",
+             "wrong-header", "three-fields", "no-rows"],
     )
     def test_malformed_file_rejected_with_line(self, text, message):
         with pytest.raises(SampleFormatError, match=re.escape(message)):
