@@ -44,6 +44,7 @@ from .moments import MAX_MOMENT_ORDER, build_moment_report
 from .operators import (
     OperatorConfig,
     SampleSeries,
+    _grid_point,
     apply_from_samples,
     apply_grid,
     read_sample_csv,
@@ -264,11 +265,13 @@ def _run_eval(args) -> int:
     xs = _parse_x_values(args.x)
     cfg = OperatorConfig(w=args.w, quad_nodes=args.quad_nodes)
     if args.emit_samples:
+        # each cell once; eval then prints what reconstruct reads from the file
         _check_series_size(kernel, args.w, xs)
-    points = apply_grid(f, kernel, cfg, xs)
-    if args.emit_samples:
         series = SampleSeries.covering(f, kernel, args.w, xs, args.quad_nodes)
+        points = [_grid_point(x, apply_from_samples(series, kernel, x), f.f(x)) for x in xs]
         write_sample_csv(args.emit_samples, series)
+    else:
+        points = apply_grid(f, kernel, cfg, xs)
     with _output(args) as out:
         if args.format == "text":
             out.write(f"(I_w f)(x) with kernel {kernel.label}, f={f.label}, w={_fmt(args.w)}\n")

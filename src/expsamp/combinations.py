@@ -12,8 +12,8 @@ extrapolation weights, c_i = L_i(0) for the Lagrange basis on the nodes
     c_i = (-1)^(p-i) * i^p / (i! * (p-i)!).
 
 The plain operator I_w is the p = 1 member, c = (1).  Coefficients are
-stored as exact rationals (their float sums cancel badly) and converted to
-floats only when the operator is applied.
+stored as exact rationals (their float sums cancel badly); the operator
+is applied with their floats, converted once per scheme.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ class CombinationScheme:
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.p:
             raise ValueError(f"expected {self.p} coefficients, got {len(self.coeffs)}")
+        # the float coefficients of ``combine``, converted once; an attribute,
+        # not a field, so repr and == still see the exact ones only
+        object.__setattr__(self, "_floats", tuple(map(float, self.coeffs)))
 
     def rates(self, w: float) -> tuple[float, ...]:
         """The rates w, 2w, ..., pw, in the order of the coefficients."""
@@ -54,7 +57,7 @@ class CombinationScheme:
     def combine(self, values: Sequence[float]) -> float:
         """sum_i c_i * values[i-1], the combined operator from its rates;
         ValueError where a term c_i * values[i-1] overflows."""
-        total = math.fsum(float(c) * v for c, v in zip(self.coeffs, values))
+        total = math.fsum(c * v for c, v in zip(self._floats, values))
         if not math.isfinite(total):
             raise ValueError(f"the p={self.p} combination overflows at values {list(values)}")
         return total

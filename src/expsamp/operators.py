@@ -207,8 +207,8 @@ def apply(f: TestFunction, kernel: Kernel, cfg: OperatorConfig, x: float) -> flo
 class SampleSeries:
     """Cell means of an unknown signal on the log-grid of mesh 1/w.
 
-    ``means[k]`` is w * integral_{k/w}^{(k+1)/w} f(e^u) du; the mapping must
-    be dense on k_range.
+    ``means[k]`` is w * integral_{k/w}^{(k+1)/w} f(e^u) du, finite; the
+    mapping must hold every integer k of the non-empty integer range k_range.
     """
 
     w: float
@@ -218,15 +218,24 @@ class SampleSeries:
     def __post_init__(self) -> None:
         _check_rate(self.w)
         k_min, k_max = self.k_range
-        # walk the stored indices, not the span: a file of two rows may
-        # name cells 10^12 apart; each gap adds at most 8 of its indices
+        if not (isinstance(k_min, int) and isinstance(k_max, int)):
+            raise ValueError(f"sample series k_range must be two integers, got {self.k_range!r}")
+        if k_min > k_max:
+            raise ValueError(f"sample series k_range {self.k_range!r} is empty")
+        if not all(map(math.isfinite, self.means.values())):
+            k = min(k for k, v in self.means.items() if not math.isfinite(v))
+            raise ValueError(f"sample series mean at k={k} is not finite: {self.means[k]!r}")
+        inside = [k for k in self.means if isinstance(k, int) and k_min <= k <= k_max]
+        if len(inside) == k_max - k_min + 1:  # distinct integers, as many as the range
+            return
+        # name the gaps by walking the stored indices, not the span: a file
+        # of two rows may name cells 10^12 apart; each gap adds at most 8
         missing: list[int] = []
         expected = k_min
-        for k in sorted(k for k in self.means if k_min <= k <= k_max) + [k_max + 1]:
+        for k in sorted(inside) + [k_max + 1]:
             missing += range(expected, min(k, expected + 8))
             expected = k + 1
-        if missing:
-            raise ValueError(f"sample series has gaps at k={missing[:8]}")
+        raise ValueError(f"sample series has gaps at k={missing[:8]}")
 
     @classmethod
     def from_function(
@@ -280,6 +289,10 @@ class GridPoint:
     abs_error: float
 
 
+def _grid_point(x: float, approx: float, exact: float) -> GridPoint:
+    return GridPoint(x=x, approx=approx, exact=exact, abs_error=abs(approx - exact))
+
+
 def apply_grid(
     f: TestFunction, kernel: Kernel, cfg: OperatorConfig, xs: Sequence[float]
 ) -> list[GridPoint]:
@@ -287,12 +300,7 @@ def apply_grid(
     if len(xs) == 0:
         raise ValueError("empty evaluation grid")
     mean = _CellMeans(f, cfg).__getitem__
-    out = []
-    for x in xs:
-        value = _apply_with_cache(kernel, cfg.w, x, mean)
-        exact = f.f(x)
-        out.append(GridPoint(x=x, approx=value, exact=exact, abs_error=abs(value - exact)))
-    return out
+    return [_grid_point(x, _apply_with_cache(kernel, cfg.w, x, mean), f.f(x)) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +313,10 @@ def write_sample_csv(dest: Union[str, TextIO], series: SampleSeries) -> None:
         with open(dest, "w", newline="") as fh:
             write_sample_csv(fh, series)
         return
-    dest.write(f"# w={series.w!r}\n")
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["k", "mean"])
+    means = series.means
     k_min, k_max = series.k_range
-    for k in range(k_min, k_max + 1):
-        writer.writerow([k, repr(series.means[k])])
+    dest.write(f"# w={series.w!r}\nk,mean\n")
+    dest.writelines(f"{k},{means[k]!r}\n" for k in range(k_min, k_max + 1))
 
 
 def read_sample_csv(src: Union[str, TextIO]) -> SampleSeries:

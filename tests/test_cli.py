@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from expsamp import operators
 from expsamp.cli import _MAX_GRID_POINTS, UsageError, _check_series_size, _parse_x_values, main
 from expsamp.kernels import parse_kernel_spec
 from expsamp.operators import SampleSeries
@@ -113,11 +114,38 @@ class TestEval:
             "--x", "0.5:1.0:0.01",
         )
         assert code == 0
-        eval_rows = [line.split(",") for line in out_eval.strip().split("\n")[1:]]
-        rec_rows = [line.split(",") for line in out_rec.strip().split("\n")[1:]]
-        assert len(eval_rows) == len(rec_rows) == 51
-        for er, rr in zip(eval_rows, rec_rows):
-            assert abs(float(er[1]) - float(rr[1])) < 1e-14
+        # eval reads its grid from the series it emits: the same text
+        eval_rows = [line.split(",")[:2] for line in out_eval.split("\n")]
+        assert out_rec.split("\n") == [",".join(row) for row in eval_rows]
+        assert len(eval_rows) == 53  # header, 51 points, the final newline
+
+    def test_emit_computes_each_cell_once(self, capsys, tmp_path, monkeypatch):
+        """With --emit-samples the grid is read from the emitted series, so
+        every cell mean is computed once: 421 calls for 421 cells."""
+        calls = []
+        original = operators.cell_mean
+
+        def counted(f, w, k, quad_nodes=7):
+            calls.append(k)
+            return original(f, w, k, quad_nodes)
+
+        monkeypatch.setattr(operators, "cell_mean", counted)
+        code, _, _ = run(capsys, "eval", "--kernel", "bspline:3", "--fn", "cos4exp", "--w", "600",
+                         "--x", "0.8:1.6:0.02", "--emit-samples", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 421
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_emit_leaves_stdout_unchanged(self, capsys, tmp_path, fmt):
+        """The values read from the emitted series are the ones apply_grid
+        computes, byte for byte."""
+        argv = ["eval", "--kernel", "bspline:3", "--fn", "sinmix", "--w", "45.3",
+                "--x", "1.3:2.4:0.013", "--format", fmt]
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        code, emitted, _ = run(capsys, *argv, "--emit-samples", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert emitted == plain
 
     def test_missing_sample_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "reconstruct", "--kernel", "bspline:2",
@@ -514,6 +542,16 @@ class TestFloatRange:
                            "--w", "0.001", "--x", "2")
         assert code == 1
         assert "cell k=0 at w=0.001 spans log x in [0, 1000]" in err
+
+    def test_cell_named_with_emit_samples(self, capsys, tmp_path):
+        """The emitted series' cells come first, from the lowest, so the
+        refusal names k=-1, the first cell of the window; no file is left."""
+        samples = tmp_path / "s.csv"
+        code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "log",
+                             "--w", "0.001", "--x", "2", "--emit-samples", str(samples))
+        assert (code, out) == (1, "")
+        assert "cell k=-1 at w=0.001 spans log x in [-1000, 0]" in err
+        assert not samples.exists()
 
     def test_f_overflows_on_a_cell(self, capsys):
         code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "cos4exp",

@@ -1,5 +1,6 @@
 """Coefficient system solutions and combined-operator evaluation."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -62,6 +63,19 @@ class TestSolveCoefficients:
     def test_scheme_length_checked(self):
         with pytest.raises(ValueError):
             CombinationScheme(p=2, coeffs=(Fraction(1),))
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_combine_rounds_each_coefficient_once(self, p):
+        """combine sums float(c_i) * v_i with fsum, as written; the floats
+        are no field, so repr, == and hash see the exact coefficients only."""
+        scheme = solve_coefficients(p)
+        values = [math.sin(i) * 10 ** (i % 3) for i in range(1, p + 1)]
+        want = math.fsum(float(c) * v for c, v in zip(scheme.coeffs, values))
+        assert scheme.combine(values) == want
+        assert repr(scheme) == f"CombinationScheme(p={p}, coeffs={scheme.coeffs!r})"
+        same = CombinationScheme(p=p, coeffs=scheme.coeffs)
+        assert same == scheme and hash(same) == hash(scheme)
+        assert [f.name for f in dataclasses.fields(scheme)] == ["p", "coeffs"]
 
     def test_rates(self):
         """w, 2w, ..., pw in coefficient order; on a doubling list 2w is

@@ -286,6 +286,26 @@ class TestSampleSeries:
         series = SampleSeries(w=5.0, means={-9: 1.0, 0: 1.0, 1: 1.0, 9: 1.0}, k_range=(0, 1))
         assert series.k_range == (0, 1)
 
+    @pytest.mark.parametrize(
+        "means, k_range, message",
+        [
+            ({}, (0, -1), "sample series k_range (0, -1) is empty"),
+            ({0: 1.0}, (3, 2), "sample series k_range (3, 2) is empty"),
+            ({0: 1.0}, (-5.5, 19), "sample series k_range must be two integers, got (-5.5, 19)"),
+            ({0: 1.0}, (0, 0.0), "sample series k_range must be two integers, got (0, 0.0)"),
+            ({0: 1.0, 1: math.nan}, (0, 1), "sample series mean at k=1 is not finite: nan"),
+            ({-2: math.inf, 0: 1.0, 3: -math.inf}, (-2, 3), "mean at k=-2 is not finite: inf"),
+            ({0: 1.0, 0.5: 1.0}, (0, 1), "sample series has gaps at k=[1]"),
+        ],
+        ids=["empty", "inverted", "fractional", "float-bound", "nan-mean", "inf-mean",
+             "fractional-key"],
+    )
+    def test_constructor_refuses(self, means, k_range, message):
+        """An empty or non-integer range and a non-finite mean are refused
+        with a ValueError; a fractional key is no cell."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SampleSeries(w=5.0, means=means, k_range=k_range)
+
 
 class TestSampleCsv:
     def test_round_trip_exact(self):
@@ -307,6 +327,18 @@ class TestSampleCsv:
         assert lines[0] == "# w=4.0"
         assert lines[1] == "k,mean"
         assert buf.getvalue().count("\r") == 0
+
+    def test_bytes_pinned(self, tmp_path):
+        """Shortest round-trip reprs, LF line ends, negative k; the file
+        reads back equal, the sign of -0.0 included."""
+        series = SampleSeries(w=2.5, means={-3: -0.0, -2: 5e-324, -1: 1e16, 0: -1.5},
+                              k_range=(-3, 0))
+        path = tmp_path / "s.csv"
+        write_sample_csv(str(path), series)
+        assert path.read_bytes() == b"# w=2.5\nk,mean\n-3,-0.0\n-2,5e-324\n-1,1e+16\n0,-1.5\n"
+        back = read_sample_csv(str(path))
+        assert back == series
+        assert math.copysign(1.0, back.means[-3]) == -1.0
 
     def test_duplicate_k_rejected(self):
         text = "# w=4.0\nk,mean\n0,1.0\n0,2.0\n"
