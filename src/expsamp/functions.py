@@ -11,13 +11,18 @@ written directly in theta, which maps (log x)^p to p (log x)^(p-1), so the
 terms above need not cancel for them.  The registry below
 holds the functions used in the numerical experiments; ``const:<c>`` is
 parsed dynamically.
+
+The operator averages f(e^u) over cells of the log axis, so each function
+also carries ``f_at_log``, u -> f(e^u).  The built-ins write it in closed
+form: (log x)^p is u^p there, with no exp/log round trip per quadrature
+node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 __all__ = ["TestFunction", "BUILTIN_FUNCTIONS", "get_function"]
 
@@ -29,7 +34,10 @@ class TestFunction:
     """A function on the positive half-line with its Mellin derivatives.
 
     ``mellin_derivs`` holds (theta f, theta^2 f, theta^3 f).  ``eval_interval``
-    is where sup norms and errors are measured.
+    is where sup norms and errors are measured.  ``f_at_log`` is
+    u -> f(e^u), the integrand of the operator's cell means; built without
+    it, a function composes f with math.exp.  ``dataclasses.replace`` keeps
+    it unless it is passed too.
     """
 
     __test__ = False  # not a pytest collection target
@@ -38,6 +46,12 @@ class TestFunction:
     mellin_derivs: tuple[Real, ...]
     label: str
     eval_interval: tuple[float, float]
+    f_at_log: Optional[Real] = None
+
+    def __post_init__(self) -> None:
+        if self.f_at_log is None:
+            f, exp = self.f, math.exp
+            object.__setattr__(self, "f_at_log", lambda u: f(exp(u)))
 
     def theta(self, j: int) -> Real:
         """theta^j f for j = 0..len(mellin_derivs); raises if unavailable."""
@@ -56,13 +70,14 @@ class TestFunction:
         d2f: Real,
         d3f: Real,
         eval_interval: tuple[float, float],
+        f_at_log: Optional[Real] = None,
     ) -> "TestFunction":
         """Build from ordinary derivatives f', f'', f'''."""
         theta1 = lambda x: x * df(x)
         theta2 = lambda x: x * df(x) + x * x * d2f(x)
         theta3 = lambda x: x * df(x) + 3.0 * x * x * d2f(x) + x ** 3 * d3f(x)
         return cls(f=f, mellin_derivs=(theta1, theta2, theta3), label=label,
-                   eval_interval=eval_interval)
+                   eval_interval=eval_interval, f_at_log=f_at_log)
 
 
 def _constant(c: float) -> TestFunction:
@@ -72,6 +87,7 @@ def _constant(c: float) -> TestFunction:
         mellin_derivs=(zero, zero, zero),
         label=f"const:{c:g}",
         eval_interval=(0.5, 3.0),
+        f_at_log=lambda u: c,
     )
 
 
@@ -91,6 +107,7 @@ def _log_power(p: int) -> TestFunction:
         mellin_derivs=(theta(1), theta(2), theta(3)),
         label=label,
         eval_interval=(0.5, 3.0),
+        f_at_log=lambda u: u ** p,
     )
 
 
@@ -103,7 +120,9 @@ def _cos4exp() -> TestFunction:
     d3f = lambda x: (4.0 * math.exp(x) * math.sin(4.0 * math.exp(x))
                      + 48.0 * math.exp(2.0 * x) * math.cos(4.0 * math.exp(x))
                      - 64.0 * math.exp(3.0 * x) * math.sin(4.0 * math.exp(x)))
-    return TestFunction.from_derivatives("cos4exp", f, df, d2f, d3f, (0.5, 1.0))
+    # f with math.exp(u) in place of x: the same operations, so f(exp(u)) bit for bit
+    f_at_log = lambda u: 1.0 - math.cos(4.0 * math.exp(math.exp(u)))
+    return TestFunction.from_derivatives("cos4exp", f, df, d2f, d3f, (0.5, 1.0), f_at_log)
 
 
 def _sinmix() -> TestFunction:
@@ -115,7 +134,12 @@ def _sinmix() -> TestFunction:
                      - 0.5 * pi ** 2 * math.sin(0.5 * pi * x))
     d3f = lambda x: (-8.0 * pi ** 3 * math.cos(2.0 * pi * x)
                      - 0.25 * pi ** 3 * math.cos(0.5 * pi * x))
-    return TestFunction.from_derivatives("sinmix", f, df, d2f, d3f, (0.5 * pi, 4.0))
+
+    def f_at_log(u: float) -> float:
+        x = math.exp(u)
+        return math.sin(2.0 * pi * x) + 2.0 * math.sin(0.5 * pi * x)
+
+    return TestFunction.from_derivatives("sinmix", f, df, d2f, d3f, (0.5 * pi, 4.0), f_at_log)
 
 
 BUILTIN_FUNCTIONS: dict[str, Callable[[], TestFunction]] = {

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,6 +44,12 @@ MAX_ORDER = 10
 # t's fractional part; from |t| >= 2^23 on it is known to no better than
 # ulp(t) >= 2^-29 > 1e-9, and at |t| >= 2^52 it is gone altogether.
 WINDOW_ULP_TOL = 1e-9
+
+# Largest |c1| + |c2| a combo may have.  The coefficients grow as the two
+# factors approach each other, and the kernel's zeroth moment loses their
+# size times the rounding of the weights: |m_0 - 1| reached 4.4e-13 at a
+# sum of 2.77e3, 5.8e-12 at 2.77e4 and 0.65 at 6.2e15.
+MAX_COMBO_COEFFICIENT_SUM = 1000
 
 
 class KernelSpecError(ValueError):
@@ -282,18 +289,22 @@ def _scale_repr(log_scale: Fraction) -> str:
 
 def _parse_log_scale(token: str) -> Fraction:
     """Log of a translate factor given as ``e^<rational>`` (kept exact) or
-    as a decimal literal (the float log, itself an exact rational)."""
+    as a decimal literal (the float log, itself an exact rational).  The
+    log must be a finite float: the kernel shifts its argument by it."""
     if token.startswith("e^"):
         try:
-            return Fraction(token[2:])
+            log_scale = Fraction(token[2:])
         except (ValueError, ZeroDivisionError) as exc:
             raise KernelSpecError(f"bad exponent in scale factor {token!r}: {exc}") from None
+        if abs(log_scale) > sys.float_info.max:  # exact: Fraction against float
+            raise KernelSpecError(f"scale factor {token!r} has a log beyond the float range")
+        return log_scale
     try:
         value = float(token)
     except ValueError:
         raise KernelSpecError(f"bad scale factor {token!r}: not a decimal or e^<rational>") from None
-    if value <= 0.0:
-        raise KernelSpecError(f"scale factor must be positive, got {token!r}")
+    if not 0.0 < value < math.inf:  # NaN included
+        raise KernelSpecError(f"scale factor must be positive and finite, got {token!r}")
     return Fraction(math.log(value))
 
 
@@ -307,7 +318,9 @@ def parse_kernel_spec(text: str) -> Kernel:
 
     * ``bspline:<n>`` with 1 <= n <= 10
     * ``combo:<n>:<alpha>:<beta>`` where alpha/beta are decimal literals or
-      ``e^<rational>`` (the exponent is stored exactly, not as a float)
+      ``e^<rational>`` (the exponent is stored exactly, not as a float),
+      positive, with finite float logs, and far enough apart that
+      |c1| + |c2| <= MAX_COMBO_COEFFICIENT_SUM
     """
     family, *fields = text.split(":")
     if family not in _SPEC_FIELDS:
@@ -323,5 +336,12 @@ def parse_kernel_spec(text: str) -> Kernel:
         return _spline_sum(order, ((1.0, 0.0),), f"bspline:{order}")
     la, lb = (_parse_log_scale(token) for token in fields[1:])
     c1, c2 = _combo_coefficients(la, lb)
+    size = abs(c1) + abs(c2)
+    if size > MAX_COMBO_COEFFICIENT_SUM:
+        raise KernelSpecError(
+            f"translate factors {fields[1]} and {fields[2]} are too close in {text!r}: "
+            f"|c1| + |c2| = {float(size):.4g} exceeds {MAX_COMBO_COEFFICIENT_SUM}, "
+            f"and the two terms cancel"
+        )
     label = f"combo:{order}:{_scale_repr(la)}:{_scale_repr(lb)}"
     return _spline_sum(order, ((float(c1), float(la)), (float(c2), float(lb))), label)

@@ -5,8 +5,10 @@ For a kernel chi and rate w > 0 the operator evaluates
     (I_w f)(x) = sum_k chi(e^-k * x^w) * w * integral_{k/w}^{(k+1)/w} f(e^u) du,
 
 i.e. a kernel-weighted sum of normalized cell averages of f(e^u) on the
-uniform log-grid of mesh 1/w.  Compact kernel support makes the sum finite:
-it runs over ``Kernel.window(w*log(x))``, the k with w*log(x) - k inside the
+uniform log-grid of mesh 1/w.  The cell averages integrate
+``TestFunction.f_at_log``, u -> f(e^u), on the log axis itself.  Compact
+kernel support makes the sum finite: it runs over
+``Kernel.window(w*log(x))``, the k with w*log(x) - k inside the
 log-support, widened by one on each side.
 
 The sum is written once, in ``_apply_with_cache``, which takes the cell
@@ -50,6 +52,8 @@ __all__ = [
 _LOG_MIN = math.log(sys.float_info.min)
 _LOG_MAX = math.log(sys.float_info.max)
 
+MAX_QUAD_NODES = 64
+
 
 class MissingSampleError(ValueError):
     """A sample series lacks a cell index the kernel window requires."""
@@ -72,13 +76,19 @@ class OperatorConfig:
 
     def __post_init__(self) -> None:
         _check_rate(self.w)
-        if not 1 <= self.quad_nodes <= 64:
-            raise ValueError(f"quad_nodes must be in 1..64, got {self.quad_nodes}")
+        _check_quad_nodes(self.quad_nodes)
 
 
 def _check_rate(w: float) -> None:
     if not 0.0 < w < math.inf:
         raise ValueError(f"sampling rate w must be positive and finite, got {w}")
+
+
+def _check_quad_nodes(n: int) -> None:
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError(f"quad_nodes must be a positive integer, got {n!r}")
+    if n > MAX_QUAD_NODES:
+        raise ValueError(f"quad_nodes must be at most {MAX_QUAD_NODES}, got {n}")
 
 
 def _check_point(x: float) -> None:
@@ -97,7 +107,7 @@ def _newton_step(n: int, x, one):
     return x - cur / dp, dp
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 7.0 is refused, not served as 7
 def _gauss_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Gauss-Legendre nodes moved to [0, 1], ascending, and weights halved
     to sum to 1, as Python-float tuples.
@@ -109,9 +119,12 @@ def _gauss_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     each rounded to float once, and the lower half mirrors the upper, so
     the weights are exactly symmetric.  No eigen-solver is involved, so the
     rule is the same on every platform.
+
+    Every cell mean fetches its rule here, so this is where a node count
+    outside 1..MAX_QUAD_NODES is refused, and the cache holds at most one
+    rule per valid count.
     """
-    if n < 1:
-        raise ValueError(f"quad_nodes must be a positive integer, got {n}")
+    _check_quad_nodes(n)
     roots = [math.cos(math.pi * (i - 0.25) / (n + 0.5)) for i in range(1, n // 2 + 1)]
     if n % 2:
         roots.append(0.0)
@@ -141,11 +154,13 @@ def _gauss_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 def cell_mean(f: TestFunction, w: float, k: int, quad_nodes: int = 7) -> float:
     """Normalized cell average w * integral_{k/w}^{(k+1)/w} f(e^u) du.
 
-    Gauss-Legendre with ``quad_nodes`` points; exact whenever u -> f(e^u) is
-    a polynomial of degree <= 2*quad_nodes - 1 on the cell.  Raises
-    ValueError for a cell whose points e^u overflow or underflow (a rate
-    too small for the evaluation point) and for an f that overflows there.
+    Gauss-Legendre with ``quad_nodes`` points on ``f.f_at_log``, u -> f(e^u);
+    exact whenever that is a polynomial of degree <= 2*quad_nodes - 1 on
+    the cell.  Raises ValueError for a node count outside 1..MAX_QUAD_NODES,
+    for a cell whose points e^u overflow or underflow (a rate too small for
+    the evaluation point) and for an f that overflows there.
     """
+    nodes, weights = _gauss_rule(quad_nodes)
     lo, hi = k / w, (k + 1) / w
     if not (_LOG_MIN < lo and hi < _LOG_MAX):
         raise ValueError(
@@ -153,10 +168,9 @@ def cell_mean(f: TestFunction, w: float, k: int, quad_nodes: int = 7) -> float:
             f"range ({_LOG_MIN:.1f}, {_LOG_MAX:.1f}); the rate is too small for this point, "
             f"or the point lies too close to 0 or to the largest float"
         )
-    nodes, weights = _gauss_rule(quad_nodes)
-    g = f.f
+    g = f.f_at_log
     try:
-        return math.fsum(wt * g(math.exp((k + s) / w)) for s, wt in zip(nodes, weights))
+        return math.fsum(wt * g((k + s) / w) for s, wt in zip(nodes, weights))
     except OverflowError as exc:
         raise ValueError(
             f"cell k={k} at w={w:g}: f overflows on log x in [{lo:g}, {hi:g}] ({exc})"

@@ -45,6 +45,18 @@ class TestKernelInfo:
         assert payload["label"] == "combo:4:e^1:e^2"
         assert payload["moments"][2]["algebraic"] == pytest.approx(-5.0 / 3.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("combo:3:nan:2", "scale factor must be positive and finite, got 'nan'"),
+         ("combo:3:1e400:2", "scale factor must be positive and finite, got '1e400'"),
+         ("combo:3:e^1e400:2", "scale factor 'e^1e400' has a log beyond the float range"),
+         ("combo:3:2:2.0000000000000004", "translate factors 2 and 2.0000000000000004 are too close")],
+    )
+    def test_bad_translate_factor_named(self, capsys, spec, message):
+        code, out, err = run(capsys, "kernel-info", "--kernel", spec)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"expsamp: error: {message}")
+
 
 class TestMoments:
     @pytest.mark.parametrize(

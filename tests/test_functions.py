@@ -1,5 +1,6 @@
 """Built-in test functions: registry behavior and derivative consistency."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -85,3 +86,33 @@ class TestDerivativeConsistency:
             assert f.theta(1)(x) == pytest.approx(3.0 * x ** 3, rel=1e-14)
             assert f.theta(2)(x) == pytest.approx(9.0 * x ** 3, rel=1e-14)
             assert f.theta(3)(x) == pytest.approx(27.0 * x ** 3, rel=1e-14)
+
+
+class TestAtLog:
+    """f_at_log is u -> f(e^u), the operator's integrand on the log axis."""
+
+    US = np.concatenate([np.linspace(-700.0, 6.5, 4001), np.linspace(-1.0, 1.0, 2001)])
+
+    @pytest.mark.parametrize("name", ["cos4exp", "sinmix", "const:-2.5", "const"])
+    def test_bit_identical_to_f_of_exp(self, name):
+        f = get_function(name)
+        for u in self.US.tolist():
+            assert f.f_at_log(u) == f.f(math.exp(u)), u
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_log_family_is_u_to_the_p(self, p):
+        """(log e^u)^p = u^p: the closed form differs from the round trip
+        by the rounding of exp and log, about one ulp of max(1, |u|) in u."""
+        f = get_function("log" if p == 1 else f"log{p}")
+        for u in self.US.tolist():
+            got, trip = f.f_at_log(u), f.f(math.exp(u))
+            assert got == u ** p
+            assert abs(got - trip) <= 4.5e-16 * p * max(1.0, abs(u)) ** p, u
+
+    @pytest.mark.parametrize("name", ["log3", "sinmix", "const:2"])
+    def test_replace_keeps_f_at_log(self, name):
+        """A function whose f is swapped by dataclasses.replace, as a tracer
+        that wraps f does, still integrates the original f_at_log."""
+        f = get_function(name)
+        g = dataclasses.replace(f, f=lambda x: 0.0)
+        assert g.f_at_log is f.f_at_log

@@ -17,6 +17,7 @@ from expsamp.kernels import (
     _piece_table,
     parse_kernel_spec,
 )
+from expsamp.moments import algebraic_moment_at_log
 
 ALL_TEST_KERNELS = [
     parse_kernel_spec("bspline:1"),
@@ -504,3 +505,48 @@ class TestSpecParsing:
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(KernelSpecError):
             parse_kernel_spec(bad)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "e^1e400", "e^-1e309"])
+    def test_non_finite_factor_refused(self, token):
+        """A factor must have a finite float log; NaN had ended in "cannot
+        convert NaN to integer ratio", 1e400 and e^1e400 in an overflow."""
+        for spec in (f"combo:3:{token}:2", f"combo:3:2:{token}"):
+            with pytest.raises(KernelSpecError, match=re.escape(repr(token))):
+                parse_kernel_spec(spec)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, size",
+        [("2", "2.0000000000000004", "6.243e+15"), ("2", "2.001", "2774"),
+         ("e^1", "e^1001/1000", "2001"), ("0.5", "0.5005", "1386")],
+    )
+    def test_close_factors_refused(self, alpha, beta, size):
+        """Nearly equal factors have huge coefficients that cancel:
+        combo:3:2:2.0000000000000004 had m_0 = 1.6484375 and the label
+        combo:3:2:2."""
+        with pytest.raises(KernelSpecError, match=re.escape(
+                f"translate factors {alpha} and {beta} are too close in "
+                f"'combo:3:{alpha}:{beta}': |c1| + |c2| = {size} exceeds 1000")):
+            parse_kernel_spec(f"combo:3:{alpha}:{beta}")
+
+    def test_accepted_specs_keep_the_zeroth_moment(self):
+        """Every spec the coefficient limit accepts, down to factors 0.15%
+        apart, keeps |m_0 - 1| <= 1e-12 at every u; the closer ones in the
+        same sweep are refused."""
+        accepted = refused = 0
+        for n in (1, 2, 3, 4, 6, 10):
+            for alpha in (0.3, 2.0, 7.5):
+                for rel in (0.5, 1e-1, 1e-2, 3e-3, 1.5e-3, 1e-3, 1e-6, 1e-16):
+                    spec = f"combo:{n}:{alpha!r}:{alpha * (1.0 + rel)!r}"
+                    try:
+                        kernel = parse_kernel_spec(spec)
+                    except KernelSpecError:
+                        refused += 1
+                        continue
+                    accepted += 1
+                    for t in np.linspace(0.0, 1.0, 41):
+                        assert abs(algebraic_moment_at_log(kernel, 0, t) - 1.0) <= 1e-12, (spec, t)
+        for alpha, beta in (("e^1", "e^101/100"), ("e^1/2", "e^51/100"), ("e^-3/2", "e^-149/100")):
+            kernel = parse_kernel_spec(f"combo:4:{alpha}:{beta}")
+            for t in np.linspace(0.0, 1.0, 41):
+                assert abs(algebraic_moment_at_log(kernel, 0, t) - 1.0) <= 1e-12
+        assert accepted >= 60 and refused >= 30

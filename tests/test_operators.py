@@ -1,5 +1,6 @@
 """Operator evaluation: cell means, series summation, sample ingestion."""
 
+import dataclasses
 import io
 import math
 import re
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from expsamp.functions import get_function
+from expsamp.functions import TestFunction, get_function
 from expsamp.kernels import parse_kernel_spec
 from expsamp.operators import (
     MissingSampleError,
@@ -76,6 +77,29 @@ class TestGaussRule:
         with pytest.raises(ValueError, match=f"quad_nodes must be a positive integer, got {n}"):
             cell_mean(get_function("log"), 10.0, 0, n)
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [(0, "a positive integer, got 0"), (65, "at most 64, got 65"), (200, "at most 64, got 200"),
+         (2.5, "a positive integer, got 2.5"), (7.0, "a positive integer, got 7.0")],
+    )
+    def test_node_count_refused_where_every_cell_mean_goes(self, n, message):
+        """One rule, in the Gauss rule every cell mean fetches: cell_mean and
+        SampleSeries.from_function refuse what OperatorConfig refuses
+        (n = 200 grew the rule cache unchecked, 2.5 raised TypeError), and a
+        refused count leaves no cache entry.  The count is checked before
+        the cell, here one beyond the float range."""
+        _gauss_rule(7)
+        cached = _gauss_rule.cache_info().currsize
+        message = re.escape(f"quad_nodes must be {message}")
+        for w in (10.0, 0.001):
+            with pytest.raises(ValueError, match=message):
+                cell_mean(get_function("log"), w, 0, n)
+        with pytest.raises(ValueError, match=message):
+            SampleSeries.from_function(get_function("log"), 10.0, 0, 3, quad_nodes=n)
+        with pytest.raises(ValueError, match=message):
+            OperatorConfig(w=10.0, quad_nodes=n)
+        assert _gauss_rule.cache_info().currsize == cached
+
 
 class TestCellMean:
     def test_constant(self):
@@ -104,6 +128,46 @@ class TestCellMean:
     def test_cells_at_the_float_range_ends(self):
         assert cell_mean(get_function("log"), 1.0, 708) == pytest.approx(708.5, rel=1e-15)
         assert cell_mean(get_function("log"), 1.0, -708) == pytest.approx(-707.5, rel=1e-15)
+
+    @pytest.mark.parametrize("name", ["log", "log2", "log3", "cos4exp", "sinmix", "const:-2.5"])
+    @pytest.mark.parametrize("n", [1, 7, 20])
+    def test_against_nodes_on_the_x_axis(self, name, n):
+        """Cell means integrate f_at_log; against f(exp(u)) at the same nodes,
+        the form of the mean before f_at_log existed, cos4exp, sinmix and
+        constants agree bit for bit and the log family to round-off."""
+        f = get_function(name)
+        nodes, weights = _gauss_rule(n)
+        for w, k in [(7.0, 5), (31.0, -40), (500.0, 351), (5000.0, -2987), (1.0, 3)]:
+            want = math.fsum(wt * f.f(math.exp((k + s) / w)) for s, wt in zip(nodes, weights))
+            got = cell_mean(f, w, k, n)
+            if name.startswith("log"):
+                assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (w, k)
+            else:
+                assert got == want, (w, k)
+
+    def test_function_without_f_at_log_unchanged(self):
+        """A TestFunction built without f_at_log composes f with math.exp, so
+        its cell means are f(exp(u)) at the nodes, bit for bit."""
+        log3 = get_function("log3")
+        f = TestFunction(f=log3.f, mellin_derivs=log3.mellin_derivs, label="plain",
+                         eval_interval=(0.5, 3.0))
+        for n in (3, 7, 14):
+            nodes, weights = _gauss_rule(n)
+            for w, k in [(7.0, 5), (800.0, -312), (2100.0, 1555)]:
+                want = math.fsum(wt * log3.f(math.exp((k + s) / w)) for s, wt in zip(nodes, weights))
+                assert cell_mean(f, w, k, n) == want
+
+    def test_integrand_is_f_at_log(self):
+        """f itself is not called: a cell mean reads f_at_log only."""
+
+        def never(x):
+            raise AssertionError("f called on the x axis")
+
+        f = TestFunction(f=never, mellin_derivs=(), label="u", eval_interval=(0.5, 3.0),
+                         f_at_log=lambda u: u)
+        assert cell_mean(f, 10.0, 0) == pytest.approx(1.0 / 20.0, abs=1e-15)
+        traced = dataclasses.replace(get_function("log2"), f=never)
+        assert cell_mean(traced, 10.0, 2) == pytest.approx(19.0 / 300.0, abs=1e-15)
 
     def test_overflowing_f_named(self):
         with pytest.raises(ValueError, match=r"cell k=97 at w=10: f overflows"):
