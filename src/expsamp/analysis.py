@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import math
-import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TextIO
 
@@ -194,8 +193,15 @@ def estimate_order(
         half = (len(ws) + 1) // 2
         log_w = [math.log(w) for w in ws[-half:]]
         log_e = [math.log(e) for e in errors[-half:]]
-        slope, intercept = statistics.linear_regression(log_w, log_e)
-        order, constant = -slope, math.exp(intercept)
+        # least squares as Python 3.11's statistics.linear_regression sums
+        # it, with math.fsum, so the fit is the same on every Python version
+        xbar, ybar = math.fsum(log_w) / half, math.fsum(log_e) / half
+        sxy = math.fsum((lw - xbar) * (le - ybar) for lw, le in zip(log_w, log_e))
+        sxx = math.fsum((d := lw - xbar) * d for lw in log_w)
+        if sxx == 0.0:
+            raise ValueError(f"rates {ws[-half:]} share one float log; no order can be fitted")
+        slope = sxy / sxx
+        order, constant = -slope, math.exp(ybar - slope * xbar)
     return ConvergenceStudy(w_list=ws, errors=errors, fitted_order=order, fitted_constant=constant)
 
 

@@ -370,7 +370,9 @@ def _build_parser() -> _Parser:
                        help="kernel spec: bspline:<n> or combo:<n>:<alpha>:<beta>")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
         p.add_argument("--quad-nodes", type=int, default=7,
-                       help="Gauss-Legendre nodes per cell (default 7)")
+                       help="Gauss-Legendre nodes n per cell (default 7); log, log2, log3 "
+                            "and constants, c u^p on the log axis, take their exact cell "
+                            "mean wherever the n-node rule is exact for them, p <= 2n-1")
 
     p = sub.add_parser("kernel-info", help="kernel summary with moment constants")
     common(p)

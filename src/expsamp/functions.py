@@ -14,8 +14,9 @@ parsed dynamically.
 
 The operator averages f(e^u) over cells of the log axis, so each function
 also carries ``f_at_log``, u -> f(e^u).  The built-ins write it in closed
-form: (log x)^p is u^p there, with no exp/log round trip per quadrature
-node.
+form, with no exp/log round trip per quadrature node.  A constant and
+(log x)^p are c u^p there, and carry ``log_monomial`` = (c, p), so that
+their cell means need no quadrature.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ class TestFunction:
     ``mellin_derivs`` holds (theta f, theta^2 f, theta^3 f).  ``eval_interval``
     is where sup norms and errors are measured.  ``f_at_log`` is
     u -> f(e^u), the integrand of the operator's cell means; built without
-    it, a function composes f with math.exp.  ``dataclasses.replace`` keeps
-    it unless it is passed too.
+    it, a function composes f with math.exp.  ``log_monomial`` = (c, p)
+    states that f(e^u) = c u^p, whose cell means ``cell_mean`` then writes
+    in closed form.  ``dataclasses.replace`` keeps both unless they are
+    passed too.
     """
 
     __test__ = False  # not a pytest collection target
@@ -47,6 +50,7 @@ class TestFunction:
     label: str
     eval_interval: tuple[float, float]
     f_at_log: Optional[Real] = None
+    log_monomial: Optional[tuple[float, int]] = None
 
     def __post_init__(self) -> None:
         if self.f_at_log is None:
@@ -80,34 +84,26 @@ class TestFunction:
                    eval_interval=eval_interval, f_at_log=f_at_log)
 
 
-def _constant(c: float) -> TestFunction:
-    zero = lambda x: 0.0
-    return TestFunction(
-        f=lambda x: c,
-        mellin_derivs=(zero, zero, zero),
-        label=f"const:{c:g}",
-        eval_interval=(0.5, 3.0),
-        f_at_log=lambda u: c,
-    )
-
-
-def _log_power(p: int) -> TestFunction:
-    """(log x)^p for p = 1, 2, 3: theta lowers the power by one each time,
-    theta^j (log x)^p = p!/(p-j)! (log x)^(p-j), and is exactly 0 for j > p."""
+def _log_monomial(c: float, p: int, label: str) -> TestFunction:
+    """c (log x)^p for p = 0..3, so f(e^u) = c u^p: theta lowers the power
+    by one each time, theta^j c (log x)^p = c p!/(p-j)! (log x)^(p-j), and
+    is exactly 0 for j > p."""
 
     def theta(j: int) -> Real:
         if j > p:
             return lambda x: 0.0
-        c = float(math.perm(p, j))
-        return lambda x: c * math.log(x) ** (p - j)
+        a, q = c * math.perm(p, j), p - j
+        if q == 0:
+            return lambda x: a
+        return lambda x: a * math.log(x) ** q
 
-    label = "log" if p == 1 else f"log{p}"
     return TestFunction(
-        f=lambda x: math.log(x) ** p,
+        f=theta(0),
         mellin_derivs=(theta(1), theta(2), theta(3)),
         label=label,
         eval_interval=(0.5, 3.0),
-        f_at_log=lambda u: u ** p,
+        f_at_log=lambda u: c * u ** p,
+        log_monomial=(c, p),
     )
 
 
@@ -143,9 +139,9 @@ def _sinmix() -> TestFunction:
 
 
 BUILTIN_FUNCTIONS: dict[str, Callable[[], TestFunction]] = {
-    "log": lambda: _log_power(1),
-    "log2": lambda: _log_power(2),
-    "log3": lambda: _log_power(3),
+    "log": lambda: _log_monomial(1.0, 1, "log"),
+    "log2": lambda: _log_monomial(1.0, 2, "log2"),
+    "log3": lambda: _log_monomial(1.0, 3, "log3"),
     "cos4exp": _cos4exp,
     "sinmix": _sinmix,
 }
@@ -160,9 +156,9 @@ def get_function(name: str) -> TestFunction:
             raise ValueError(f"bad constant in function name {name!r}") from None
         if not math.isfinite(c):
             raise ValueError(f"constant in function name {name!r} must be finite, got {c}")
-        return _constant(c)
+        return _log_monomial(c, 0, f"const:{c:g}")
     if name == "const":
-        return _constant(1.0)
+        return _log_monomial(1.0, 0, "const:1")
     try:
         return BUILTIN_FUNCTIONS[name]()
     except KeyError:

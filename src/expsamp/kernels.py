@@ -51,6 +51,14 @@ WINDOW_ULP_TOL = 1e-9
 # sum of 2.77e3, 5.8e-12 at 2.77e4 and 0.65 at 6.2e15.
 MAX_COMBO_COEFFICIENT_SUM = 1000
 
+# Largest |log alpha| and |log beta| a combo may have.  The support spans
+# |log alpha - log beta|, and every moment and operator sum walks a window
+# that wide.  One-shot CLI calls on a 2-CPU VM, CPython 3.11: at the cap,
+# ``kernel-info`` and ``moments --nu-max 8`` take 0.2-0.3 s, and 0.5 s for
+# combo:10:e^-1000:e^1000; ``kernel-info`` took 6.7 s at e^1e5 and never
+# ended at e^1e300.  A decimal factor's log is always within the cap.
+MAX_TRANSLATE_LOG = 1000
+
 
 class KernelSpecError(ValueError):
     """Raised when a kernel specifier string cannot be parsed."""
@@ -290,7 +298,8 @@ def _scale_repr(log_scale: Fraction) -> str:
 def _parse_log_scale(token: str) -> Fraction:
     """Log of a translate factor given as ``e^<rational>`` (kept exact) or
     as a decimal literal (the float log, itself an exact rational).  The
-    log must be a finite float: the kernel shifts its argument by it."""
+    log must be a finite float, at most MAX_TRANSLATE_LOG in size: the
+    kernel shifts its argument by it."""
     if token.startswith("e^"):
         try:
             log_scale = Fraction(token[2:])
@@ -298,6 +307,12 @@ def _parse_log_scale(token: str) -> Fraction:
             raise KernelSpecError(f"bad exponent in scale factor {token!r}: {exc}") from None
         if abs(log_scale) > sys.float_info.max:  # exact: Fraction against float
             raise KernelSpecError(f"scale factor {token!r} has a log beyond the float range")
+        if abs(log_scale) > MAX_TRANSLATE_LOG:
+            raise KernelSpecError(
+                f"scale factor {token!r} has |log| = {float(abs(log_scale)):g}, more than "
+                f"the {MAX_TRANSLATE_LOG} allowed: the support, and every sum over it, "
+                f"grows with it"
+            )
         return log_scale
     try:
         value = float(token)
@@ -319,8 +334,8 @@ def parse_kernel_spec(text: str) -> Kernel:
     * ``bspline:<n>`` with 1 <= n <= 10
     * ``combo:<n>:<alpha>:<beta>`` where alpha/beta are decimal literals or
       ``e^<rational>`` (the exponent is stored exactly, not as a float),
-      positive, with finite float logs, and far enough apart that
-      |c1| + |c2| <= MAX_COMBO_COEFFICIENT_SUM
+      positive, with |log alpha|, |log beta| <= MAX_TRANSLATE_LOG, and far
+      enough apart that |c1| + |c2| <= MAX_COMBO_COEFFICIENT_SUM
     """
     family, *fields = text.split(":")
     if family not in _SPEC_FIELDS:

@@ -6,7 +6,8 @@ For a kernel chi and rate w > 0 the operator evaluates
 
 i.e. a kernel-weighted sum of normalized cell averages of f(e^u) on the
 uniform log-grid of mesh 1/w.  The cell averages integrate
-``TestFunction.f_at_log``, u -> f(e^u), on the log axis itself.  Compact
+``TestFunction.f_at_log``, u -> f(e^u), on the log axis itself, or, where
+that is c u^p (``TestFunction.log_monomial``), are exact.  Compact
 kernel support makes the sum finite: it runs over
 ``Kernel.window(w*log(x))``, the k with w*log(x) - k inside the
 log-support, widened by one on each side.
@@ -14,7 +15,7 @@ log-support, widened by one on each side.
 The sum is written once, in ``_apply_with_cache``, which takes the cell
 averages as a callable k -> mean and asks it only where the kernel weight is
 nonzero.  Every value of the package comes from there: ``apply`` and
-``apply_grid`` pass a cache over Gauss-Legendre quadrature of a known f
+``apply_grid`` pass a cache over the cell means of a known f
 (``cell_mean``), ``apply_from_samples`` a lookup in an ingested series of
 precomputed means.
 """
@@ -53,6 +54,12 @@ _LOG_MIN = math.log(sys.float_info.min)
 _LOG_MAX = math.log(sys.float_info.max)
 
 MAX_QUAD_NODES = 64
+
+# The exact means of c u^p hold K^3 and w^3, K = 2k + 1, as floats.  A cell
+# inside the float range has |K| < 1420 w + 1, so both stay finite below
+# this rate; a larger rate, which the CLI admits only at x within 5e-13
+# of 1, takes the Gauss rule.
+_EXACT_MEAN_MAX_RATE = 2.0 ** 64
 
 
 class MissingSampleError(ValueError):
@@ -154,11 +161,17 @@ def _gauss_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 def cell_mean(f: TestFunction, w: float, k: int, quad_nodes: int = 7) -> float:
     """Normalized cell average w * integral_{k/w}^{(k+1)/w} f(e^u) du.
 
-    Gauss-Legendre with ``quad_nodes`` points on ``f.f_at_log``, u -> f(e^u);
-    exact whenever that is a polynomial of degree <= 2*quad_nodes - 1 on
-    the cell.  Raises ValueError for a node count outside 1..MAX_QUAD_NODES,
-    for a cell whose points e^u overflow or underflow (a rate too small for
-    the evaluation point) and for an f that overflows there.
+    Where f(e^u) = c u^p (``f.log_monomial``, the log family and constants)
+    and the ``quad_nodes``-point Gauss rule is exact for it, 2*quad_nodes - 1
+    >= p, the exact mean is returned, written in the integer k: the mean of
+    u is (k + 1/2)/w, of u^2 (k^2 + k + 1/3)/w^2 and of u^3
+    (k + 1/2)((k + 1/2)^2 + 1/4)/w^3 = K (K^2 + 1)/(8 w^3) with K = 2k + 1,
+    where k^2 + k and K (K^2 + 1) are exact integers.  Otherwise Gauss-Legendre
+    with ``quad_nodes`` points on ``f.f_at_log``, u -> f(e^u); exact whenever
+    that is a polynomial of degree <= 2*quad_nodes - 1 on the cell.  Raises
+    ValueError for a node count outside 1..MAX_QUAD_NODES, for a cell whose
+    points e^u overflow or underflow (a rate too small for the evaluation
+    point) and for an f that overflows there.
     """
     nodes, weights = _gauss_rule(quad_nodes)
     lo, hi = k / w, (k + 1) / w
@@ -168,6 +181,17 @@ def cell_mean(f: TestFunction, w: float, k: int, quad_nodes: int = 7) -> float:
             f"range ({_LOG_MIN:.1f}, {_LOG_MAX:.1f}); the rate is too small for this point, "
             f"or the point lies too close to 0 or to the largest float"
         )
+    exact = f.log_monomial
+    if exact is not None and 2 * quad_nodes - 1 >= exact[1] and w < _EXACT_MEAN_MAX_RATE:
+        c, p = exact
+        if p == 0:
+            return c
+        if p == 1:
+            return c * ((k + 0.5) / w)
+        if p == 2:
+            return c * ((k * k + k + 1 / 3) / (w * w))
+        K = 2 * k + 1
+        return c * (K * (K * K + 1) / (8 * w * w * w))
     g = f.f_at_log
     try:
         return math.fsum(wt * g((k + s) / w) for s, wt in zip(nodes, weights))
@@ -200,7 +224,7 @@ def _apply_with_cache(
 
     The package's one operator sum.  ``mean(k)`` is asked only where the
     kernel weight is nonzero; the nonzero terms are summed in ascending k
-    with math.fsum.
+    with math.fsum.  ValueError where a term or the sum overflows.
     """
     _check_point(x)
     wt = w * math.log(x)
@@ -209,7 +233,10 @@ def _apply_with_cache(
         weight = kernel.eval_log(wt - k)
         if weight != 0.0:
             terms.append(weight * mean(k))
-    return math.fsum(terms)
+    total = math.fsum(terms)
+    if not math.isfinite(total):
+        raise ValueError(f"the operator sum at x={x:g} overflows the float range")
+    return total
 
 
 def apply(f: TestFunction, kernel: Kernel, cfg: OperatorConfig, x: float) -> float:

@@ -2,6 +2,8 @@
 
 import io
 import math
+import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -194,6 +196,30 @@ class TestEstimateOrder:
     def test_needs_five_rates(self):
         with pytest.raises(ValueError):
             estimate_order(get_function("log"), B2, None, [10.0, 20.0, 40.0, 80.0], [1.0])
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="the fit is written out as Python 3.11's statistics sums it")
+    @pytest.mark.parametrize("fn, kernel, p, w_list", [
+        ("cos4exp", B2, None, W_GEOM), ("cos4exp", B4, 3, W_GEOM),
+        ("log3", B2, 3, [9.0, 15.3, 27.0, 44.1, 80.0, 133.3, 200.0]), ("sinmix", COMBO, 2, W_GEOM),
+    ])
+    def test_fit_is_the_311_linear_regression(self, fn, kernel, p, w_list):
+        """On 3.11 the fitted order and constant equal, bit for bit, what
+        statistics.linear_regression gives for the top half of the rates."""
+        grid = np.linspace(0.6, 0.95, 41).tolist()
+        study = estimate_order(get_function(fn), kernel, p and solve_coefficients(p), w_list, grid)
+        half = (len(w_list) + 1) // 2
+        slope, intercept = statistics.linear_regression(
+            [math.log(w) for w in study.w_list[-half:]],
+            [math.log(e) for e in study.errors[-half:]])
+        assert (study.fitted_order, study.fitted_constant) == (-slope, math.exp(intercept))
+
+    def test_rates_with_one_float_log_refused(self):
+        """Rates one ulp apart share their float log, and a fit through
+        them would divide by zero."""
+        w_list = [1000.0 + i * 1.2e-13 for i in (0, 1, 2, 3, 5)]
+        with pytest.raises(ValueError, match=r"share one float log; no order can be fitted"):
+            estimate_order(get_function("cos4exp"), B2, None, w_list, [0.7, 0.8])
 
 
 W_APART = [10.0, 13.0, 17.0, 22.0, 29.0]  # no i*w of one entry equals j*w' of another

@@ -50,6 +50,7 @@ class TestKernelInfo:
         [("combo:3:nan:2", "scale factor must be positive and finite, got 'nan'"),
          ("combo:3:1e400:2", "scale factor must be positive and finite, got '1e400'"),
          ("combo:3:e^1e400:2", "scale factor 'e^1e400' has a log beyond the float range"),
+         ("combo:3:e^1e300:e^2", "scale factor 'e^1e300' has |log| = 1e+300, more than the 1000 allowed"),
          ("combo:3:2:2.0000000000000004", "translate factors 2 and 2.0000000000000004 are too close")],
     )
     def test_bad_translate_factor_named(self, capsys, spec, message):

@@ -112,7 +112,45 @@ class TestAtLog:
     @pytest.mark.parametrize("name", ["log3", "sinmix", "const:2"])
     def test_replace_keeps_f_at_log(self, name):
         """A function whose f is swapped by dataclasses.replace, as a tracer
-        that wraps f does, still integrates the original f_at_log."""
+        that wraps f does, still integrates the original f_at_log, and keeps
+        its log monomial."""
         f = get_function(name)
         g = dataclasses.replace(f, f=lambda x: 0.0)
         assert g.f_at_log is f.f_at_log
+        assert g.log_monomial == f.log_monomial
+
+
+class TestLogMonomial:
+    """The log family and constants are c (log x)^p, built by one builder."""
+
+    XS = np.concatenate([np.geomspace(1e-300, 1e300, 2001), np.linspace(0.05, 20.0, 2001)])
+
+    @pytest.mark.parametrize("name, c, p", [
+        ("log", 1.0, 1), ("log2", 1.0, 2), ("log3", 1.0, 3), ("cos4exp", None, None),
+        ("const:-2.5", -2.5, 0), ("const:1e-300", 1e-300, 0), ("const", 1.0, 0),
+    ])
+    def test_fields(self, name, c, p):
+        f = get_function(name)
+        assert f.log_monomial == (None if p is None else (c, p))
+
+    @pytest.mark.parametrize("name", ["log", "log2", "log3", "const:-2.5", "const:-0", "const"])
+    def test_values_as_the_separate_builders_gave(self, name):
+        """f, f_at_log and theta^j equal, with ==, the forms the separate
+        constant and log-power builders wrote: c, u^p, (log x)^p and
+        p!/(p-j)! (log x)^(p-j)."""
+        f = get_function(name)
+        if name.startswith("const"):
+            c = 1.0 if name == "const" else float(name[6:])
+            old = [lambda x: c] + [lambda x: 0.0] * 3
+            old_at_log = lambda u: c
+        else:
+            p = 1 if name == "log" else int(name[3:])
+            old = [(lambda x, j=j: float(math.perm(p, j)) * math.log(x) ** (p - j))
+                   if j <= p else (lambda x: 0.0) for j in range(4)]
+            old[0] = lambda x: math.log(x) ** p
+            old_at_log = lambda u: u ** p
+        for x in self.XS.tolist():
+            for j in range(4):
+                assert f.theta(j)(x) == old[j](x), (j, x)
+            u = math.log(x)
+            assert f.f_at_log(u) == old_at_log(u), u

@@ -9,6 +9,7 @@ import pytest
 
 from expsamp.kernels import (
     MAX_ORDER,
+    MAX_TRANSLATE_LOG,
     WINDOW_ULP_TOL,
     Kernel,
     KernelSpecError,
@@ -513,6 +514,19 @@ class TestSpecParsing:
         for spec in (f"combo:3:{token}:2", f"combo:3:2:{token}"):
             with pytest.raises(KernelSpecError, match=re.escape(repr(token))):
                 parse_kernel_spec(spec)
+
+    @pytest.mark.parametrize("token, size", [("e^1001", "1001"), ("e^-3000", "3000"),
+                                             ("e^1e300", "1e+300"), ("e^-2001/2", "1000.5")])
+    def test_translate_log_capped(self, token, size):
+        """|log alpha| and |log beta| above MAX_TRANSLATE_LOG are refused at
+        parse time, naming the factor and the cap: every sum walks the
+        support, and at e^1e300 kernel-info never ended."""
+        for spec in (f"combo:3:{token}:e^2", f"combo:3:e^2:{token}"):
+            with pytest.raises(KernelSpecError, match=re.escape(
+                    f"scale factor {token!r} has |log| = {size}, more than the "
+                    f"{MAX_TRANSLATE_LOG} allowed")):
+                parse_kernel_spec(spec)
+        assert parse_kernel_spec("combo:3:e^1000:e^-1000").log_support == (-1001.5, 1001.5)
 
     @pytest.mark.parametrize(
         "alpha, beta, size",

@@ -8,7 +8,10 @@ import contextlib
 import io
 import math
 import re
+import signal
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -126,11 +129,43 @@ NON_FINITE = re.compile(r"\b(-?inf|nan|-?Infinity|NaN)\b")
 
 
 @st.composite
+def fuzz_kernels(draw):
+    """A spec of ``kernel_specs()``, or a combo with one translate factor
+    e^q, |q| up to 1e300, far beyond what a sum over the support can walk."""
+    if draw(st.booleans()):
+        return draw(kernel_specs())
+    n = draw(st.integers(min_value=1, max_value=10))
+    q = draw(st.one_of(st.integers(min_value=-3000, max_value=3000),
+                       st.floats(min_value=-1e300, max_value=1e300)))
+    return f"combo:{n}:e^{q!r}:e^{draw(exponents)}"
+
+
+COMMANDS = ["eval", "table", "bounds", "voronovskaya", "converge",
+            "kernel-info", "moments", "reconstruct"]
+
+
+@st.composite
 def command_lines(draw):
-    command = draw(st.sampled_from(["eval", "table", "bounds", "voronovskaya", "converge"]))
-    kernel = draw(st.sampled_from(["bspline:2", "bspline:3", "combo:4:e^1:e^2"]))
+    """(argv, text of the sample file that replaces SAMPLES in argv, or None)."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, "--kernel", draw(fuzz_kernels())]
+    if command in ("kernel-info", "moments"):
+        argv += ["--nu-max", str(draw(st.integers(min_value=-1, max_value=9)))]
+        if command == "moments":
+            argv += ["--u", draw(numbers)]
+        return argv, None
+    if command == "reconstruct":
+        w = draw(st.one_of(log_uniform(0.5, 100), numbers.map(float)))
+        k0 = draw(st.integers(min_value=-100, max_value=100))
+        means = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=12, max_size=40))
+        rows = "".join(f"{k0 + i},{m!r}\n" for i, m in enumerate(means))
+        # a point at the middle of the series, where it may cover the window
+        middle = repr(math.exp((k0 + len(means) / 2) / w)) if 0.5 <= w < math.inf else "1"
+        x = draw(st.one_of(st.just(middle), numbers))
+        return argv + ["--samples", "SAMPLES", "--x", x], f"# w={w!r}\nk,mean\n{rows}"
     fn = draw(st.sampled_from(["log", "log2", "log3", "cos4exp", "sinmix", "const:2", "const:1e308"]))
-    argv = [command, "--kernel", kernel, "--fn", fn]
+    argv += ["--fn", fn]
     if command in ("eval", "table", "bounds"):
         argv += ["--w", draw(numbers), "--x", draw(numbers)]
     if command == "table":
@@ -144,19 +179,45 @@ def command_lines(draw):
         argv += ["--grid-points", "21"] if command == "converge" else ["--x", draw(numbers)]
         if draw(st.booleans()):
             argv += ["--p", "2"]
-    return argv
+    return argv, None
+
+
+# Wall-clock limit of one CLI call; the slowest drawn calls take under a
+# second, a translate factor that was never capped ran without end.
+WALL_LIMIT_S = 20
+
+
+class WallLimitExceeded(BaseException):
+    """Raised by SIGALRM; a BaseException, so that no handler in main takes it."""
+
+
+def _on_alarm(signum, frame):
+    raise WallLimitExceeded(f"a CLI call ran past {WALL_LIMIT_S} s")
 
 
 @SETTINGS
-@given(argv=command_lines())
-def test_cli_never_escapes(argv):
-    """Any finite, non-finite, tiny or huge x and w: exit 0 with finite
-    output, or exit 1 or 2 with a message and no output; never a traceback."""
+@given(case=command_lines())
+def test_cli_never_escapes(case):
+    """Any kernel, finite, non-finite, tiny or huge x, w and u, and any
+    sample file: exit 0 with finite output, or exit 1 or 2 with a message
+    and no output; never a traceback, and never past the wall limit."""
+    argv, samples = case
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if samples is not None:
+            path = Path(tmp) / "samples.csv"
+            path.write_text(samples)
+            argv = [str(path) if a == "SAMPLES" else a for a in argv]
+        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        signal.alarm(WALL_LIMIT_S)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
     out, err = out.getvalue(), err.getvalue()
-    event(f"exit {code}")
+    event(f"{argv[0]} exit {code}")
     if code == 0:
         assert err == "" and out
         assert not NON_FINITE.search(out), out
@@ -164,4 +225,3 @@ def test_cli_never_escapes(argv):
         assert code in (1, 2)
         assert out == ""
         assert err.startswith("expsamp: ")
-
