@@ -56,8 +56,11 @@ class CombinationScheme:
 
     def combine(self, values: Sequence[float]) -> float:
         """sum_i c_i * values[i-1], the combined operator from its rates;
-        ValueError where a term c_i * values[i-1] overflows."""
-        total = math.fsum(c * v for c, v in zip(self._floats, values))
+        ValueError where a term c_i * values[i-1] or the sum overflows."""
+        try:
+            total = math.fsum(c * v for c, v in zip(self._floats, values))
+        except (OverflowError, ValueError):  # terms +inf and -inf, or a partial sum past the range
+            total = math.inf
         if not math.isfinite(total):
             raise ValueError(f"the p={self.p} combination overflows at values {list(values)}")
         return total

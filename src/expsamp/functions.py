@@ -13,8 +13,10 @@ holds the functions used in the numerical experiments; ``const:<c>`` is
 parsed dynamically.
 
 The operator averages f(e^u) over cells of the log axis, so each function
-also carries ``f_at_log``, u -> f(e^u).  The built-ins write it in closed
-form, with no exp/log round trip per quadrature node.  A constant and
+also carries ``f_at_log``, which maps a list of u to the list of f(e^u):
+the operator asks for every quadrature node of a block of cells in one
+call.  The built-ins write it in closed form, each expression once inside
+a list comprehension, with no exp/log round trip per node.  A constant and
 (log x)^p are c u^p there, and carry ``log_monomial`` = (c, p), so that
 their cell means need no quadrature.
 """
@@ -23,11 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import cos, exp, sin
 from typing import Callable, Optional
 
 __all__ = ["TestFunction", "BUILTIN_FUNCTIONS", "get_function"]
 
 Real = Callable[[float], float]
+OnLogAxis = Callable[[list[float]], list[float]]
 
 
 @dataclass(frozen=True)
@@ -35,9 +39,10 @@ class TestFunction:
     """A function on the positive half-line with its Mellin derivatives.
 
     ``mellin_derivs`` holds (theta f, theta^2 f, theta^3 f).  ``eval_interval``
-    is where sup norms and errors are measured.  ``f_at_log`` is
-    u -> f(e^u), the integrand of the operator's cell means; built without
-    it, a function composes f with math.exp.  ``log_monomial`` = (c, p)
+    is where sup norms and errors are measured.  ``f_at_log`` maps a list
+    of u to [f(e^u) for u in us], the integrand of the operator's cell
+    means at all the nodes it asks for at once; built without it, a function
+    composes f with math.exp node by node.  ``log_monomial`` = (c, p)
     states that f(e^u) = c u^p, whose cell means ``cell_mean`` then writes
     in closed form.  ``dataclasses.replace`` keeps both unless they are
     passed too.
@@ -49,13 +54,13 @@ class TestFunction:
     mellin_derivs: tuple[Real, ...]
     label: str
     eval_interval: tuple[float, float]
-    f_at_log: Optional[Real] = None
+    f_at_log: Optional[OnLogAxis] = None
     log_monomial: Optional[tuple[float, int]] = None
 
     def __post_init__(self) -> None:
         if self.f_at_log is None:
-            f, exp = self.f, math.exp
-            object.__setattr__(self, "f_at_log", lambda u: f(exp(u)))
+            f = self.f
+            object.__setattr__(self, "f_at_log", lambda us: [f(exp(u)) for u in us])
 
     def theta(self, j: int) -> Real:
         """theta^j f for j = 0..len(mellin_derivs); raises if unavailable."""
@@ -74,7 +79,7 @@ class TestFunction:
         d2f: Real,
         d3f: Real,
         eval_interval: tuple[float, float],
-        f_at_log: Optional[Real] = None,
+        f_at_log: Optional[OnLogAxis] = None,
     ) -> "TestFunction":
         """Build from ordinary derivatives f', f'', f'''."""
         theta1 = lambda x: x * df(x)
@@ -102,7 +107,7 @@ def _log_monomial(c: float, p: int, label: str) -> TestFunction:
         mellin_derivs=(theta(1), theta(2), theta(3)),
         label=label,
         eval_interval=(0.5, 3.0),
-        f_at_log=lambda u: c * u ** p,
+        f_at_log=lambda us: [c * u ** p for u in us],
         log_monomial=(c, p),
     )
 
@@ -116,8 +121,8 @@ def _cos4exp() -> TestFunction:
     d3f = lambda x: (4.0 * math.exp(x) * math.sin(4.0 * math.exp(x))
                      + 48.0 * math.exp(2.0 * x) * math.cos(4.0 * math.exp(x))
                      - 64.0 * math.exp(3.0 * x) * math.sin(4.0 * math.exp(x)))
-    # f with math.exp(u) in place of x: the same operations, so f(exp(u)) bit for bit
-    f_at_log = lambda u: 1.0 - math.cos(4.0 * math.exp(math.exp(u)))
+    # f with exp(u) in place of x: the same operations, so f(exp(u)) bit for bit
+    f_at_log = lambda us: [1.0 - cos(4.0 * exp(exp(u))) for u in us]
     return TestFunction.from_derivatives("cos4exp", f, df, d2f, d3f, (0.5, 1.0), f_at_log)
 
 
@@ -131,9 +136,7 @@ def _sinmix() -> TestFunction:
     d3f = lambda x: (-8.0 * pi ** 3 * math.cos(2.0 * pi * x)
                      - 0.25 * pi ** 3 * math.cos(0.5 * pi * x))
 
-    def f_at_log(u: float) -> float:
-        x = math.exp(u)
-        return math.sin(2.0 * pi * x) + 2.0 * math.sin(0.5 * pi * x)
+    f_at_log = lambda us: [sin(2.0 * pi * x) + 2.0 * sin(0.5 * pi * x) for x in map(exp, us)]
 
     return TestFunction.from_derivatives("sinmix", f, df, d2f, d3f, (0.5 * pi, 4.0), f_at_log)
 

@@ -6,8 +6,12 @@ For a kernel chi and rate w > 0 the operator evaluates
 
 i.e. a kernel-weighted sum of normalized cell averages of f(e^u) on the
 uniform log-grid of mesh 1/w.  The cell averages integrate
-``TestFunction.f_at_log``, u -> f(e^u), on the log axis itself, or, where
-that is c u^p (``TestFunction.log_monomial``), are exact.  Compact
+``TestFunction.f_at_log``, which maps a list of u to the list of f(e^u),
+on the log axis itself, or, where that is c u^p
+(``TestFunction.log_monomial``), are exact.  ``cell_mean`` computes one
+cell, with one ``f_at_log`` call on its nodes; a sample series
+(``SampleSeries.from_function``) computes its cells in blocks of 64, with
+one call on the nodes of a whole block, and gives the same floats.  Compact
 kernel support makes the sum finite: it runs over
 ``Kernel.window(w*log(x))``, the k with w*log(x) - k inside the
 log-support, widened by one on each side.
@@ -28,6 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence, TextIO, Union
 
 from .functions import TestFunction
@@ -55,11 +60,27 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 MAX_QUAD_NODES = 64
 
-# The exact means of c u^p hold K^3 and w^3, K = 2k + 1, as floats.  A cell
-# inside the float range has |K| < 1420 w + 1, so both stay finite below
-# this rate; a larger rate, which the CLI admits only at x within 5e-13
-# of 1, takes the Gauss rule.
+# The exact means of c u^p over cell k, p = 0..3, written in the integer k:
+# the mean of u is (k + 1/2)/w, of u^2 (k^2 + k + 1/3)/w^2 and of u^3
+# (k + 1/2)((k + 1/2)^2 + 1/4)/w^3 = K (K^2 + 1)/(8 w^3) with K = 2k + 1,
+# where k^2 + k and K (K^2 + 1) are exact integers.
+_EXACT_MEANS = (
+    lambda c, w, k: c,
+    lambda c, w, k: c * ((k + 0.5) / w),
+    lambda c, w, k: c * ((k * k + k + 1 / 3) / (w * w)),
+    lambda c, w, k: c * ((K := 2 * k + 1) * (K * K + 1) / (8 * w * w * w)),
+)
+
+# The exact means hold K^3 and w^3 as floats.  A cell inside the float
+# range has |K| < 1420 w + 1, so both stay finite below this rate; a larger
+# rate, which the CLI admits only at x within 5e-13 of 1, takes the Gauss
+# rule.
 _EXACT_MEAN_MAX_RATE = 2.0 ** 64
+
+# A sample series computes its cells in blocks of this many: one f_at_log
+# call per block, on at most _BLOCK * MAX_QUAD_NODES nodes, so that the
+# transient node and value lists stay small.
+_BLOCK = 64
 
 
 class MissingSampleError(ValueError):
@@ -163,18 +184,24 @@ def cell_mean(f: TestFunction, w: float, k: int, quad_nodes: int = 7) -> float:
 
     Where f(e^u) = c u^p (``f.log_monomial``, the log family and constants)
     and the ``quad_nodes``-point Gauss rule is exact for it, 2*quad_nodes - 1
-    >= p, the exact mean is returned, written in the integer k: the mean of
-    u is (k + 1/2)/w, of u^2 (k^2 + k + 1/3)/w^2 and of u^3
-    (k + 1/2)((k + 1/2)^2 + 1/4)/w^3 = K (K^2 + 1)/(8 w^3) with K = 2k + 1,
-    where k^2 + k and K (K^2 + 1) are exact integers.  Otherwise Gauss-Legendre
-    with ``quad_nodes`` points on ``f.f_at_log``, u -> f(e^u); exact whenever
-    that is a polynomial of degree <= 2*quad_nodes - 1 on the cell.  Raises
-    ValueError for a node count outside 1..MAX_QUAD_NODES, for a cell whose
-    points e^u overflow or underflow (a rate too small for the evaluation
-    point) and for an f that overflows there.
+    >= p, the exact mean is returned, written in the integer k
+    (``_EXACT_MEANS``).  Otherwise Gauss-Legendre with ``quad_nodes`` points:
+    one ``f.f_at_log`` call on the list of the cell's nodes u, its values
+    f(e^u) weighted and summed with math.fsum; exact whenever f(e^u) is a
+    polynomial of degree <= 2*quad_nodes - 1 on the cell.  This is the
+    one-cell path; ``SampleSeries.from_function`` computes its cells in
+    blocks of 64, one ``f.f_at_log`` call per block, and gives the same
+    floats.  Raises ValueError for a node count outside 1..MAX_QUAD_NODES,
+    for a cell whose points e^u overflow or underflow (a rate too small for
+    the evaluation point, or a k beyond the float range) and for an f that
+    overflows there or cannot be evaluated in floats, such as cos of an
+    overflowed argument.
     """
     nodes, weights = _gauss_rule(quad_nodes)
-    lo, hi = k / w, (k + 1) / w
+    try:
+        lo, hi = k / w, (k + 1) / w
+    except OverflowError:  # k itself is beyond the float range
+        lo = hi = math.inf if k > 0 else -math.inf
     if not (_LOG_MIN < lo and hi < _LOG_MAX):
         raise ValueError(
             f"cell k={k} at w={w:g} spans log x in [{lo:g}, {hi:g}], beyond the float "
@@ -184,21 +211,54 @@ def cell_mean(f: TestFunction, w: float, k: int, quad_nodes: int = 7) -> float:
     exact = f.log_monomial
     if exact is not None and 2 * quad_nodes - 1 >= exact[1] and w < _EXACT_MEAN_MAX_RATE:
         c, p = exact
-        if p == 0:
-            return c
-        if p == 1:
-            return c * ((k + 0.5) / w)
-        if p == 2:
-            return c * ((k * k + k + 1 / 3) / (w * w))
-        K = 2 * k + 1
-        return c * (K * (K * K + 1) / (8 * w * w * w))
-    g = f.f_at_log
+        return _EXACT_MEANS[p](c, w, k)
     try:
-        return math.fsum(wt * g((k + s) / w) for s, wt in zip(nodes, weights))
-    except OverflowError as exc:
+        return math.fsum(map(mul, weights, f.f_at_log([(k + s) / w for s in nodes])))
+    except (OverflowError, ValueError) as exc:
+        fails = "overflows" if isinstance(exc, OverflowError) else "cannot be evaluated"
         raise ValueError(
-            f"cell k={k} at w={w:g}: f overflows on log x in [{lo:g}, {hi:g}] ({exc})"
+            f"cell k={k} at w={w:g}: f {fails} on log x in [{lo:g}, {hi:g}] ({exc})"
         ) from None
+
+
+def _cell_means(
+    f: TestFunction, w: float, k_first: int, k_last: int, quad_nodes: int
+) -> dict[int, float]:
+    """{k: cell_mean(f, w, k, quad_nodes)} for k from k_first to k_last, bit for bit.
+
+    The cells go in blocks of _BLOCK: an exact mean is one comprehension
+    over the block's k, a Gauss mean one ``f.f_at_log`` call on the nodes
+    of the whole block, each cell then summed with the same math.fsum.  A
+    block that reaches beyond the float range, or where f fails, is redone
+    by ``cell_mean`` cell by cell, so that the first refused k in ascending
+    order is named as ``cell_mean`` names it.
+    """
+    nodes, weights = _gauss_rule(quad_nodes)
+    _check_rate(w)  # a positive rate keeps k/w ascending, so a block's end cells bound it
+    exact = f.log_monomial  # cell_mean's rule, written out there to keep one cell at one call
+    if exact is not None and 2 * quad_nodes - 1 >= exact[1] and w < _EXACT_MEAN_MAX_RATE:
+        c, p = exact
+        form = _EXACT_MEANS[p]
+    else:
+        form = None
+    means: dict[int, float] = {}
+    for start in range(k_first, k_last + 1, _BLOCK):
+        ks = range(start, min(start + _BLOCK, k_last + 1))
+        block = None
+        try:
+            if _LOG_MIN < start / w and (ks[-1] + 1) / w < _LOG_MAX:
+                if form is not None:
+                    block = [form(c, w, k) for k in ks]
+                else:
+                    ys = f.f_at_log([(k + s) / w for k in ks for s in nodes])
+                    block = [math.fsum(map(mul, weights, ys[i:i + quad_nodes]))
+                             for i in range(0, len(ys), quad_nodes)]
+        except (OverflowError, ValueError):  # a cell beyond the float range, or f fails
+            pass
+        if block is None:
+            block = [cell_mean(f, w, k, quad_nodes) for k in ks]
+        means.update(zip(ks, block))
+    return means
 
 
 class _CellMeans(dict):
@@ -282,8 +342,9 @@ class SampleSeries:
     def from_function(
         cls, f: TestFunction, w: float, k_min: int, k_max: int, quad_nodes: int = 7
     ) -> "SampleSeries":
-        means = {k: cell_mean(f, w, k, quad_nodes) for k in range(k_min, k_max + 1)}
-        return cls(w=w, means=means, k_range=(k_min, k_max))
+        """The cell means of f for k from k_min to k_max, computed block by
+        block and equal, bit for bit, to ``cell_mean``'s."""
+        return cls(w=w, means=_cell_means(f, w, k_min, k_max, quad_nodes), k_range=(k_min, k_max))
 
     @classmethod
     def covering(

@@ -1,6 +1,7 @@
 """Command-line behaviour: output formats, exit codes, determinism."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from expsamp import operators
+from expsamp import cli
 from expsamp.cli import _MAX_GRID_POINTS, UsageError, _check_series_size, _parse_x_values, main
 from expsamp.kernels import parse_kernel_spec
 from expsamp.operators import SampleSeries
@@ -134,19 +135,26 @@ class TestEval:
 
     def test_emit_computes_each_cell_once(self, capsys, tmp_path, monkeypatch):
         """With --emit-samples the grid is read from the emitted series, so
-        every cell mean is computed once: 421 calls for 421 cells."""
-        calls = []
-        original = operators.cell_mean
+        every cell is computed once: 421 cells x 7 nodes, each node u
+        evaluated once."""
+        nodes = []
+        original = cli.get_function
 
-        def counted(f, w, k, quad_nodes=7):
-            calls.append(k)
-            return original(f, w, k, quad_nodes)
+        def counted(name):
+            f = original(name)
+            at_log = f.f_at_log
 
-        monkeypatch.setattr(operators, "cell_mean", counted)
+            def f_at_log(us):
+                nodes.extend(us)
+                return at_log(us)
+
+            return dataclasses.replace(f, f_at_log=f_at_log)
+
+        monkeypatch.setattr(cli, "get_function", counted)
         code, _, _ = run(capsys, "eval", "--kernel", "bspline:3", "--fn", "cos4exp", "--w", "600",
                          "--x", "0.8:1.6:0.02", "--emit-samples", str(tmp_path / "s.csv"))
         assert code == 0
-        assert len(calls) == len(set(calls)) == 421
+        assert len(nodes) == len(set(nodes)) == 421 * 7
 
     @pytest.mark.parametrize("fmt", ["csv", "text"])
     def test_emit_leaves_stdout_unchanged(self, capsys, tmp_path, fmt):
@@ -518,6 +526,7 @@ class TestGridSize:
             raise AssertionError("a cell was computed")
 
         monkeypatch.setattr("expsamp.operators.cell_mean", no_cells)
+        monkeypatch.setattr("expsamp.operators._cell_means", no_cells)
         samples = tmp_path / "s.csv"
         xs = ",".join(repr(x) for x in self.SERIES_PAST_CAP)
         code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "log",
@@ -572,6 +581,19 @@ class TestFloatRange:
         assert (code, out) == (1, "")
         assert "cell k=97 at w=10: f overflows" in err
 
+    @pytest.mark.parametrize("x, emit", [("709", False), ("700:712:4", True)])
+    def test_f_cannot_be_evaluated_on_a_cell(self, capsys, tmp_path, x, emit):
+        """4 exp(e^u) overflows to inf there, and cos(inf) raises a domain
+        error, not an overflow: the cell is named all the same."""
+        samples = tmp_path / "s.csv"
+        code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "cos4exp",
+                             "--w", "1000", "--x", x,
+                             *(["--emit-samples", str(samples)] if emit else []))
+        assert (code, out) == (1, "")
+        assert err == ("expsamp: error: cell k=6563 at w=1000: f cannot be evaluated on "
+                       "log x in [6.563, 6.564] (math domain error)\n")
+        assert not samples.exists()
+
     def test_f_overflows_at_the_point(self, capsys):
         code, out, err = run(capsys, "voronovskaya", "--kernel", "bspline:2", "--fn", "cos4exp",
                              "--x", "17553.5", "--w-list", "10,20,40,80")
@@ -591,6 +613,24 @@ class TestFloatRange:
                              "--w", "10", "--x", "2", "--p", "2")
         assert (code, out) == (1, "")
         assert "the p=2 combination overflows" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--w", "10", "--x", "1"),
+            ("converge", "--w-list", "10,20,40,80,160"),
+            ("voronovskaya", "--x", "1", "--w-list", "10,20,40,80"),
+            ("bounds", "--w", "10", "--x", "1", "--check", "combo"),
+        ],
+    )
+    def test_combination_terms_of_both_signs_overflow(self, capsys, argv):
+        """At p = 3 the terms c_i * 1e308 are +inf and -inf, where math.fsum
+        raises its own "-inf + inf in fsum"; the combination is named."""
+        code, out, err = run(capsys, argv[0], "--kernel", "bspline:2", "--fn", "const:1e308",
+                             "--p", "3", *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == ("expsamp: error: the p=3 combination overflows at values "
+                       "[1e+308, 1e+308, 1e+308]\n")
 
     @pytest.mark.parametrize(
         "fn, w, x",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,15 @@ class TestSolveCoefficients:
         same = CombinationScheme(p=p, coeffs=scheme.coeffs)
         assert same == scheme and hash(same) == hash(scheme)
         assert [f.name for f in dataclasses.fields(scheme)] == ["p", "coeffs"]
+
+    @pytest.mark.parametrize("values", [
+        [1e308, 1e308, 1e308],  # terms +inf and -inf: fsum raised "-inf + inf in fsum"
+        [1.6e308, -2.5e307, -1e308 / 4.5],  # finite terms, a partial sum past the range
+        [1.7e308, 0.0, 3.9e307],  # the sum itself overflows
+    ])
+    def test_combine_overflow_names_p(self, values):
+        with pytest.raises(ValueError, match=re.escape("the p=3 combination overflows")):
+            solve_coefficients(3).combine(values)
 
     def test_rates(self):
         """w, 2w, ..., pw in coefficient order; on a doubling list 2w is

@@ -89,25 +89,37 @@ class TestDerivativeConsistency:
 
 
 class TestAtLog:
-    """f_at_log is u -> f(e^u), the operator's integrand on the log axis."""
+    """f_at_log maps a list of u to [f(e^u) for u in us], the operator's
+    integrand on the log axis."""
 
-    US = np.concatenate([np.linspace(-700.0, 6.5, 4001), np.linspace(-1.0, 1.0, 2001)])
+    US = np.concatenate([np.linspace(-700.0, 6.5, 4001), np.linspace(-1.0, 1.0, 2001)]).tolist()
 
     @pytest.mark.parametrize("name", ["cos4exp", "sinmix", "const:-2.5", "const"])
     def test_bit_identical_to_f_of_exp(self, name):
         f = get_function(name)
-        for u in self.US.tolist():
-            assert f.f_at_log(u) == f.f(math.exp(u)), u
+        got = f.f_at_log(self.US)
+        assert len(got) == len(self.US)
+        for u, value in zip(self.US, got):
+            assert value == f.f(math.exp(u)), u
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_log_family_is_u_to_the_p(self, p):
         """(log e^u)^p = u^p: the closed form differs from the round trip
         by the rounding of exp and log, about one ulp of max(1, |u|) in u."""
         f = get_function("log" if p == 1 else f"log{p}")
-        for u in self.US.tolist():
-            got, trip = f.f_at_log(u), f.f(math.exp(u))
-            assert got == u ** p
-            assert abs(got - trip) <= 4.5e-16 * p * max(1.0, abs(u)) ** p, u
+        got = f.f_at_log(self.US)
+        assert len(got) == len(self.US)
+        for u, value in zip(self.US, got):
+            trip = f.f(math.exp(u))
+            assert value == u ** p
+            assert abs(value - trip) <= 4.5e-16 * p * max(1.0, abs(u)) ** p, u
+
+    @pytest.mark.parametrize("name", ["log", "cos4exp", "sinmix", "const:-2.5"])
+    def test_empty_and_single_lists(self, name):
+        """A value does not depend on the other u of the list."""
+        f = get_function(name)
+        assert f.f_at_log([]) == []
+        assert f.f_at_log([0.25]) == f.f_at_log([-3.0, 0.25, 1.5])[1:2]
 
     @pytest.mark.parametrize("name", ["log3", "sinmix", "const:2"])
     def test_replace_keeps_f_at_log(self, name):
@@ -152,5 +164,6 @@ class TestLogMonomial:
         for x in self.XS.tolist():
             for j in range(4):
                 assert f.theta(j)(x) == old[j](x), (j, x)
-            u = math.log(x)
-            assert f.f_at_log(u) == old_at_log(u), u
+        us = [math.log(x) for x in self.XS.tolist()]
+        for u, value in zip(us, f.f_at_log(us)):
+            assert value == old_at_log(u), u

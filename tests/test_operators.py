@@ -190,7 +190,7 @@ class TestCellMean:
         mean it is, give it bit for bit."""
         f = get_function(name)
         for w, k in [(7.0, 5), (31.0, -40), (5000.0, -2987)]:
-            assert cell_mean(f, w, k, 1) == f.f_at_log((k + 0.5) / w), (w, k)
+            assert cell_mean(f, w, k, 1) == f.f_at_log([(k + 0.5) / w])[0], (w, k)
 
     @pytest.mark.parametrize("w, k", [(2.0 ** 64, 5), (1e103, 0), (1e200, -7 * 10**201)])
     def test_exact_mean_gives_way_above_its_rate_range(self, w, k):
@@ -218,7 +218,7 @@ class TestCellMean:
             raise AssertionError("f called on the x axis")
 
         f = TestFunction(f=never, mellin_derivs=(), label="u", eval_interval=(0.5, 3.0),
-                         f_at_log=lambda u: u)
+                         f_at_log=lambda us: [u for u in us])
         assert cell_mean(f, 10.0, 0) == pytest.approx(1.0 / 20.0, abs=1e-15)
         traced = dataclasses.replace(get_function("log2"), f=never)
         assert cell_mean(traced, 10.0, 2) == pytest.approx(19.0 / 300.0, abs=1e-15)
@@ -434,6 +434,86 @@ class TestSampleSeries:
         with a ValueError; a fractional key is no cell."""
         with pytest.raises(ValueError, match=re.escape(message)):
             SampleSeries(w=5.0, means=means, k_range=k_range)
+
+
+class TestSeriesBlocks:
+    """SampleSeries.from_function computes its cells in blocks of 64, one
+    f_at_log call per block, and gives cell_mean's floats and refusals."""
+
+    @staticmethod
+    def _plain(name: str) -> TestFunction:
+        """A built-in rebuilt without f_at_log: f composed with math.exp."""
+        f = get_function(name)
+        return TestFunction(f=f.f, mellin_derivs=f.mellin_derivs, label="plain",
+                            eval_interval=f.eval_interval)
+
+    @pytest.mark.parametrize("name", ["log", "log2", "log3", "cos4exp", "sinmix", "const:-2.5",
+                                      "plain"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 64])
+    def test_equals_cell_mean_bit_for_bit(self, name, n):
+        f = self._plain("sinmix") if name == "plain" else get_function(name)
+        for w in (5.0, 13.7, 600.0, 4999.5):
+            for cells in (1, 63, 64, 65, 255, 256, 257, 1000):
+                k_last = int(w) - 3  # below u = 1, where cos4exp is finite
+                k_first = k_last - cells + 1
+                series = SampleSeries.from_function(f, w, k_first, k_last, n)
+                want = {k: cell_mean(f, w, k, n) for k in range(k_first, k_last + 1)}
+                assert series.means == want, (w, cells)
+                assert list(series.means) == list(want), (w, cells)
+
+    @staticmethod
+    def _first_refusal(f: TestFunction, w: float, k_first: int, k_last: int) -> str:
+        for k in range(k_first, k_last + 1):
+            try:
+                cell_mean(f, w, k)
+            except ValueError as exc:
+                return str(exc)
+        raise AssertionError("no cell refused")
+
+    @pytest.mark.parametrize(
+        "name, w, k_first, k_last",
+        [
+            ("log", 1.0, 700, 720),  # the range ends at k = 709
+            ("log", 1.0, -720, -700),  # from the first cell
+            ("log3", 2.0, 0, 1500),  # in the 23rd block
+            ("sinmix", 1.0, -709, 800),  # e^u overflows in a node before the range ends
+            ("cos4exp", 10.0, -200, 7200),  # f overflows at k = 65, long before the range
+            ("cos4exp", 1000.0, 6000, 7000),  # f cannot be evaluated from k = 6563
+            ("log", 1e300, 10 ** 309, 10 ** 309 + 3),  # k beyond the float range
+            ("log", 1e300, -10 ** 309 - 3, -10 ** 309),
+        ],
+    )
+    def test_refusal_names_the_first_cell(self, name, w, k_first, k_last):
+        """A series refuses with the message cell_mean gives its first
+        refused cell in ascending k, whichever block it lies in."""
+        f = get_function(name)
+        want = self._first_refusal(f, w, k_first, k_last)
+        with pytest.raises(ValueError) as info:
+            SampleSeries.from_function(f, w, k_first, k_last)
+        assert str(info.value) == want
+
+    def test_undefined_f_named(self):
+        """cos(inf) raises a domain error, not an overflow; the cell is named."""
+        want = ("cell k=6563 at w=1000: f cannot be evaluated on log x in [6.563, 6.564] "
+                "(math domain error)")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            cell_mean(get_function("cos4exp"), 1000.0, 6563)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            SampleSeries.from_function(get_function("cos4exp"), 1000.0, 6500, 6600)
+
+    @pytest.mark.parametrize("k", [10 ** 309, -10 ** 309])
+    def test_cell_index_beyond_the_float_range_refused(self, k):
+        """k / w cannot be computed for such a k: the cell is refused as one
+        beyond the float range, not with an OverflowError."""
+        sign = "" if k > 0 else "-"
+        with pytest.raises(ValueError, match=re.escape(
+                f"cell k={k} at w=1e+300 spans log x in [{sign}inf, {sign}inf], beyond the float range")):
+            cell_mean(get_function("log"), 1e300, k)
+
+    @pytest.mark.parametrize("w", [0.0, -2.0, math.nan, math.inf])
+    def test_rate_refused_before_any_cell(self, w):
+        with pytest.raises(ValueError, match="sampling rate w must be positive and finite"):
+            SampleSeries.from_function(get_function("log"), w, 0, 10)
 
 
 class TestSampleCsv:
