@@ -38,7 +38,6 @@ from .moments import (
     poisson_moment,
 )
 from .operators import (
-    GridPoint,
     MissingSampleError,
     OperatorConfig,
     SampleFormatError,
@@ -48,7 +47,6 @@ from .operators import (
     apply_grid,
     cell_mean,
     read_sample_csv,
-    write_grid_csv,
     write_sample_csv,
 )
 
@@ -60,7 +58,6 @@ __all__ = [
     "CombinationScheme",
     "ConvergenceStudy",
     "ErrorTable",
-    "GridPoint",
     "Kernel",
     "KernelSpecError",
     "MissingSampleError",
@@ -91,6 +88,5 @@ __all__ = [
     "table_deviations",
     "vanishing_moment_bound",
     "voronovskaya_check",
-    "write_grid_csv",
     "write_sample_csv",
 ]

@@ -17,15 +17,15 @@ combination, so a study without a scheme runs the combination path with
 ``operators._apply_with_cache``: through ``combinations._rate_values``,
 which each study or table asks once for every rate it needs (so 2w of one
 entry of a doubling list and w of the next are one rate), or through
-``apply`` for the vanishing-moment bound.
+``apply`` for the vanishing-moment bound.  The module returns numbers;
+``cli`` prints them in every format.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence
 
 from .combinations import (
     CombinationScheme,
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 ERROR_FLOOR_SCALE = 1e-13
-TABLE_DECIMALS = 4  # error-table cells, compared against published values
 
 
 class MomentPreconditionError(Exception):
@@ -128,6 +127,21 @@ def _check_w_list(w_list: Sequence[float], minimum: int) -> tuple[float, ...]:
     return ws
 
 
+def _theta_at(f: TestFunction, j: int, x: float) -> float:
+    """(theta^j f)(x); ValueError naming f, j and x where it is a domain error,
+    such as sin of an overflowed argument, or not a finite float."""
+    theta = f.theta(j)  # a missing derivative keeps its own message
+    try:
+        value = theta(x)
+    except OverflowError:
+        value = math.inf
+    except ValueError as exc:
+        raise ValueError(f"theta^{j} {f.label} cannot be evaluated at x={x:g} ({exc})") from None
+    if not math.isfinite(value):
+        raise ValueError(f"theta^{j} {f.label} at x={x:g} is {value}, beyond the float range")
+    return value
+
+
 def voronovskaya_check(
     f: TestFunction,
     kernel: Kernel,
@@ -147,9 +161,9 @@ def voronovskaya_check(
     ws = _check_w_list(w_list, minimum=4)
     scheme = scheme or solve_coefficients(1)
     q = scheme.p
-    theta_q = f.theta(q)  # first: a missing derivative is named before the bracket's order limit
+    theta_q = _theta_at(f, q, x)  # first: named before the bracket's order limit and the cells
     bracket = float(scheme.power_sum(q)) * kantorovich_bracket_at_log(kernel, q, math.log(x))
-    predicted = theta_q(x) * bracket / math.factorial(q + 1)
+    predicted = theta_q * bracket / math.factorial(q + 1)
     values = [row[0] for row in _combined_values(f, kernel, scheme, ws, [x], quad_nodes)]
     fx = f.f(x)
     scaled = tuple(w ** q * (v - fx) for w, v in zip(ws, values))
@@ -229,7 +243,7 @@ def expansion_prediction(
     _check_point(x)
     t = math.log(x)
     return math.fsum(
-        float(c) * f.theta(j)(x)
+        float(c) * _theta_at(f, j, x)
         / (math.factorial(j + 1) * (i * w) ** j)
         * kantorovich_bracket_at_log(kernel, j, i * w * t)
         for i, c in enumerate(scheme.coeffs, start=1)
@@ -258,11 +272,11 @@ class BoundReport:
     details: dict[str, float] = field(default_factory=dict)
 
 
-def _widened_interval(f: TestFunction, kernel: Kernel, w: float) -> tuple[float, float]:
-    """f's eval_interval widened by the factor e^margin on each side,
-    margin = (radius + 1)/w, where radius is the larger end of the kernel's
-    log-support in absolute value: every cell the operator touches for x in
-    eval_interval lies inside.
+def _widened_interval(f: TestFunction, kernel: Kernel, w: float, x: float) -> tuple[float, float]:
+    """[min(lo, x), max(hi, x)] for f's eval_interval [lo, hi], widened by the
+    factor e^margin on each side, margin = (radius + 1)/w, where radius is
+    the larger end of the kernel's log-support in absolute value: every cell
+    the operator touches at x or in eval_interval lies inside.
 
     A margin above 1, i.e. w < radius + 1, is refused: the norms would be
     taken far outside f's interval (over about [6e-44, 1e44] for bspline:2
@@ -277,25 +291,29 @@ def _widened_interval(f: TestFunction, kernel: Kernel, w: float) -> tuple[float,
         )
     margin = smallest / w
     lo, hi = f.eval_interval
-    return lo * math.exp(-margin), hi * math.exp(margin)
+    return min(lo, x) * math.exp(-margin), max(hi, x) * math.exp(margin)
 
 
 def _k_upper(
-    f: TestFunction, r: int, eps: float, interval: tuple[float, float]
+    f: TestFunction, kernel: Kernel, r: int, eps: float, w: float, x: float
 ) -> tuple[float, str]:
-    """K(f, eps) <= eps*||theta^(r+1) f|| on the interval: the infimum over
-    smooth g of ||theta^r(f-g)|| + eps*||theta^(r+1) g||, bounded at g = f,
-    keeps the estimates testable without solving the infimum."""
-    value = eps * sup_norm(f.theta(r + 1), interval)
+    """K(f, eps) <= eps*||theta^(r+1) f|| on ``_widened_interval``: the
+    infimum over smooth g of ||theta^r(f-g)|| + eps*||theta^(r+1) g||,
+    bounded at g = f, keeps the estimates testable without solving the
+    infimum."""
+    lo, hi = _widened_interval(f, kernel, w, x)
+    theta = f.theta(r + 1)
+    try:
+        value = eps * sup_norm(theta, (lo, hi)) if hi < math.inf else math.inf
+    except (OverflowError, ValueError):  # theta overflows, or takes sin or cos of an overflow
+        value = math.inf
     if not math.isfinite(value):
-        raise ValueError(
-            f"the K-functional upper bound overflows on [{interval[0]:.6g}, {interval[1]:.6g}]; "
-            f"the rate is too small for a finite right side"
-        )
+        raise ValueError(f"the K-functional upper bound overflows on [{lo:.6g}, {hi:.6g}], "
+                         f"f's interval widened to cover x={x:g}")
     desc = (
         f"K-functional upper bound min_g(||theta^{r}(f-g)|| + eps*||theta^{r + 1}g||), "
         f"bounded at g={f.label}, "
-        f"norms on [{interval[0]:.6g}, {interval[1]:.6g}]"
+        f"norms on [{lo:.6g}, {hi:.6g}]"
     )
     return value, desc
 
@@ -340,7 +358,7 @@ def vanishing_moment_bound(
     A = 1.0 + (r + 1) * Mr
     B = 1.0 + (r + 2) * Mr1
     eps = B / (2.0 * A * (r + 1) * w)
-    k_value, desc = _k_upper(f, r, eps, _widened_interval(f, kernel, w))
+    k_value, desc = _k_upper(f, kernel, r, eps, w, x)
     rhs = 2.0 * A / (w ** r * math.factorial(r + 1)) * k_value
     return BoundReport(
         bound=f"vanishing_moment:r={r}",
@@ -397,7 +415,7 @@ def combo_bound(
             details=details,
         )
     eps = A / (6.0 * w * B)
-    k_value, desc = _k_upper(f, 1, eps, _widened_interval(f, kernel, w))
+    k_value, desc = _k_upper(f, kernel, 1, eps, w, x)
     rhs = (1.0 + 2.0 * M1) / w * s1 * k_value
     details.update({"eps": eps, "K_upper": k_value})
     return BoundReport(
@@ -416,29 +434,14 @@ def combo_bound(
 
 @dataclass(frozen=True)
 class ErrorTable:
-    """Rows of |f - I_{iw} f| for i = 1..p plus the combined operator."""
+    """The numbers of an error table: at each point of ``x_values``, a row
+    of |f - I_{iw} f| for i = 1..p, then |f - combined operator|."""
 
     w: float
     p: int
     x_values: tuple[float, ...]
     column_labels: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
-
-    def to_csv(self, dest: TextIO) -> None:
-        writer = csv.writer(dest, lineterminator="\n")
-        writer.writerow(("x",) + self.column_labels)
-        for x, row in zip(self.x_values, self.rows):
-            writer.writerow([f"{x:.12g}"] + [f"{v:.{TABLE_DECIMALS}f}" for v in row])
-
-    def to_latex(self, dest: TextIO) -> None:
-        cols = "|" + "l|" * (1 + len(self.column_labels))
-        dest.write("\\begin{tabular}{" + cols + "}\n\\hline\n")
-        header = " & ".join(["$x$"] + [lab.replace("_", "\\_") for lab in self.column_labels])
-        dest.write(header + " \\\\\n\\hline\n")
-        for x, row in zip(self.x_values, self.rows):
-            cells = " & ".join([f"{x:.12g}"] + [f"{v:.{TABLE_DECIMALS}f}" for v in row])
-            dest.write(cells + " \\\\\n\\hline\n")
-        dest.write("\\end{tabular}\n")
 
 
 def make_table(

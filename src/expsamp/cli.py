@@ -7,9 +7,11 @@ kernels or functions, unreadable files) and on inputs whose results leave
 the float range (a rate too small for the point, an f that overflows), and
 2 when a bound's moment precondition fails.
 
+This module writes every output format; the library returns numbers.
 Text and CSV output prints floats with 12 significant digits, except the
 table command, whose error cells are rounded to 4 decimals for comparison
-against published values; JSON output carries full round-trip precision.
+against published values; JSON output carries full round-trip precision,
+and a non-finite float in it is refused with exit 1, never printed.
 A ``--config <file>`` of key=value lines supplies defaults for any long
 flag of the chosen subcommand; flags given on the command line win.
 The parser is built on the first ``main`` call and reused by later calls.
@@ -44,11 +46,9 @@ from .moments import MAX_MOMENT_ORDER, build_moment_report
 from .operators import (
     OperatorConfig,
     SampleSeries,
-    _grid_point,
     apply_from_samples,
     apply_grid,
     read_sample_csv,
-    write_grid_csv,
     write_sample_csv,
 )
 
@@ -58,6 +58,7 @@ __all__ = ["main"]
 # series may hold: a range such as 1:2:1e-10 would otherwise ask for 10^10
 # floats, and two points far apart at a high rate for as many cell means.
 _MAX_GRID_POINTS = 1_000_000
+TABLE_DECIMALS = 4  # error-table cells, compared against published values
 
 
 class UsageError(ValueError):
@@ -94,9 +95,7 @@ def _parse_x_values(text: str) -> list[float]:
         _check_grid_size(count, f"range {text!r}")
         values = [lo + i * step for i in range(count)]
     else:
-        values = _numbers(text, ",", "point list")
-    if not values:
-        raise UsageError(f"empty evaluation grid from {text!r}")
+        values = _numbers(text, ",", "point list")  # one value per field, at least one
     if any(v <= 0.0 for v in values):
         raise UsageError(f"evaluation points must be positive, got {min(values)}")
     return values
@@ -174,9 +173,9 @@ def _output(args) -> ContextManager[TextIO]:
 
 
 def _write_json(args, payload) -> None:
+    text = json.dumps(payload, indent=2, allow_nan=False)  # before any byte is written
     with _output(args) as out:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        out.write(text + "\n")
 
 
 def _study_payload(study: ConvergenceStudy, scheme) -> dict:
@@ -227,11 +226,8 @@ def _run_kernel_info(args) -> int:
         a, b = kernel.log_support
         out.write(f"log_support: [{_fmt(a)}, {_fmt(b)}]\n")
         out.write("nu  m_nu(u=1)        M_nu_sup         u_independent\n")
-        for r in reports:
-            out.write(
-                f"{r.order:<3d} {_fmt(r.algebraic):<16} {_fmt(r.absolute_sup):<16} "
-                f"{str(r.u_independent).lower()}\n"
-            )
+        out.writelines(f"{r.order:<3d} {_fmt(r.algebraic):<16} {_fmt(r.absolute_sup):<16} "
+                       f"{str(r.u_independent).lower()}\n" for r in reports)
     return 0
 
 
@@ -244,18 +240,12 @@ def _run_moments(args) -> int:
     with _output(args) as out:
         if args.format == "csv":
             out.write("nu,m_nu,M_nu_sup,u_independent\n")
-            for r in reports:
-                out.write(
-                    f"{r.order},{_fmt(r.algebraic)},{_fmt(r.absolute_sup)},"
-                    f"{str(r.u_independent).lower()}\n"
-                )
+            out.writelines(f"{r.order},{_fmt(r.algebraic)},{_fmt(r.absolute_sup)},"
+                           f"{str(r.u_independent).lower()}\n" for r in reports)
         else:
             out.write(f"moments of {kernel.label} at u={_fmt(args.u)}\n")
-            for r in reports:
-                out.write(
-                    f"nu={r.order}: m_nu={_fmt(r.algebraic)}  M_nu_sup={_fmt(r.absolute_sup)}  "
-                    f"u_independent={str(r.u_independent).lower()}\n"
-                )
+            out.writelines(f"nu={r.order}: m_nu={_fmt(r.algebraic)}  M_nu_sup={_fmt(r.absolute_sup)}  "
+                           f"u_independent={str(r.u_independent).lower()}\n" for r in reports)
     return 0
 
 
@@ -268,20 +258,22 @@ def _run_eval(args) -> int:
         # each cell once; eval then prints what reconstruct reads from the file
         _check_series_size(kernel, args.w, xs)
         series = SampleSeries.covering(f, kernel, args.w, xs, args.quad_nodes)
-        points = [_grid_point(x, apply_from_samples(series, kernel, x), f.f(x)) for x in xs]
-        write_sample_csv(args.emit_samples, series)
+        values = [apply_from_samples(series, kernel, x) for x in xs]
     else:
-        points = apply_grid(f, kernel, cfg, xs)
+        values = apply_grid(f, kernel, cfg, xs)
+    rows = [(x, v, fx, abs(v - fx)) for x, v, fx in zip(xs, values, map(f.f, xs))]
+    if args.emit_samples:  # written only once every value is in hand
+        write_sample_csv(args.emit_samples, series)
     with _output(args) as out:
         if args.format == "text":
             out.write(f"(I_w f)(x) with kernel {kernel.label}, f={f.label}, w={_fmt(args.w)}\n")
-            for p in points:
-                out.write(
-                    f"x={_fmt(p.x):<16} approx={_fmt(p.approx):<18} "
-                    f"exact={_fmt(p.exact):<18} abs_error={_fmt(p.abs_error)}\n"
-                )
+            out.writelines(
+                f"x={_fmt(x):<16} approx={_fmt(v):<18} exact={_fmt(fx):<18} abs_error={_fmt(e)}\n"
+                for x, v, fx, e in rows
+            )
         else:
-            write_grid_csv(out, points)
+            out.write("x,approx,exact,abs_error\n")
+            out.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
     return 0
 
 
@@ -292,8 +284,7 @@ def _run_reconstruct(args) -> int:
     values = [apply_from_samples(series, kernel, x) for x in xs]
     with _output(args) as out:
         out.write("x,approx\n")
-        for x, v in zip(xs, values):
-            out.write(f"{_fmt(x)},{_fmt(v)}\n")
+        out.writelines(f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(xs, values))
     return 0
 
 
@@ -303,11 +294,16 @@ def _run_table(args) -> int:
     xs = _parse_x_values(args.x)
     scheme = solve_coefficients(args.p)
     table = make_table(f, kernel, scheme, args.w, xs, args.quad_nodes)
+    rows = [[_fmt(x)] + [f"{v:.{TABLE_DECIMALS}f}" for v in row]
+            for x, row in zip(table.x_values, table.rows)]
     with _output(args) as out:
         if args.format == "latex":
-            table.to_latex(out)
+            header = ["$x$"] + [label.replace("_", "\\_") for label in table.column_labels]
+            out.write("\\begin{tabular}{" + "|l" * len(header) + "|}\n\\hline\n")
+            out.writelines(" & ".join(cells) + " \\\\\n\\hline\n" for cells in [header, *rows])
+            out.write("\\end{tabular}\n")
         else:
-            table.to_csv(out)
+            out.writelines(",".join(cells) + "\n" for cells in [["x", *table.column_labels], *rows])
     return 0
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .functions import TestFunction
 from .kernels import Kernel
-from .operators import OperatorConfig, _apply_with_cache, _CellMeans
+from .operators import OperatorConfig, apply_grid
 
 __all__ = ["CombinationScheme", "solve_coefficients", "apply_combo"]
 
@@ -85,14 +85,9 @@ def _rate_values(
     quad_nodes: int,
 ) -> dict[float, list[float]]:
     """{rate: [(I_rate f)(x) for x in xs]}: each distinct rate (equal as floats)
-    validated, then evaluated once in ascending order with one cell-mean
-    cache shared across the points."""
+    validated, then evaluated once in ascending order by ``apply_grid``."""
     cfgs = [OperatorConfig(w=rate, quad_nodes=quad_nodes) for rate in sorted(set(rates))]
-    values = {}
-    for cfg in cfgs:
-        mean = _CellMeans(f, cfg).__getitem__
-        values[cfg.w] = [_apply_with_cache(kernel, cfg.w, x, mean) for x in xs]
-    return values
+    return {cfg.w: apply_grid(f, kernel, cfg, xs) for cfg in cfgs}
 
 
 def _combined_values(

@@ -21,7 +21,8 @@ averages as a callable k -> mean and asks it only where the kernel weight is
 nonzero.  Every value of the package comes from there: ``apply`` and
 ``apply_grid`` pass a cache over the cell means of a known f
 (``cell_mean``), ``apply_from_samples`` a lookup in an ingested series of
-precomputed means.
+precomputed means.  The module returns numbers; the one file format it
+owns is the sample series', and ``cli`` formats every printed output.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence, TextIO, Union
+from typing import Callable, Mapping, Sequence, TextIO, Union
 
 from .functions import TestFunction
 from .kernels import Kernel
@@ -41,7 +42,6 @@ from .kernels import Kernel
 __all__ = [
     "OperatorConfig",
     "SampleSeries",
-    "GridPoint",
     "MissingSampleError",
     "SampleFormatError",
     "cell_mean",
@@ -50,7 +50,6 @@ __all__ = [
     "apply_grid",
     "read_sample_csv",
     "write_sample_csv",
-    "write_grid_csv",
 ]
 
 # A cell's quadrature nodes e^u are normal floats only for log u strictly
@@ -383,26 +382,14 @@ def apply_from_samples(series: SampleSeries, kernel: Kernel, x: float) -> float:
     return _apply_with_cache(kernel, series.w, x, mean)
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    x: float
-    approx: float
-    exact: float
-    abs_error: float
-
-
-def _grid_point(x: float, approx: float, exact: float) -> GridPoint:
-    return GridPoint(x=x, approx=approx, exact=exact, abs_error=abs(approx - exact))
-
-
 def apply_grid(
     f: TestFunction, kernel: Kernel, cfg: OperatorConfig, xs: Sequence[float]
-) -> list[GridPoint]:
-    """Per-point operator values with errors against f itself."""
+) -> list[float]:
+    """[(I_w f)(x) for x in xs], with one cell-mean cache shared by the points."""
     if len(xs) == 0:
         raise ValueError("empty evaluation grid")
     mean = _CellMeans(f, cfg).__getitem__
-    return [_grid_point(x, _apply_with_cache(kernel, cfg.w, x, mean), f.f(x)) for x in xs]
+    return [_apply_with_cache(kernel, cfg.w, x, mean) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +447,3 @@ def read_sample_csv(src: Union[str, TextIO]) -> SampleSeries:
     if not means:
         raise SampleFormatError("sample file contains no rows after the header on line 2")
     return SampleSeries(w=w, means=means, k_range=(min(means), max(means)))
-
-
-def write_grid_csv(dest: TextIO, points: Iterable[GridPoint]) -> None:
-    """Output CSV: x,approx,exact,abs_error at 12 significant digits, LF."""
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["x", "approx", "exact", "abs_error"])
-    for p in points:
-        writer.writerow([f"{p.x:.12g}", f"{p.approx:.12g}", f"{p.exact:.12g}", f"{p.abs_error:.12g}"])

@@ -1,7 +1,7 @@
 """Convergence studies, expansion predictions, bound checks, error tables."""
 
-import io
 import math
+import re
 import statistics
 import sys
 
@@ -152,6 +152,40 @@ class TestMissingMellinDerivative:
             self.CALLS[name](self.THETA_ONE)
 
 
+
+class TestNonFiniteDerivative:
+    """A (theta^j f)(x) enters a prediction only as a finite float: one that
+    overflows, is not finite, or cannot be evaluated is refused with the
+    function, j and x named."""
+
+    THETAS = {
+        "inf": lambda x: math.inf,
+        "nan": lambda x: math.nan,
+        "overflow": lambda x: math.exp(1e3),
+        "domain": lambda x: math.sin(math.inf),
+    }
+    CALLS = {
+        "voronovskaya_check": lambda f: voronovskaya_check(f, B2, 2.0, W_GEOM, solve_coefficients(2)),
+        "expansion_prediction": lambda f: expansion_prediction(f, B2, P1, 20.0, 2.0, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize(
+        "theta, message",
+        [
+            ("inf", "theta^2 odd at x=2 is inf, beyond the float range"),
+            ("nan", "theta^2 odd at x=2 is nan, beyond the float range"),
+            ("overflow", "theta^2 odd at x=2 is inf, beyond the float range"),
+            ("domain", "theta^2 odd cannot be evaluated at x=2 (math domain error)"),
+        ],
+    )
+    def test_refused_with_f_j_and_x_named(self, name, theta, message):
+        f = TestFunction(f=math.log, mellin_derivs=(lambda x: 1.0, self.THETAS[theta]),
+                         label="odd", eval_interval=(0.5, 2.0))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.CALLS[name](f)
+
+
 class TestEstimateOrder:
     def test_single_rate_order_one(self):
         f = get_function("cos4exp")
@@ -228,7 +262,8 @@ W_APART = [10.0, 13.0, 17.0, 22.0, 29.0]  # no i*w of one entry equals j*w' of a
 class TestOneRateTable:
     """Each study evaluates every distinct rate of its rate list once: on a
     doubling list 2w of one entry is the next entry's w.  Operator sums are
-    counted at the one sum, ``_apply_with_cache``, as the rate table calls it."""
+    counted at the one sum, ``_apply_with_cache``, as ``apply_grid`` calls it
+    for the rate table."""
 
     @pytest.fixture
     def sums(self, monkeypatch):
@@ -238,7 +273,7 @@ class TestOneRateTable:
             calls.append((w, x))
             return _apply_with_cache(kernel, w, x, mean)
 
-        monkeypatch.setattr("expsamp.combinations._apply_with_cache", spy)
+        monkeypatch.setattr("expsamp.operators._apply_with_cache", spy)
         return calls
 
     @pytest.mark.parametrize(
@@ -512,24 +547,9 @@ class TestErrorTable:
         )
         assert len(table.rows) == 2 and len(table.rows[0]) == 4
 
-    def test_csv_output(self):
-        table = make_table(get_function("cos4exp"), B2, solve_coefficients(2), 15.0, [0.6, 0.9])
-        buf = io.StringIO()
-        table.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "x,abs_err_w15,abs_err_w30,abs_err_combo_p2"
-        assert len(lines) == 3
-        assert all(len(line.split(",")) == 4 for line in lines[1:])
-        for line, row in zip(lines[1:], table.rows):
-            assert all(abs(float(cell) - v) <= 5e-5 for cell, v in zip(line.split(",")[1:], row))
-
-    def test_latex_output(self):
-        table = make_table(get_function("cos4exp"), B2, solve_coefficients(2), 15.0, [0.6])
-        buf = io.StringIO()
-        table.to_latex(buf)
-        text = buf.getvalue()
-        assert text.startswith("\\begin{tabular}")
-        assert text.rstrip().endswith("\\end{tabular}")
+    def test_empty_point_list_refused(self):
+        with pytest.raises(ValueError, match=r"^empty point list$"):
+            make_table(get_function("cos4exp"), B2, solve_coefficients(2), 15.0, [])
 
     def test_deviation_report(self):
         table = make_table(get_function("cos4exp"), B2, solve_coefficients(2), 15.0, [0.6])

@@ -14,9 +14,12 @@ from pathlib import Path
 import pytest
 
 from expsamp import cli
+from expsamp.analysis import make_table
 from expsamp.cli import _MAX_GRID_POINTS, UsageError, _check_series_size, _parse_x_values, main
+from expsamp.combinations import solve_coefficients
+from expsamp.functions import get_function
 from expsamp.kernels import parse_kernel_spec
-from expsamp.operators import SampleSeries
+from expsamp.operators import OperatorConfig, SampleSeries, apply
 
 
 def run(capsys, *argv):
@@ -52,7 +55,8 @@ class TestKernelInfo:
          ("combo:3:1e400:2", "scale factor must be positive and finite, got '1e400'"),
          ("combo:3:e^1e400:2", "scale factor 'e^1e400' has a log beyond the float range"),
          ("combo:3:e^1e300:e^2", "scale factor 'e^1e300' has |log| = 1e+300, more than the 1000 allowed"),
-         ("combo:3:2:2.0000000000000004", "translate factors 2 and 2.0000000000000004 are too close")],
+         ("combo:3:2:2.0000000000000004", "translate factors 2 and 2.0000000000000004 are too close"),
+         ("combo:3:abc:e^2", "bad scale factor 'abc': not a decimal or e^<rational>")],
     )
     def test_bad_translate_factor_named(self, capsys, spec, message):
         code, out, err = run(capsys, "kernel-info", "--kernel", spec)
@@ -107,6 +111,20 @@ class TestEval:
                            "--w", "7", "--x", "1.0:2.0:0.5", *flags)
         assert code == 0
         assert out.split("\n") == [header, *rows, ""]
+
+    def test_grid_csv_format(self, capsys, tmp_path):
+        dest = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "log", "--w", "10",
+                         "--x", "1.0,1.5", "--output", str(dest))
+        assert code == 0
+        text = dest.read_bytes().decode()
+        lines = text.strip().split("\n")
+        assert lines[0] == "x,approx,exact,abs_error"
+        assert len(lines) == 3
+        assert text.count("\r") == 0
+        # 12 significant digits round-trip closely
+        approx = float(lines[1].split(",")[1])
+        assert approx == pytest.approx(0.05, abs=1e-12)
 
     def test_constant_next_to_a_knot(self, capsys):
         """w log x = -5.55e-17 sits one rounding away from the order-2
@@ -194,6 +212,37 @@ class TestTable:
         assert code == 0
         assert out.startswith("\\begin{tabular}")
 
+    def test_csv_output(self, capsys):
+        table = make_table(get_function("cos4exp"), parse_kernel_spec("bspline:2"),
+                           solve_coefficients(2), 15.0, [0.6, 0.9])
+        code, out, _ = run(capsys, "table", "--kernel", "bspline:2", "--fn", "cos4exp",
+                           "--w", "15", "--p", "2", "--x", "0.6,0.9")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "x,abs_err_w15,abs_err_w30,abs_err_combo_p2"
+        assert len(lines) == 3
+        assert all(len(line.split(",")) == 4 for line in lines[1:])
+        for line, row in zip(lines[1:], table.rows):
+            assert all(abs(float(cell) - v) <= 5e-5 for cell, v in zip(line.split(",")[1:], row))
+
+    def test_latex_output(self, capsys):
+        """One tabular row per line of the CSV: the same cells, with the
+        labels' underscores escaped."""
+        (row,) = make_table(get_function("cos4exp"), parse_kernel_spec("bspline:2"),
+                            solve_coefficients(2), 15.0, [0.6]).rows
+        code, out, _ = run(capsys, "table", "--kernel", "bspline:2", "--fn", "cos4exp",
+                           "--w", "15", "--p", "2", "--x", "0.6", "--format", "latex")
+        assert code == 0
+        assert out.startswith("\\begin{tabular}")
+        assert out.rstrip().endswith("\\end{tabular}")
+        cells = " & ".join(f"{v:.4f}" for v in row)
+        assert out.split("\n") == [
+            "\\begin{tabular}{|l|l|l|l|}", "\\hline",
+            "$x$ & abs\\_err\\_w15 & abs\\_err\\_w30 & abs\\_err\\_combo\\_p2 \\\\", "\\hline",
+            f"0.6 & {cells} \\\\", "\\hline",
+            "\\end{tabular}", "",
+        ]
+
 
 class TestStudies:
     def test_converge_json(self, capsys):
@@ -228,6 +277,18 @@ class TestStudies:
         assert payload["predicted_limit"] == pytest.approx(math.log(2.0), rel=1e-10)
         assert len(payload["scaled_errors"]) == 5
         assert payload["deviations"][-1] < 0.02 * payload["predicted_limit"]
+
+    def test_converge_single_grid_point(self, capsys):
+        """--grid-points 1 probes f's interval at its lower end only."""
+        f = get_function("cos4exp")
+        lo = f.eval_interval[0]
+        code, out, _ = run(capsys, "converge", "--kernel", "bspline:2", "--fn", "cos4exp",
+                           "--w-list", "10,20,40,80,160", "--grid-points", "1")
+        assert code == 0
+        kernel = parse_kernel_spec("bspline:2")
+        assert json.loads(out)["errors"] == [
+            abs(apply(f, kernel, OperatorConfig(w), lo) - f.f(lo)) for w in (10, 20, 40, 80, 160)
+        ]
 
     def test_combination_coefficients_printed(self, capsys):
         """Exact rationals ('-1/6' style) alongside decimals whenever a
@@ -317,6 +378,36 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["satisfied"] is None
 
+    def test_norms_cover_x(self, capsys):
+        """The norms are taken over f's interval and x, widened: at x = 5,
+        beyond sinmix's [pi/2, 4], up to 5 e^(2.5/40); at x = 2, inside it,
+        up to 4 e^(2.5/40) as before."""
+        flags = ("bounds", "--kernel", "bspline:3", "--fn", "sinmix", "--w", "40")
+        for x, interval, rhs in [("5", "[1.47563, 5.32247]", 0.4145192100342291),
+                                 ("2", "[1.47563, 4.25798]", 0.2502426467021938)]:
+            code, out, _ = run(capsys, *flags, "--x", x)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["surrogate_desc"].endswith(f"norms on {interval}")
+            assert payload["rhs"] == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kernel, fn, w, x, interval",
+        [
+            ("bspline:3", "sinmix", "40", "1e200", "[1.47563, 1.06449e+200]"),  # was lhs 2e198, rhs 0.25
+            ("bspline:2", "cos4exp", "40", "360", "[0.475615, 378.458]"),  # exp(2x) raises there
+            ("bspline:1", "log3", "9", "1.6015964810437868e+308", "[0.423241, inf]"),
+        ],
+        ids=["sinmix-theta-inf", "cos4exp-overflow-error", "interval-beyond-floats"],
+    )
+    def test_norms_overflow_outside_f_interval(self, capsys, kernel, fn, w, x, interval):
+        """Where x lies beyond f's interval and the norms overflow there,
+        x is named, not the rate."""
+        code, out, err = run(capsys, "bounds", "--kernel", kernel, "--fn", fn, "--w", w, "--x", x)
+        assert (code, out) == (1, "")
+        assert err == (f"expsamp: error: the K-functional upper bound overflows on {interval}, "
+                       f"f's interval widened to cover x={float(x):g}\n")
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -367,6 +458,25 @@ class TestUsageErrors:
         common = ("--kernel", "bspline:2", "--fn", "log")
         command = ("converge", *common) if flags[0] == "--w-list" else ("eval", *common, "--w", "5")
         assert run(capsys, *command, *flags) == (1, "", f"expsamp: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("eval", "--fn", "log", "--w", "5", "--x", "1:2"),
+             "range '1:2': want lo:hi:step with 3 fields, got 2"),
+            (("eval", "--fn", "log", "--w", "5", "--x", "1:2:0"), "range '1:2:0': step must be positive"),
+            (("bounds", "--fn", "log3", "--w", "20", "--x", "1.5", "--check", "moment", "--r", "4"),
+             "bound order r=4 not in 1..3"),
+            (("converge", "--fn", "log", "--w-list", "10,20,40,80,160", "--grid-points", "0"),
+             "empty probe grid"),
+            (("converge", "--fn", "log", "--w-list", "10,20,40,80,160", "--grid-points", "-1"),
+             "number of grid points must be non-negative, got -1"),
+        ],
+        ids=["two-field-range", "zero-step", "bound-order", "no-grid-points", "negative-grid-points"],
+    )
+    def test_refusal_named(self, capsys, argv, message):
+        assert run(capsys, argv[0], "--kernel", "bspline:2", *argv[1:]) == (
+            1, "", f"expsamp: error: {message}\n")
 
     @pytest.mark.parametrize("command", ["kernel-info", "moments"])
     @pytest.mark.parametrize("nu_max", ["-1", "9"])
@@ -646,6 +756,47 @@ class TestFloatRange:
         assert err.startswith("expsamp: error: ")
 
 
+
+class TestStrictJson:
+    """JSON output holds finite floats only: a (theta^j f)(x) that x takes
+    out of the float range, or cannot evaluate, is refused with exit 1 and
+    named, and the writer refuses any other non-finite float."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # printed "predicted_limit": Infinity with exit 0
+            ("voronovskaya", "--kernel", "bspline:2", "--x", "1e200", "--w-list", "10,20,40,80",
+             "--p", "2"),
+            # printed "lhs": Infinity with exit 0
+            ("bounds", "--kernel", "bspline:3", "--w", "40", "--x", "1e200", "--check", "moment",
+             "--r", "2"),
+        ],
+        ids=["voronovskaya", "bounds-moment"],
+    )
+    def test_theta_overflow_refused(self, capsys, argv):
+        assert run(capsys, *argv, "--fn", "sinmix") == (
+            1, "", "expsamp: error: theta^2 sinmix at x=1e+200 is -inf, beyond the float range\n")
+
+    def test_theta_domain_error_named(self, capsys):
+        """4 e^709.5 overflows to inf, and sin(inf) is a domain error; it
+        was printed bare, as "math domain error"."""
+        assert run(capsys, "voronovskaya", "--kernel", "bspline:2", "--fn", "cos4exp",
+                   "--x", "709.5", "--w-list", "10,20,40,80") == (
+            1, "", "expsamp: error: theta^1 cos4exp cannot be evaluated at x=709.5 "
+                   "(math domain error)\n")
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_payload_refused(self, capsys, tmp_path, value):
+        """Nothing is written, to stdout or to the --output file."""
+        dest = tmp_path / "out.json"
+        for output in (None, str(dest)):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                cli._write_json(argparse.Namespace(output=output), {"w_list": [10.0], "lhs": value})
+        assert capsys.readouterr().out == ""
+        assert not dest.exists()
+
+
 class TestNumpyFree:
     """The library and every subcommand run on the standard library alone:
     each command runs in a fresh interpreter that must end without numpy in
@@ -786,6 +937,25 @@ class TestConfigFile:
                            "--fn", "log", "--w", "5", "--x", "1,2")
         assert code == 1
         assert "key=value" in err
+
+    def test_unreadable_config(self, capsys, tmp_path):
+        missing = tmp_path / "missing.cfg"
+        code, out, err = run(capsys, "eval", "--config", str(missing), "--kernel", "bspline:2",
+                             "--fn", "log", "--w", "5", "--x", "1,2")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"expsamp: error: cannot read config file {str(missing)!r}: ")
+
+    def test_empty_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("=5\n")
+        assert run(capsys, "eval", "--config", str(cfg), "--kernel", "bspline:2", "--fn", "log",
+                   "--w", "5", "--x", "1,2") == (1, "", f"expsamp: error: {cfg}:1: empty key\n")
+
+    def test_config_without_subcommand(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kernel=bspline:2\n")
+        assert run(capsys, "--config", str(cfg)) == (
+            1, "", "expsamp: error: --config given but no subcommand\n")
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -251,6 +251,10 @@ class TestPoissonMoment:
     def test_spec_example_quarter(self):
         assert poisson_moment(B2, 2, math.exp(0.5), 50) == pytest.approx(0.25, abs=1e-4)
 
+    def test_negative_truncation_refused(self):
+        with pytest.raises(ValueError, match=r"^K_max must be >= 0, got -1$"):
+            poisson_moment(B2, 2, 1.0, K_max=-1)
+
     def test_combo_of_order2_base_with_contributing_frequencies(self):
         """A combination built on the order-2 spline keeps nonzero
         frequency terms at order 2, exercising the translate phase factors

@@ -23,7 +23,6 @@ from expsamp.operators import (
     apply_grid,
     cell_mean,
     read_sample_csv,
-    write_grid_csv,
     write_sample_csv,
 )
 
@@ -335,19 +334,23 @@ class TestApply:
 
 class TestApplyGrid:
     def test_constant_errors_zero(self):
-        points = apply_grid(get_function("const:1"), B2, OperatorConfig(9.0), [0.6, 1.0, 2.2])
-        assert all(p.abs_error < 1e-13 for p in points)
+        f, xs = get_function("const:1"), [0.6, 1.0, 2.2]
+        values = apply_grid(f, B2, OperatorConfig(9.0), xs)
+        assert all(abs(v - f.f(x)) < 1e-13 for x, v in zip(xs, values))
 
     def test_log_uniform_error(self):
-        points = apply_grid(get_function("log"), B2, OperatorConfig(20.0), list(np.linspace(0.5, 2.0, 31)))
-        for p in points:
-            assert p.abs_error == pytest.approx(1.0 / 40.0, abs=1e-13)
+        f, xs = get_function("log"), list(np.linspace(0.5, 2.0, 31))
+        values = apply_grid(f, B2, OperatorConfig(20.0), xs)
+        assert len(values) == len(xs)
+        for x, v in zip(xs, values):
+            assert abs(v - f.f(x)) == pytest.approx(1.0 / 40.0, abs=1e-13)
 
     def test_oscillatory_reference_point(self):
         """|f - I_15 f| at x = 0.75 for f = 1 - cos(4 e^x), published value
         0.1474."""
-        points = apply_grid(get_function("cos4exp"), B2, OperatorConfig(15.0), [0.75])
-        assert points[0].abs_error == pytest.approx(0.1474, abs=2e-3)
+        f = get_function("cos4exp")
+        (value,) = apply_grid(f, B2, OperatorConfig(15.0), [0.75])
+        assert abs(value - f.f(0.75)) == pytest.approx(0.1474, abs=2e-3)
 
     def test_matches_apply_pointwise(self):
         """Both run the one operator sum, so the shared cell-mean cache
@@ -355,9 +358,10 @@ class TestApplyGrid:
         f = get_function("sinmix")
         cfg = OperatorConfig(12.0)
         xs = list(np.linspace(2.0, 4.0, 17))
-        points = apply_grid(f, B4, cfg, xs)
-        for p in points:
-            assert p.approx == apply(f, B4, cfg, p.x)
+        values = apply_grid(f, B4, cfg, xs)
+        assert len(values) == len(xs)
+        for x, v in zip(xs, values):
+            assert v == apply(f, B4, cfg, x)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -587,15 +591,3 @@ class TestSampleCsv:
     def test_non_finite_mean_rejected_with_line(self, token):
         with pytest.raises(SampleFormatError, match=f"line 4: mean value must be finite, got '{token}'"):
             read_sample_csv(io.StringIO(f"# w=4.0\nk,mean\n0,1.0\n1,{token}\n2,1.0\n"))
-
-    def test_grid_csv_format(self):
-        points = apply_grid(get_function("log"), B2, OperatorConfig(10.0), [1.0, 1.5])
-        buf = io.StringIO()
-        write_grid_csv(buf, points)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "x,approx,exact,abs_error"
-        assert len(lines) == 3
-        assert buf.getvalue().count("\r") == 0
-        # 12 significant digits round-trip closely
-        approx = float(lines[1].split(",")[1])
-        assert approx == pytest.approx(0.05, abs=1e-12)
