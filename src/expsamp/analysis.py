@@ -55,7 +55,6 @@ __all__ = [
     "vanishing_moment_bound",
     "combo_bound",
     "make_table",
-    "table_deviations",
 ]
 
 ERROR_FLOOR_SCALE = 1e-13
@@ -127,6 +126,14 @@ def _check_w_list(w_list: Sequence[float], minimum: int) -> tuple[float, ...]:
     return ws
 
 
+def _rate_power(w: float, q: int) -> float:
+    """w ** q; ValueError naming w and q where it is beyond the float range."""
+    try:
+        return w ** q
+    except OverflowError:
+        raise ValueError(f"w={w:g} to the power {q} is beyond the float range") from None
+
+
 def _theta_at(f: TestFunction, j: int, x: float) -> float:
     """(theta^j f)(x); ValueError naming f, j and x where it is a domain error,
     such as sin of an overflowed argument, or not a finite float."""
@@ -164,9 +171,10 @@ def voronovskaya_check(
     theta_q = _theta_at(f, q, x)  # first: named before the bracket's order limit and the cells
     bracket = float(scheme.power_sum(q)) * kantorovich_bracket_at_log(kernel, q, math.log(x))
     predicted = theta_q * bracket / math.factorial(q + 1)
+    powers = [_rate_power(w, q) for w in ws]  # before the cells
     values = [row[0] for row in _combined_values(f, kernel, scheme, ws, [x], quad_nodes)]
     fx = f.f(x)
-    scaled = tuple(w ** q * (v - fx) for w, v in zip(ws, values))
+    scaled = tuple(wq * (v - fx) for wq, v in zip(powers, values))
     return ConvergenceStudy(
         w_list=ws,
         errors=tuple(abs(v - fx) for v in values),
@@ -244,7 +252,7 @@ def expansion_prediction(
     t = math.log(x)
     return math.fsum(
         float(c) * _theta_at(f, j, x)
-        / (math.factorial(j + 1) * (i * w) ** j)
+        / (math.factorial(j + 1) * _rate_power(i * w, j))
         * kantorovich_bracket_at_log(kernel, j, i * w * t)
         for i, c in enumerate(scheme.coeffs, start=1)
         for j in range(1, r + 1)
@@ -359,7 +367,7 @@ def vanishing_moment_bound(
     B = 1.0 + (r + 2) * Mr1
     eps = B / (2.0 * A * (r + 1) * w)
     k_value, desc = _k_upper(f, kernel, r, eps, w, x)
-    rhs = 2.0 * A / (w ** r * math.factorial(r + 1)) * k_value
+    rhs = 2.0 * A / (_rate_power(w, r) * math.factorial(r + 1)) * k_value
     return BoundReport(
         bound=f"vanishing_moment:r={r}",
         lhs=lhs,
@@ -472,27 +480,3 @@ def make_table(
         column_labels=labels,
         rows=tuple(rows),
     )
-
-
-def table_deviations(
-    table: ErrorTable,
-    expected: dict[float, Sequence[float]],
-    tol: float,
-) -> list[dict]:
-    """Cells differing from reference values by more than tol.
-
-    Returns one record per offending cell; an empty list means the table
-    reproduces the reference within tolerance.
-    """
-    out = []
-    for x, row in zip(table.x_values, table.rows):
-        ref = expected.get(x)
-        if ref is None:
-            continue
-        for label, got, want in zip(table.column_labels, row, ref):
-            if abs(got - want) > tol:
-                out.append(
-                    {"x": x, "column": label, "computed": got, "expected": want,
-                     "delta": abs(got - want)}
-                )
-    return out

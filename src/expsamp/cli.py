@@ -13,7 +13,8 @@ table command, whose error cells are rounded to 4 decimals for comparison
 against published values; JSON output carries full round-trip precision,
 and a non-finite float in it is refused with exit 1, never printed.
 A ``--config <file>`` of key=value lines supplies defaults for any long
-flag of the chosen subcommand; flags given on the command line win.
+flag of the chosen subcommand, each line read literally as ``--key value``;
+flags given on the command line win.
 The parser is built on the first ``main`` call and reused by later calls.
 """
 
@@ -142,11 +143,7 @@ def _load_config_flags(path: str) -> list[str]:
         key, value = (s.strip() for s in line.split("=", 1))
         if not key:
             raise UsageError(f"{path}:{lineno}: empty key")
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                flags.append(f"--{key}")
-        else:
-            flags.extend([f"--{key}", value])
+        flags.extend([f"--{key}", value])
     return flags
 
 

@@ -15,7 +15,6 @@ from expsamp.analysis import (
     expansion_prediction,
     make_table,
     sup_norm,
-    table_deviations,
     vanishing_moment_bound,
     voronovskaya_check,
 )
@@ -550,13 +549,3 @@ class TestErrorTable:
     def test_empty_point_list_refused(self):
         with pytest.raises(ValueError, match=r"^empty point list$"):
             make_table(get_function("cos4exp"), B2, solve_coefficients(2), 15.0, [])
-
-    def test_deviation_report(self):
-        table = make_table(get_function("cos4exp"), B2, solve_coefficients(2), 15.0, [0.6])
-        good = {0.6: tuple(table.rows[0])}
-        assert table_deviations(table, good, 1e-9) == []
-        bad = {0.6: tuple(v + 0.01 for v in table.rows[0])}
-        report = table_deviations(table, bad, 2e-3)
-        assert len(report) == 3
-        assert report[0]["column"] == "abs_err_w15"
-        assert report[0]["delta"] == pytest.approx(0.01, abs=1e-9)

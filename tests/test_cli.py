@@ -755,6 +755,28 @@ class TestFloatRange:
         assert (code, out) == (1, "")
         assert err.startswith("expsamp: error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("voronovskaya", "--kernel", "bspline:2", "--fn", "log", "--x", "1",
+             "--w-list", "1e200,2e200,4e200,8e200", "--p", "2"),
+            ("bounds", "--kernel", "bspline:3", "--fn", "log", "--w", "1e200", "--x", "1",
+             "--check", "moment", "--r", "2"),
+        ],
+    )
+    def test_rate_power_overflows(self, capsys, argv):
+        """At x = 1 the window admits any w, and w^2 leaves the float range."""
+        assert run(capsys, *argv) == (
+            1, "", "expsamp: error: w=1e+200 to the power 2 is beyond the float range\n")
+
+    def test_arithmetic_error_backstop(self, capsys, monkeypatch):
+        """An ArithmeticError that no refusal names still ends in exit 1."""
+        def divide(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "build_moment_report", divide)
+        assert run(capsys, "kernel-info", "--kernel", "bspline:2") == (
+            1, "", "expsamp: error: result beyond the float range: float division by zero\n")
 
 
 class TestStrictJson:
@@ -978,6 +1000,25 @@ class TestConfigFile:
         code, out, _ = run(capsys, *fill(before), "eval", *fill(after), "--x", "1.5")
         assert code == 0
         assert out.strip().split("\n")[1].split(",")[:2] == ["1.5", "3"]
+
+    def test_true_is_a_literal_value(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=true\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg), "--kernel", "bspline:2",
+                             "--fn", "log", "--w", "5", "--x", "1,2")
+        assert (code, out) == (1, "")
+        assert "argument --format: invalid choice: 'true'" in err
+
+    def test_false_is_a_literal_value(self, capsys, tmp_path, monkeypatch):
+        """emit-samples=false means --emit-samples false: a file named false."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("emit-samples=false\n")
+        argv = ("eval", "--kernel", "bspline:2", "--fn", "log", "--w", "5", "--x", "1,2")
+        configured = run(capsys, *argv, "--config", str(cfg))
+        assert configured == run(capsys, *argv, "--emit-samples", "explicit.csv")
+        assert configured[0] == 0
+        assert (tmp_path / "false").read_text() == (tmp_path / "explicit.csv").read_text()
 
     def test_config_without_value(self, capsys):
         code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "log",
