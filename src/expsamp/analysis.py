@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 ERROR_FLOOR_SCALE = 1e-13
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, the golden-section step
 
 
 class MomentPreconditionError(Exception):
@@ -80,17 +81,33 @@ def sup_norm(
     interval: tuple[float, float],
     points: int = 2001,
 ) -> float:
-    """sup |g| over the interval: dense grid plus one local refinement pass."""
+    """sup |g| over [lo, hi], sampled: the largest |g| on an even grid of
+    ``points`` points, ends included, and at every point of a 60-step
+    golden-section search for the largest |g| between the grid neighbours of
+    the largest grid value.  ValueError for fewer than 2 points, an end that
+    is not finite, or lo > hi."""
     lo, hi = interval
+    if points < 2:
+        raise ValueError(f"sup_norm needs at least 2 grid points, got {points}")
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        raise ValueError(f"sup_norm needs a finite interval with lo <= hi, got [{lo}, {hi}]")
     grid = _linspace(lo, hi, points)
     vals = [abs(g(x)) for x in grid]
     i = max(range(points), key=vals.__getitem__)
-    best = vals[i]
-    sub = _linspace(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], 81)
-    for x in sub:
-        v = abs(g(x))
-        if v > best:
-            best = v
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, points - 1)]
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    gc, gd = abs(g(c)), abs(g(d))
+    best = max(vals[i], gc, gd)
+    for _ in range(60):
+        if gc >= gd:  # a largest value lies in [a, d]
+            b, d, gd = d, c, gc
+            c = b - _GOLDEN * (b - a)
+            gc = abs(g(c))
+        else:
+            a, c, gc = c, d, gd
+            d = a + _GOLDEN * (b - a)
+            gd = abs(g(d))
+        best = max(best, gc, gd)
     return float(best)
 
 
@@ -308,11 +325,18 @@ def _k_upper(
     """K(f, eps) <= eps*||theta^(r+1) f|| on ``_widened_interval``: the
     infimum over smooth g of ||theta^r(f-g)|| + eps*||theta^(r+1) g||,
     bounded at g = f, keeps the estimates testable without solving the
-    infimum."""
+    infimum.  For the log family and constants (``f.log_monomial``),
+    theta^(r+1) f = a (log x)^q is monotone in absolute value on each side of
+    x = 1, so its sup is exact, the larger end value; else ``sup_norm``."""
     lo, hi = _widened_interval(f, kernel, w, x)
     theta = f.theta(r + 1)
     try:
-        value = eps * sup_norm(theta, (lo, hi)) if hi < math.inf else math.inf
+        if hi == math.inf:
+            value = math.inf
+        elif f.log_monomial is not None:
+            value = eps * max(abs(theta(lo)), abs(theta(hi)))
+        else:
+            value = eps * sup_norm(theta, (lo, hi))
     except (OverflowError, ValueError):  # theta overflows, or takes sin or cos of an overflow
         value = math.inf
     if not math.isfinite(value):

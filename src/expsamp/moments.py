@@ -135,7 +135,8 @@ def _breaks(points) -> list[float]:
     return out
 
 
-def _pieces(kernel: Kernel, absolute: bool) -> list[tuple[float, float]]:
+@lru_cache(maxsize=16)
+def _pieces(kernel: Kernel, absolute: bool) -> tuple[tuple[float, float], ...]:
     """Intervals of one period s in [0, 1) on which s -> m_nu(chi, e^s) is a
     polynomial, or s -> M_nu(chi, e^s) when ``absolute``.
 
@@ -144,11 +145,14 @@ def _pieces(kernel: Kernel, absolute: bool) -> list[tuple[float, float]]:
     is too, since k - s changes sign only at integers.  |chi| has a kink
     where chi changes sign, so for M_nu the fractional parts of those
     zeros are breakpoints as well.
+
+    They depend on the kernel alone, not on nu, so they are cached per
+    kernel object, as ``_absolute_moment_sup_cached`` is.
     """
     points = list(kernel.log_knots)
     if absolute:
         points += _sign_changes(kernel)
-    return list(itertools.pairwise(_breaks(p - math.floor(p) for p in points)))
+    return tuple(itertools.pairwise(_breaks(p - math.floor(p) for p in points)))
 
 
 def _sign_changes(kernel: Kernel) -> list[float]:

@@ -426,9 +426,10 @@ def read_sample_csv(src: Union[str, TextIO]) -> SampleSeries:
     if header != ["k", "mean"]:
         raise SampleFormatError(f"line 2: expected header 'k,mean', got {header!r}")
     means: dict[int, float] = {}
-    for lineno, row in enumerate(reader, start=3):
+    for row in reader:
         if not row:
             continue
+        lineno = reader.line_num + 1  # the sidecar line was read before the reader
         if len(row) != 2:
             raise SampleFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
         try:

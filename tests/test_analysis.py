@@ -1,5 +1,6 @@
 """Convergence studies, expansion predictions, bound checks, error tables."""
 
+import dataclasses
 import math
 import re
 import statistics
@@ -10,6 +11,9 @@ import pytest
 
 from expsamp.analysis import (
     MomentPreconditionError,
+    _k_upper,
+    _linspace,
+    _widened_interval,
     combo_bound,
     estimate_order,
     expansion_prediction,
@@ -39,6 +43,64 @@ class TestSupNorm:
 
     def test_endpoint_maximum(self):
         assert sup_norm(lambda x: x * x, (-2.0, 1.5)) == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "fn, spec, x, j",
+        [
+            ("cos4exp", "combo:4:e^1:e^2", 0.75, 3),
+            ("cos4exp", "combo:4:e^1:e^2", 1.2, 2),
+            ("cos4exp", "bspline:6", 0.75, 2),
+            ("sinmix", "combo:4:e^1:e^2", math.pi / 2, 3),
+        ],
+    )
+    def test_never_below_dense_sup(self, fn, spec, x, j):
+        """On the norms of a bound at w = 5, the sup is at least the largest
+        |theta^j f| on a 200,001-point grid.  These are the cases where an
+        even 81-point refinement of the grid maximum reads lowest, by 5.7e-8
+        to 8.5e-7 relative."""
+        f = get_function(fn)
+        g = f.theta(j)
+        interval = _widened_interval(f, parse_kernel_spec(spec), 5.0, x)
+        dense = max(abs(g(t)) for t in _linspace(*interval, 200001))
+        assert sup_norm(g, interval) >= dense
+
+    @pytest.mark.parametrize(
+        "points, interval, message",
+        [
+            (1, (0.0, 1.0), "at least 2 grid points, got 1"),
+            (0, (0.0, 1.0), "at least 2 grid points, got 0"),
+            (2001, (0.0, math.nan), "got [0.0, nan]"),
+            (2001, (0.0, math.inf), "got [0.0, inf]"),
+            (2001, (-math.inf, 1.0), "got [-inf, 1.0]"),
+            (2001, (1.0, 0.0), "got [1.0, 0.0]"),
+        ],
+        ids=["one-point", "no-points", "nan-end", "inf-end", "minus-inf-end", "reversed"],
+    )
+    def test_refuses_what_it_cannot_measure(self, points, interval, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sup_norm(lambda x: x, interval, points)
+
+
+class TestKUpperLogFamily:
+    @pytest.mark.parametrize("name", ["log", "log2", "log3", "const:-2.5"])
+    @pytest.mark.parametrize(
+        "interval, x", [((0.1, 0.4), 0.2), ((2.0, 5.0), 3.0), ((0.5, 3.0), 1.0)],
+        ids=["below-1", "above-1", "around-1"],
+    )
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_exact_sup_at_the_ends(self, name, interval, x, r):
+        """theta^(r+1) f = a (log x)^q has its sup at an end of the norms'
+        interval: K_upper is eps times the larger end value, exactly 0 for
+        r + 1 > p, and never below the sampled sup."""
+        f = dataclasses.replace(get_function(name), eval_interval=interval)
+        eps = 0.01
+        value, _ = _k_upper(f, B2, r, eps, 20.0, x)
+        lo, hi = _widened_interval(f, B2, 20.0, x)
+        theta = f.theta(r + 1)
+        assert value == eps * max(abs(theta(lo)), abs(theta(hi)))
+        assert value >= eps * sup_norm(theta, (lo, hi))
+        if r + 1 > f.log_monomial[1]:
+            assert value == 0.0
 
 
 class TestVoronovskaya:

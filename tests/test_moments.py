@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from expsamp import moments
 from expsamp.kernels import parse_kernel_spec
 from expsamp.combinations import solve_coefficients
 from expsamp.moments import (
@@ -313,6 +314,18 @@ class TestMomentReport:
             mean = poisson_moment(kernel, nu, 1.0, 0)  # the same at every u
             deviation = max(abs(algebraic_moment_at_log(kernel, nu, s) - mean) for s in probes)
             assert build_moment_report(kernel, nu).u_independent == (deviation <= 1e-10), nu
+
+    def test_pieces_found_once_per_kernel_object(self, monkeypatch):
+        """The sign-change search runs once for each kernel object, whatever
+        nu asks; a second kernel parsed from the same spec searches anew."""
+        calls = []
+        search = moments._sign_changes
+        monkeypatch.setattr(moments, "_sign_changes", lambda k: calls.append(k) or search(k))
+        first, second = parse_kernel_spec("combo:4:e^1:e^2"), parse_kernel_spec("combo:4:e^1:e^2")
+        reports = [build_moment_report(first, nu) for nu in range(4)]
+        assert calls == [first]
+        assert [build_moment_report(second, nu) for nu in range(4)] == reports
+        assert calls == [first, second]
 
     def test_combo_second_moment_independent(self):
         rep = build_moment_report(COMBO, 2)

@@ -579,9 +579,11 @@ class TestSampleCsv:
             ("# w=4.0\nx,mean\n0,1.0\n", "line 2: expected header 'k,mean', got ['x', 'mean']"),
             ("# w=4.0\nk,mean\n0,1.0,2.0\n", "line 3: expected 2 fields, got 3"),
             ("# w=4.0\nk,mean\n\n", "no rows after the header on line 2"),
+            # a quoted field spans lines 3-4, so the bad mean is on line 6
+            ('# w=4.0\nk,mean\n"0\n",1.0\n1,2.0\n2,x\n', "line 6: bad mean value 'x'"),
         ],
         ids=["bad-rate", "zero-rate", "negative-rate", "nan-rate", "inf-rate",
-             "wrong-header", "three-fields", "no-rows"],
+             "wrong-header", "three-fields", "no-rows", "quoted-line-break"],
     )
     def test_malformed_file_rejected_with_line(self, text, message):
         with pytest.raises(SampleFormatError, match=re.escape(message)):
