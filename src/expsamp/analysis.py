@@ -14,11 +14,10 @@ Three kinds of studies:
 Studies are pure given their inputs.  The plain operator I_w is the p = 1
 combination, so a study without a scheme runs the combination path with
 ``solve_coefficients(1)``.  Every operator value comes from the one sum in
-``operators._apply_with_cache``: through ``combinations._rate_values``,
-which each study or table asks once for every rate it needs (so 2w of one
-entry of a doubling list and w of the next are one rate), or through
-``apply`` for the vanishing-moment bound.  The module returns numbers;
-``cli`` prints them in every format.
+``operators._apply_with_cache``, through ``combinations._rate_values``,
+which each study, bound or table asks once for every rate it needs (so 2w
+of one entry of a doubling list and w of the next are one rate).  The
+module returns numbers; ``cli`` names and prints them in every format.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .combinations import (
     CombinationScheme,
     _combined_values,
     _rate_values,
-    apply_combo,
     solve_coefficients,
 )
 from .functions import TestFunction
@@ -41,12 +39,13 @@ from .moments import (
     algebraic_moment_at_log,
     kantorovich_bracket_at_log,
 )
-from .operators import OperatorConfig, _check_point, _check_rate, apply
+# ``apply`` is not called here; bench/test_bench.py reads ``analysis.apply``
+# to see that its tracer restores the package
+from .operators import _check_point, _check_rate, apply  # noqa: F401
 
 __all__ = [
     "ConvergenceStudy",
     "BoundReport",
-    "ErrorTable",
     "MomentPreconditionError",
     "sup_norm",
     "voronovskaya_check",
@@ -58,6 +57,7 @@ __all__ = [
 ]
 
 ERROR_FLOOR_SCALE = 1e-13
+_SUP_POINTS = 2001  # the even grid ``sup_norm`` refines
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, the golden-section step
 
 
@@ -66,35 +66,25 @@ class MomentPreconditionError(Exception):
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """n evenly spaced points from lo to hi, both included: i*step + lo,
+    """n >= 2 evenly spaced points from lo to hi, both included: i*step + lo,
     with the last point hi exactly."""
-    if n < 0:
-        raise ValueError(f"number of grid points must be non-negative, got {n}")
-    if n < 2:
-        return [lo] * n
     step = (hi - lo) / (n - 1)
     return [i * step + lo for i in range(n - 1)] + [hi]
 
 
-def sup_norm(
-    g: Callable[[float], float],
-    interval: tuple[float, float],
-    points: int = 2001,
-) -> float:
+def sup_norm(g: Callable[[float], float], interval: tuple[float, float]) -> float:
     """sup |g| over [lo, hi], sampled: the largest |g| on an even grid of
-    ``points`` points, ends included, and at every point of a 60-step
+    2,001 points, ends included, and at every point of a 60-step
     golden-section search for the largest |g| between the grid neighbours of
-    the largest grid value.  ValueError for fewer than 2 points, an end that
-    is not finite, or lo > hi."""
+    the largest grid value.  ValueError for an end that is not finite, or
+    lo > hi."""
     lo, hi = interval
-    if points < 2:
-        raise ValueError(f"sup_norm needs at least 2 grid points, got {points}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ValueError(f"sup_norm needs a finite interval with lo <= hi, got [{lo}, {hi}]")
-    grid = _linspace(lo, hi, points)
+    grid = _linspace(lo, hi, _SUP_POINTS)
     vals = [abs(g(x)) for x in grid]
-    i = max(range(points), key=vals.__getitem__)
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, points - 1)]
+    i = max(range(_SUP_POINTS), key=vals.__getitem__)
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, _SUP_POINTS - 1)]
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     gc, gd = abs(g(c)), abs(g(d))
     best = max(vals[i], gc, gd)
@@ -287,14 +277,24 @@ class BoundReport:
     ``satisfied`` is None when the estimate degenerates (order-raising
     schemes zero out the right side) and the check is not applicable.
     ``surrogate_desc`` records how the K-functional was upper-bounded.
+    The report does not name its bound; ``cli`` does.
     """
 
-    bound: str
     lhs: float
     rhs: float
     satisfied: Optional[bool]
     surrogate_desc: str
     details: dict[str, float] = field(default_factory=dict)
+
+
+def _remainder(
+    f: TestFunction, kernel: Kernel, scheme: CombinationScheme, w: float, x: float, r: int,
+    quad_nodes: int,
+) -> float:
+    """|(I_{w,p} f)(x) - f(x) - expansion_prediction(f, kernel, scheme, w, x, r)|,
+    the left side of both bounds, with the operator from one rate table."""
+    ((value,),) = _combined_values(f, kernel, scheme, [w], [x], quad_nodes)
+    return abs(value - f.f(x) - expansion_prediction(f, kernel, scheme, w, x, r))
 
 
 def _widened_interval(f: TestFunction, kernel: Kernel, w: float, x: float) -> tuple[float, float]:
@@ -383,8 +383,7 @@ def vanishing_moment_bound(
                 f"(log u = {wt:.6g}); the order-{r} bound does not apply"
             )
     m_r = algebraic_moment_at_log(kernel, r, wt)
-    actual = apply(f, kernel, OperatorConfig(w=w, quad_nodes=quad_nodes), x)
-    lhs = abs(actual - f.f(x) - expansion_prediction(f, kernel, solve_coefficients(1), w, x, r))
+    lhs = _remainder(f, kernel, solve_coefficients(1), w, x, r, quad_nodes)
     Mr = _absolute_moment_sup_cached(kernel, r)
     Mr1 = _absolute_moment_sup_cached(kernel, r + 1)
     A = 1.0 + (r + 1) * Mr
@@ -393,7 +392,6 @@ def vanishing_moment_bound(
     k_value, desc = _k_upper(f, kernel, r, eps, w, x)
     rhs = 2.0 * A / (_rate_power(w, r) * math.factorial(r + 1)) * k_value
     return BoundReport(
-        bound=f"vanishing_moment:r={r}",
         lhs=lhs,
         rhs=rhs,
         satisfied=lhs <= rhs + 1e-12,
@@ -426,8 +424,7 @@ def combo_bound(
     """
     _check_rate(w)
     _check_point(x)
-    actual = apply_combo(f, kernel, scheme, w, x, quad_nodes)
-    lhs = abs(actual - f.f(x) - expansion_prediction(f, kernel, scheme, w, x, 1))
+    lhs = _remainder(f, kernel, scheme, w, x, 1, quad_nodes)
     M1 = _absolute_moment_sup_cached(kernel, 1)
     M2 = _absolute_moment_sup_cached(kernel, 2)
     s1 = float(scheme.power_sum(1))
@@ -437,7 +434,6 @@ def combo_bound(
     details = {"M1": M1, "M2": M2, "A": A, "B": B, "coeff_sum_1": s1, "coeff_sum_2": s2}
     if s1 <= 0.0 or B == 0.0:
         return BoundReport(
-            bound=f"combination:p={scheme.p}",
             lhs=lhs,
             rhs=0.0,
             satisfied=None,
@@ -451,7 +447,6 @@ def combo_bound(
     rhs = (1.0 + 2.0 * M1) / w * s1 * k_value
     details.update({"eps": eps, "K_upper": k_value})
     return BoundReport(
-        bound=f"combination:p={scheme.p}",
         lhs=lhs,
         rhs=rhs,
         satisfied=lhs <= rhs + 1e-12,
@@ -464,18 +459,6 @@ def combo_bound(
 # Error tables
 
 
-@dataclass(frozen=True)
-class ErrorTable:
-    """The numbers of an error table: at each point of ``x_values``, a row
-    of |f - I_{iw} f| for i = 1..p, then |f - combined operator|."""
-
-    w: float
-    p: int
-    x_values: tuple[float, ...]
-    column_labels: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
-
-
 def make_table(
     f: TestFunction,
     kernel: Kernel,
@@ -483,24 +466,16 @@ def make_table(
     w: float,
     xs: Sequence[float],
     quad_nodes: int = 7,
-) -> ErrorTable:
-    """Error table at the given points: one column per single-rate operator
-    I_{iw}, i = 1..p, then the combined operator."""
+) -> list[tuple[float, ...]]:
+    """The numbers of an error table: one row per point of xs, holding
+    |f - I_{iw} f| for i = 1..p, then |f - combined operator|."""
     if len(xs) == 0:
         raise ValueError("empty point list")
-    p = scheme.p
     rates = scheme.rates(w)
-    labels = tuple(f"abs_err_w{r:g}" for r in rates) + (f"abs_err_combo_p{p}",)
     values = _rate_values(f, kernel, rates, xs, quad_nodes)
     rows = []
     for x, singles in zip(xs, zip(*(values[r] for r in rates))):
         fx = f.f(x)
         combo = scheme.combine(singles)
         rows.append(tuple(abs(v - fx) for v in singles) + (abs(combo - fx),))
-    return ErrorTable(
-        w=w,
-        p=p,
-        x_values=tuple(float(x) for x in xs),
-        column_labels=labels,
-        rows=tuple(rows),
-    )
+    return rows

@@ -7,7 +7,8 @@ kernels or functions, unreadable files) and on inputs whose results leave
 the float range (a rate too small for the point, an f that overflows), and
 2 when a bound's moment precondition fails.
 
-This module writes every output format; the library returns numbers.
+This module names the table's columns and each bound and writes every
+output format; the library returns numbers.
 Text and CSV output prints floats with 12 significant digits, except the
 table command, whose error cells are rounded to 4 decimals for comparison
 against published values; JSON output carries full round-trip precision,
@@ -291,16 +292,16 @@ def _run_table(args) -> int:
     xs = _parse_x_values(args.x)
     scheme = solve_coefficients(args.p)
     table = make_table(f, kernel, scheme, args.w, xs, args.quad_nodes)
-    rows = [[_fmt(x)] + [f"{v:.{TABLE_DECIMALS}f}" for v in row]
-            for x, row in zip(table.x_values, table.rows)]
+    labels = [f"abs_err_w{r:g}" for r in scheme.rates(args.w)] + [f"abs_err_combo_p{scheme.p}"]
+    rows = [[_fmt(x)] + [f"{v:.{TABLE_DECIMALS}f}" for v in row] for x, row in zip(xs, table)]
     with _output(args) as out:
         if args.format == "latex":
-            header = ["$x$"] + [label.replace("_", "\\_") for label in table.column_labels]
+            header = ["$x$"] + [label.replace("_", "\\_") for label in labels]
             out.write("\\begin{tabular}{" + "|l" * len(header) + "|}\n\\hline\n")
             out.writelines(" & ".join(cells) + " \\\\\n\\hline\n" for cells in [header, *rows])
             out.write("\\end{tabular}\n")
         else:
-            out.writelines(",".join(cells) + "\n" for cells in [["x", *table.column_labels], *rows])
+            out.writelines(",".join(cells) + "\n" for cells in [["x", *labels], *rows])
     return 0
 
 
@@ -309,6 +310,8 @@ def _run_converge(args) -> int:
     f = get_function(args.fn)
     w_list = _numbers(args.w_list, ",", "rate list")
     scheme = solve_coefficients(args.p) if args.p is not None else None
+    if args.grid_points < 2:
+        raise UsageError(f"--grid-points must be at least 2, got {args.grid_points}")
     _check_grid_size(args.grid_points, "--grid-points")
     lo, hi = f.eval_interval
     grid = _linspace(lo, hi, args.grid_points)
@@ -334,16 +337,17 @@ def _run_bounds(args) -> int:
         report = vanishing_moment_bound(
             f, kernel, args.w, args.x, args.r, quad_nodes=args.quad_nodes
         )
-        _write_json(args, asdict(report))
+        _write_json(args, {"bound": f"vanishing_moment:r={args.r}", **asdict(report)})
         return 0
     # the first-order estimate is the p = 1 combination's; --p is ignored for it
     p = args.p if args.check == "combo" and args.p is not None else 1
     scheme = solve_coefficients(p)
-    payload = asdict(combo_bound(f, kernel, scheme, args.w, args.x, quad_nodes=args.quad_nodes))
+    report = combo_bound(f, kernel, scheme, args.w, args.x, quad_nodes=args.quad_nodes)
     if args.check == "first":
-        payload["bound"] = "first_order"
+        payload = {"bound": "first_order", **asdict(report)}
     else:
-        payload["combination"] = _scheme_payload(scheme)
+        payload = {"bound": f"combination:p={p}", **asdict(report),
+                   "combination": _scheme_payload(scheme)}
     _write_json(args, payload)
     return 0
 

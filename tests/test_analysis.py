@@ -37,9 +37,7 @@ P1 = solve_coefficients(1)
 
 class TestSupNorm:
     def test_known_maximum(self):
-        assert sup_norm(lambda x: math.sin(x), (0.0, math.pi), 501) == pytest.approx(
-            1.0, abs=1e-6
-        )
+        assert sup_norm(lambda x: math.sin(x), (0.0, math.pi)) == pytest.approx(1.0, abs=1e-6)
 
     def test_endpoint_maximum(self):
         assert sup_norm(lambda x: x * x, (-2.0, 1.5)) == pytest.approx(4.0, abs=1e-12)
@@ -65,20 +63,18 @@ class TestSupNorm:
         assert sup_norm(g, interval) >= dense
 
     @pytest.mark.parametrize(
-        "points, interval, message",
+        "interval, message",
         [
-            (1, (0.0, 1.0), "at least 2 grid points, got 1"),
-            (0, (0.0, 1.0), "at least 2 grid points, got 0"),
-            (2001, (0.0, math.nan), "got [0.0, nan]"),
-            (2001, (0.0, math.inf), "got [0.0, inf]"),
-            (2001, (-math.inf, 1.0), "got [-inf, 1.0]"),
-            (2001, (1.0, 0.0), "got [1.0, 0.0]"),
+            ((0.0, math.nan), "got [0.0, nan]"),
+            ((0.0, math.inf), "got [0.0, inf]"),
+            ((-math.inf, 1.0), "got [-inf, 1.0]"),
+            ((1.0, 0.0), "got [1.0, 0.0]"),
         ],
-        ids=["one-point", "no-points", "nan-end", "inf-end", "minus-inf-end", "reversed"],
+        ids=["nan-end", "inf-end", "minus-inf-end", "reversed"],
     )
-    def test_refuses_what_it_cannot_measure(self, points, interval, message):
+    def test_refuses_what_it_cannot_measure(self, interval, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            sup_norm(lambda x: x, interval, points)
+            sup_norm(lambda x: x, interval)
 
 
 class TestKUpperLogFamily:
@@ -482,10 +478,23 @@ class TestBoundsSubtractTheExpansion:
     @pytest.mark.parametrize(
         "fn, kernel, w, x, r",
         [("log3", B4, 12.0, 1.5, 2), ("cos4exp", B4, 25.0, 0.8, 1), ("log2", B2, 20.0, 1.3, 1),
-         ("sinmix", B2, 40.0, 2.6, 2)],
+         ("sinmix", B2, 40.0, 2.6, 2)]
+        + [
+            (fn, parse_kernel_spec(spec), 20.0, math.exp(-7 / 20.0), r)
+            for spec, r_max in (("bspline:1", 3), ("bspline:2", 3), ("bspline:4", 2))
+            for fn in ("log2", "log3", "cos4exp")
+            for r in range(1, r_max + 1)
+            if not (fn == "cos4exp" and r == 3)  # cos4exp has no theta^4
+        ],
     )
     def test_vanishing_moment_bound(self, fn, kernel, w, x, r):
+        """The p = 1 combination's value is ``apply``'s, bit for bit.  At
+        w log x = -7, m_1 and m_2 of bspline:1 and bspline:2 vanish, so r = 3
+        is admissible there; its K-functional asks for theta^4, which no
+        built-in carries and which is exactly 0 for the log family."""
         f = get_function(fn)
+        if f.log_monomial is not None:
+            f = dataclasses.replace(f, mellin_derivs=f.mellin_derivs + (lambda x: 0.0,))
         rep = vanishing_moment_bound(f, kernel, w, x, r)
         value = apply(f, kernel, OperatorConfig(w), x)
         assert rep.lhs == abs(value - f.f(x) - expansion_prediction(f, kernel, P1, w, x, r))
@@ -586,7 +595,7 @@ class TestComboBound:
 class TestErrorTable:
     def test_constant_rows_zero(self):
         table = make_table(get_function("const:1"), B2, solve_coefficients(2), 10.0, [0.7, 1.3])
-        for row in table.rows:
+        for row in table:
             assert all(v < 1e-13 for v in row)
 
     def test_columns_are_the_single_operators(self):
@@ -594,19 +603,9 @@ class TestErrorTable:
         f = get_function("cos4exp")
         xs = [0.6, 0.75, 0.8, 0.9, 0.95]
         table = make_table(f, B2, solve_coefficients(3), 15.0, xs)
-        for x, row in zip(xs, table.rows):
+        for x, row in zip(xs, table):
             for i in range(1, 4):
                 assert row[i - 1] == abs(apply(f, B2, OperatorConfig(i * 15.0), x) - f.f(x))
-
-    def test_shape_and_labels(self):
-        table = make_table(get_function("cos4exp"), B2, solve_coefficients(3), 15.0, [0.6, 0.9])
-        assert table.column_labels == (
-            "abs_err_w15",
-            "abs_err_w30",
-            "abs_err_w45",
-            "abs_err_combo_p3",
-        )
-        assert len(table.rows) == 2 and len(table.rows[0]) == 4
 
     def test_empty_point_list_refused(self):
         with pytest.raises(ValueError, match=r"^empty point list$"):

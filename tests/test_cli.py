@@ -17,9 +17,9 @@ from expsamp import cli
 from expsamp.analysis import make_table
 from expsamp.cli import _MAX_GRID_POINTS, UsageError, _check_series_size, _parse_x_values, main
 from expsamp.combinations import solve_coefficients
-from expsamp.functions import get_function
+from expsamp.functions import BUILTIN_FUNCTIONS, get_function
 from expsamp.kernels import parse_kernel_spec
-from expsamp.operators import OperatorConfig, SampleSeries, apply
+from expsamp.operators import SampleSeries
 
 
 def run(capsys, *argv):
@@ -222,14 +222,14 @@ class TestTable:
         assert lines[0] == "x,abs_err_w15,abs_err_w30,abs_err_combo_p2"
         assert len(lines) == 3
         assert all(len(line.split(",")) == 4 for line in lines[1:])
-        for line, row in zip(lines[1:], table.rows):
+        for line, row in zip(lines[1:], table):
             assert all(abs(float(cell) - v) <= 5e-5 for cell, v in zip(line.split(",")[1:], row))
 
     def test_latex_output(self, capsys):
         """One tabular row per line of the CSV: the same cells, with the
         labels' underscores escaped."""
         (row,) = make_table(get_function("cos4exp"), parse_kernel_spec("bspline:2"),
-                            solve_coefficients(2), 15.0, [0.6]).rows
+                            solve_coefficients(2), 15.0, [0.6])
         code, out, _ = run(capsys, "table", "--kernel", "bspline:2", "--fn", "cos4exp",
                            "--w", "15", "--p", "2", "--x", "0.6", "--format", "latex")
         assert code == 0
@@ -242,6 +242,19 @@ class TestTable:
             f"0.6 & {cells} \\\\", "\\hline",
             "\\end{tabular}", "",
         ]
+
+    def test_header_from_the_rates(self, capsys):
+        """One column per rate of the scheme, w and 2w printed with :g, then
+        the combination; LaTeX escapes each label's underscores."""
+        flags = ("table", "--kernel", "bspline:2", "--fn", "cos4exp", "--w", "15.5", "--p", "2",
+                 "--x", "0.6,0.9")
+        code, out, _ = run(capsys, *flags)
+        assert code == 0
+        assert out.split("\n")[0] == "x,abs_err_w15.5,abs_err_w31,abs_err_combo_p2"
+        code, out, _ = run(capsys, *flags, "--format", "latex")
+        assert code == 0
+        assert out.split("\n")[2] == (
+            "$x$ & abs\\_err\\_w15.5 & abs\\_err\\_w31 & abs\\_err\\_combo\\_p2 \\\\")
 
 
 class TestStudies:
@@ -279,16 +292,11 @@ class TestStudies:
         assert payload["deviations"][-1] < 0.02 * payload["predicted_limit"]
 
     def test_converge_single_grid_point(self, capsys):
-        """--grid-points 1 probes f's interval at its lower end only."""
-        f = get_function("cos4exp")
-        lo = f.eval_interval[0]
-        code, out, _ = run(capsys, "converge", "--kernel", "bspline:2", "--fn", "cos4exp",
-                           "--w-list", "10,20,40,80,160", "--grid-points", "1")
-        assert code == 0
-        kernel = parse_kernel_spec("bspline:2")
-        assert json.loads(out)["errors"] == [
-            abs(apply(f, kernel, OperatorConfig(w), lo) - f.f(lo)) for w in (10, 20, 40, 80, 160)
-        ]
+        """One grid point is no sup over f's interval: it is refused, where it
+        once fitted an order to the error at the interval's lower end."""
+        assert run(capsys, "converge", "--kernel", "bspline:2", "--fn", "log2",
+                   "--w-list", "10,20,40,80,160", "--grid-points", "1") == (
+            1, "", "expsamp: error: --grid-points must be at least 2, got 1\n")
 
     def test_combination_coefficients_printed(self, capsys):
         """Exact rationals ('-1/6' style) alongside decimals whenever a
@@ -338,6 +346,32 @@ class TestBounds:
         assert combo.pop("combination")["p"] == 1
         assert first == combo
         assert first["satisfied"] is True
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (("--check", "first"), "first_order"),
+            (("--check", "combo", "--p", "1"), "combination:p=1"),
+            (("--check", "combo", "--p", "3"), "combination:p=3"),
+            (("--check", "moment", "--r", "1"), "vanishing_moment:r=1"),
+            (("--check", "moment", "--r", "2"), "vanishing_moment:r=2"),
+            (("--check", "moment", "--r", "3"), "vanishing_moment:r=3"),
+        ],
+    )
+    def test_bound_named_first(self, capsys, monkeypatch, flags, name):
+        """The CLI names each bound, as the payload's first key.  At w log x
+        = 7 the order-2 spline's m_1 and m_2 vanish, so r = 3 is admissible;
+        its K-functional asks for theta^4, exactly 0 for log3, which the
+        built-in does not carry."""
+        log3 = get_function("log3")
+        log3 = dataclasses.replace(log3, mellin_derivs=log3.mellin_derivs + (lambda x: 0.0,))
+        monkeypatch.setitem(BUILTIN_FUNCTIONS, "log3", lambda: log3)
+        code, out, _ = run(capsys, "bounds", "--kernel", "bspline:2", "--fn", "log3", "--w", "20",
+                           "--x", repr(math.exp(7 / 20)), *flags)
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload)[0] == "bound"
+        assert payload["bound"] == name
 
     @pytest.mark.parametrize("check", ["first", "combo", "moment"])
     def test_smallest_admissible_rate(self, capsys, check):
@@ -468,9 +502,9 @@ class TestUsageErrors:
             (("bounds", "--fn", "log3", "--w", "20", "--x", "1.5", "--check", "moment", "--r", "4"),
              "bound order r=4 not in 1..3"),
             (("converge", "--fn", "log", "--w-list", "10,20,40,80,160", "--grid-points", "0"),
-             "empty probe grid"),
+             "--grid-points must be at least 2, got 0"),
             (("converge", "--fn", "log", "--w-list", "10,20,40,80,160", "--grid-points", "-1"),
-             "number of grid points must be non-negative, got -1"),
+             "--grid-points must be at least 2, got -1"),
         ],
         ids=["two-field-range", "zero-step", "bound-order", "no-grid-points", "negative-grid-points"],
     )
