@@ -329,11 +329,12 @@ def _k_upper(
     theta^(r+1) f = a (log x)^q is monotone in absolute value on each side of
     x = 1, so its sup is exact, the larger end value; else ``sup_norm``."""
     lo, hi = _widened_interval(f, kernel, w, x)
-    theta = f.theta(r + 1)
+    exact = f.log_monomial  # theta^j c (log x)^p = 0 for j > p, also where f stops at theta^3
+    theta = (lambda _: 0.0) if exact is not None and r + 1 > exact[1] else f.theta(r + 1)
     try:
         if hi == math.inf:
             value = math.inf
-        elif f.log_monomial is not None:
+        elif exact is not None:
             value = eps * max(abs(theta(lo)), abs(theta(hi)))
         else:
             value = eps * sup_norm(theta, (lo, hi))

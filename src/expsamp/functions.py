@@ -129,14 +129,15 @@ def _cos4exp() -> TestFunction:
 def _sinmix() -> TestFunction:
     # g(x) = sin(2 pi x) + 2 sin(pi x / 2)
     pi = math.pi
-    f = lambda x: math.sin(2.0 * pi * x) + 2.0 * math.sin(0.5 * pi * x)
-    df = lambda x: 2.0 * pi * math.cos(2.0 * pi * x) + pi * math.cos(0.5 * pi * x)
-    d2f = lambda x: (-4.0 * pi ** 2 * math.sin(2.0 * pi * x)
-                     - 0.5 * pi ** 2 * math.sin(0.5 * pi * x))
-    d3f = lambda x: (-8.0 * pi ** 3 * math.cos(2.0 * pi * x)
-                     - 0.25 * pi ** 3 * math.cos(0.5 * pi * x))
+    two_pi, half_pi = 2.0 * pi, 0.5 * pi  # 2.0 * pi * x is (2.0 * pi) * x: the same floats
+    f = lambda x: math.sin(two_pi * x) + 2.0 * math.sin(half_pi * x)
+    df = lambda x: two_pi * math.cos(two_pi * x) + pi * math.cos(half_pi * x)
+    d2f = lambda x: (-4.0 * pi ** 2 * math.sin(two_pi * x)
+                     - 0.5 * pi ** 2 * math.sin(half_pi * x))
+    d3f = lambda x: (-8.0 * pi ** 3 * math.cos(two_pi * x)
+                     - 0.25 * pi ** 3 * math.cos(half_pi * x))
 
-    f_at_log = lambda us: [sin(2.0 * pi * x) + 2.0 * sin(0.5 * pi * x) for x in map(exp, us)]
+    f_at_log = lambda us: [sin(two_pi * x) + 2.0 * sin(half_pi * x) for x in map(exp, us)]
 
     return TestFunction.from_derivatives("sinmix", f, df, d2f, d3f, (0.5 * pi, 4.0), f_at_log)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import decimal
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -325,6 +326,9 @@ class SampleSeries:
         if not all(map(math.isfinite, self.means.values())):
             k = min(k for k, v in self.means.items() if not math.isfinite(v))
             raise ValueError(f"sample series mean at k={k} is not finite: {self.means[k]!r}")
+        if (len(self.means) == k_max - k_min + 1 and set(map(type, self.means)) == {int}
+                and k_min <= min(self.means) and max(self.means) <= k_max):
+            return  # as many ints as the range, all inside it: the check below, in bulk
         inside = [k for k in self.means if isinstance(k, int) and k_min <= k <= k_max]
         if len(inside) == k_max - k_min + 1:  # distinct integers, as many as the range
             return
@@ -405,7 +409,7 @@ def write_sample_csv(dest: Union[str, TextIO], series: SampleSeries) -> None:
     means = series.means
     k_min, k_max = series.k_range
     dest.write(f"# w={series.w!r}\nk,mean\n")
-    dest.writelines(f"{k},{means[k]!r}\n" for k in range(k_min, k_max + 1))
+    dest.write("".join([f"{k},{means[k]!r}\n" for k in range(k_min, k_max + 1)]))
 
 
 def read_sample_csv(src: Union[str, TextIO]) -> SampleSeries:
@@ -421,11 +425,25 @@ def read_sample_csv(src: Union[str, TextIO]) -> SampleSeries:
         raise SampleFormatError(f"line 1: bad rate value {first[4:]!r}") from None
     if not (w > 0.0 and math.isfinite(w)):
         raise SampleFormatError(f"line 1: rate must be positive and finite, got {first[4:]!r}")
-    reader = csv.reader(src)
+    text = src.read()
+    lines = text.split("\n")
+    # csv splits a text with no quote, no CR and no line over its field limit, as written
+    # above, at "\n" and "," alone, so it is parsed in bulk; on any ValueError there or a
+    # repeated k, the row reader below meets the first fault and names its line.
+    if ('"' not in text and "\r" not in text and lines[0] == "k,mean"
+            and max(map(len, lines)) <= csv.field_size_limit()):
+        try:
+            rows = (line.split(",") for line in lines[1:] if line)
+            means = {int(k): float(v) for k, v in rows}
+            if len(means) == len(lines) - 1 - lines.count(""):  # with no rows, min() raises
+                return SampleSeries(w=w, means=means, k_range=(min(means), max(means)))
+        except ValueError:
+            pass
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header != ["k", "mean"]:
         raise SampleFormatError(f"line 2: expected header 'k,mean', got {header!r}")
-    means: dict[int, float] = {}
+    means = {}
     for row in reader:
         if not row:
             continue

@@ -17,7 +17,7 @@ from expsamp import cli
 from expsamp.analysis import make_table
 from expsamp.cli import _MAX_GRID_POINTS, UsageError, _check_series_size, _parse_x_values, main
 from expsamp.combinations import solve_coefficients
-from expsamp.functions import BUILTIN_FUNCTIONS, get_function
+from expsamp.functions import get_function
 from expsamp.kernels import parse_kernel_spec
 from expsamp.operators import SampleSeries
 
@@ -358,20 +358,45 @@ class TestBounds:
             (("--check", "moment", "--r", "3"), "vanishing_moment:r=3"),
         ],
     )
-    def test_bound_named_first(self, capsys, monkeypatch, flags, name):
+    def test_bound_named_first(self, capsys, flags, name):
         """The CLI names each bound, as the payload's first key.  At w log x
-        = 7 the order-2 spline's m_1 and m_2 vanish, so r = 3 is admissible;
-        its K-functional asks for theta^4, exactly 0 for log3, which the
-        built-in does not carry."""
-        log3 = get_function("log3")
-        log3 = dataclasses.replace(log3, mellin_derivs=log3.mellin_derivs + (lambda x: 0.0,))
-        monkeypatch.setitem(BUILTIN_FUNCTIONS, "log3", lambda: log3)
+        = 7 the order-2 spline's m_1 and m_2 vanish, so r = 3 is admissible."""
         code, out, _ = run(capsys, "bounds", "--kernel", "bspline:2", "--fn", "log3", "--w", "20",
                            "--x", repr(math.exp(7 / 20)), *flags)
         assert code == 0
         payload = json.loads(out)
         assert list(payload)[0] == "bound"
         assert payload["bound"] == name
+
+    @pytest.mark.parametrize("fn", ["log", "log2", "log3", "const:2.5"])
+    @pytest.mark.parametrize("kernel", ["bspline:1", "bspline:2"])
+    def test_order_3_for_the_log_family(self, capsys, fn, kernel):
+        """The order-3 K-functional asks for theta^4 f, which no built-in
+        carries; for c (log x)^p it is exactly 0, so K_upper and rhs are 0."""
+        code, out, err = run(capsys, "bounds", "--kernel", kernel, "--fn", fn, "--w", "20",
+                             "--x", "1.4190675485932573", "--check", "moment", "--r", "3")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["bound"] == "vanishing_moment:r=3"
+        assert payload["details"]["K_upper"] == 0.0
+        assert payload["rhs"] == 0.0
+        assert payload["satisfied"] is True
+
+    @pytest.mark.parametrize(
+        "fn, argv",
+        [(fn, ("bounds", "--kernel", "bspline:2", "--w", "20", "--x", "1.4190675485932573",
+               "--check", "moment", "--r", "3")) for fn in ("cos4exp", "sinmix")]
+        + [(fn, ("voronovskaya", "--kernel", "bspline:2", "--x", "1.7", "--w-list", "10,20,40,80",
+                 "--p", "4")) for fn in ("log3", "cos4exp", "sinmix")],
+        ids=["bounds-r3-cos4exp", "bounds-r3-sinmix", "voronovskaya-p4-log3",
+             "voronovskaya-p4-cos4exp", "voronovskaya-p4-sinmix"],
+    )
+    def test_theta_4_refused_elsewhere(self, capsys, fn, argv):
+        """Only the log family's order-3 bound takes theta^4 as 0; other
+        functions, and a voronovskaya of order 4, still name it missing."""
+        code, out, err = run(capsys, *argv, "--fn", fn)
+        assert (code, out) == (1, "")
+        assert err == f"expsamp: error: {fn}: Mellin derivative of order 4 not available\n"
 
     @pytest.mark.parametrize("check", ["first", "combo", "moment"])
     def test_smallest_admissible_rate(self, capsys, check):

@@ -406,6 +406,8 @@ class TestSampleSeries:
             ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (-3, 20)),
             ((4, 100), (0, 200)),
             ((-50, 50), (-50, 50)),
+            ((0, 1, 5), (0, 2)),  # as many int keys as the range, one above it
+            ((-1, 0, 1), (0, 2)),  # and one below it
         ],
     )
     def test_gaps_named_as_the_first_eight_missing_indices(self, keys, k_range):
@@ -418,6 +420,16 @@ class TestSampleSeries:
     def test_gap_check_ignores_cells_outside_the_range(self):
         series = SampleSeries(w=5.0, means={-9: 1.0, 0: 1.0, 1: 1.0, 9: 1.0}, k_range=(0, 1))
         assert series.k_range == (0, 1)
+        # the full range and one key outside it: one key more than the range holds
+        series = SampleSeries(w=5.0, means={0: 1.0, 1: 1.0, 2: 1.0, 7: 1.0}, k_range=(0, 2))
+        assert series.k_range == (0, 2)
+
+    def test_bool_key_counts_as_its_int(self):
+        """True is an int instance, as it always was here, and stands for 1."""
+        series = SampleSeries(w=5.0, means={0: 1.0, True: 2.0}, k_range=(0, 1))
+        assert series.means[1] == 2.0
+        with pytest.raises(ValueError, match=re.escape("sample series has gaps at k=[2]")):
+            SampleSeries(w=5.0, means={0: 1.0, True: 2.0}, k_range=(0, 2))
 
     @pytest.mark.parametrize(
         "means, k_range, message",
@@ -429,13 +441,15 @@ class TestSampleSeries:
             ({0: 1.0, 1: math.nan}, (0, 1), "sample series mean at k=1 is not finite: nan"),
             ({-2: math.inf, 0: 1.0, 3: -math.inf}, (-2, 3), "mean at k=-2 is not finite: inf"),
             ({0: 1.0, 0.5: 1.0}, (0, 1), "sample series has gaps at k=[1]"),
+            ({0: 1.0, 1.0: 2.0}, (0, 1), "sample series has gaps at k=[1]"),
         ],
         ids=["empty", "inverted", "fractional", "float-bound", "nan-mean", "inf-mean",
-             "fractional-key"],
+             "fractional-key", "float-key"],
     )
     def test_constructor_refuses(self, means, k_range, message):
         """An empty or non-integer range and a non-finite mean are refused
-        with a ValueError; a fractional key is no cell."""
+        with a ValueError; a fractional key is no cell, and neither is a
+        float key equal to an integer, such as 1.0."""
         with pytest.raises(ValueError, match=re.escape(message)):
             SampleSeries(w=5.0, means=means, k_range=k_range)
 
@@ -553,6 +567,25 @@ class TestSampleCsv:
         assert back == series
         assert math.copysign(1.0, back.means[-3]) == -1.0
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# w=2.5\r\nk,mean\r\n-1,1e+16\r\n0,-1.5\r\n1,5e-324\r\n",
+            "# w=2.5\nk,mean\n-1,1e+16\n0,-1.5\n1,5e-324",
+            "# w=2.5\nk,mean\n-1,1e+16\n\n0,-1.5\n\n\n1,5e-324\n\n",
+        ],
+        ids=["crlf", "no-final-newline", "blank-lines"],
+    )
+    def test_read_as_the_plain_file(self, tmp_path, text):
+        """CRLF line ends, a missing final newline and blank lines between
+        rows give the series of the plain LF file."""
+        plain = "# w=2.5\nk,mean\n-1,1e+16\n0,-1.5\n1,5e-324\n"
+        for name, body in (("plain.csv", plain), ("other.csv", text)):
+            (tmp_path / name).write_bytes(body.encode())
+        want = read_sample_csv(str(tmp_path / "plain.csv"))
+        assert want == SampleSeries(w=2.5, means={-1: 1e16, 0: -1.5, 1: 5e-324}, k_range=(-1, 1))
+        assert read_sample_csv(str(tmp_path / "other.csv")) == want
+
     def test_duplicate_k_rejected(self):
         text = "# w=4.0\nk,mean\n0,1.0\n0,2.0\n"
         with pytest.raises(SampleFormatError, match="duplicate"):
@@ -581,9 +614,11 @@ class TestSampleCsv:
             ("# w=4.0\nk,mean\n\n", "no rows after the header on line 2"),
             # a quoted field spans lines 3-4, so the bad mean is on line 6
             ('# w=4.0\nk,mean\n"0\n",1.0\n1,2.0\n2,x\n', "line 6: bad mean value 'x'"),
+            # a lone CR ends a line, so "0" stands alone, although int("0\r") is 0
+            ("# w=4.0\nk,mean\n0\r,1.0\n", "line 3: expected 2 fields, got 1"),
         ],
         ids=["bad-rate", "zero-rate", "negative-rate", "nan-rate", "inf-rate",
-             "wrong-header", "three-fields", "no-rows", "quoted-line-break"],
+             "wrong-header", "three-fields", "no-rows", "quoted-line-break", "cr-inside-row"],
     )
     def test_malformed_file_rejected_with_line(self, text, message):
         with pytest.raises(SampleFormatError, match=re.escape(message)):

@@ -5,6 +5,7 @@ same result on every run; each property tries at most 100 examples.
 """
 
 import contextlib
+import csv
 import io
 import math
 import re
@@ -25,6 +26,7 @@ from expsamp.kernels import parse_kernel_spec  # noqa: E402
 from expsamp.moments import algebraic_moment_at_log  # noqa: E402
 from expsamp.operators import (  # noqa: E402
     OperatorConfig,
+    SampleFormatError,
     SampleSeries,
     apply,
     read_sample_csv,
@@ -106,6 +108,114 @@ def test_sample_csv_round_trip(w, k0, means):
     write_sample_csv(buf, series)
     buf.seek(0)
     assert read_sample_csv(buf) == series
+
+
+def read_row_by_row(src):
+    """The sample reader written row by row: csv.reader, then per row a
+    field count, int, float, a finiteness test and a duplicate test.  The
+    oracle that read_sample_csv, which parses plain texts in bulk, must
+    equal."""
+    first = src.readline().strip()
+    if not first.startswith("# w="):
+        raise SampleFormatError(f"line 1: expected '# w=<value>' sidecar, got {first!r}")
+    try:
+        w = float(first[4:])
+    except ValueError:
+        raise SampleFormatError(f"line 1: bad rate value {first[4:]!r}") from None
+    if not (w > 0.0 and math.isfinite(w)):
+        raise SampleFormatError(f"line 1: rate must be positive and finite, got {first[4:]!r}")
+    reader = csv.reader(src)
+    header = next(reader, None)
+    if header != ["k", "mean"]:
+        raise SampleFormatError(f"line 2: expected header 'k,mean', got {header!r}")
+    means = {}
+    for row in reader:
+        if not row:
+            continue
+        lineno = reader.line_num + 1
+        if len(row) != 2:
+            raise SampleFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
+        try:
+            k = int(row[0])
+        except ValueError:
+            raise SampleFormatError(f"line {lineno}: bad cell index {row[0]!r}") from None
+        try:
+            mean = float(row[1])
+        except ValueError:
+            raise SampleFormatError(f"line {lineno}: bad mean value {row[1]!r}") from None
+        if not math.isfinite(mean):
+            raise SampleFormatError(f"line {lineno}: mean value must be finite, got {row[1]!r}")
+        if k in means:
+            raise SampleFormatError(f"line {lineno}: duplicate cell index k={k}")
+        means[k] = mean
+    if not means:
+        raise SampleFormatError("sample file contains no rows after the header on line 2")
+    return SampleSeries(w=w, means=means, k_range=(min(means), max(means)))
+
+
+BAD_MEANS = ["nan", "inf", "-inf", "1e400", "-0.0", " 2.5", "1_0.5", "abc", "", "\x00"]
+FAULTS = ["header", "repeat", "skip", "one-field", "three-fields", "mean", "cr", "long",
+          "quote", "quoted-line-break"]
+
+
+@st.composite
+def sample_texts(draw, fault):
+    """Sample files as they come: LF, CRLF, lone-CR or mixed line ends, blank
+    lines, a final newline or none, k written like 1_000, and one of the
+    FAULTS, or none: a bad header, a repeated or skipped k, a row of 1 or 3
+    fields, a bad, non-finite or NUL mean, a CR inside a row, a field over
+    csv's size limit, or a quoted k, which may hold a line break."""
+    style = draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "mixed"]))
+    rows = draw(st.integers(min_value=0, max_value=6))
+    at = draw(st.integers(min_value=0, max_value=max(rows - 1, 0)))
+    k = draw(st.sampled_from([-3, 0, 998]))
+    header = draw(st.sampled_from(["k,mean,", "", '"k",mean'])) if fault == "header" else "k,mean"
+    lines = ["# w=4.0", header]
+    for i in range(rows):
+        here = fault if i == at else None
+        k += {"repeat": 0, "skip": 2}.get(here, 1)
+        fields = [draw(st.sampled_from([str(k)] * 3 + [f"{k:_}"])),
+                  draw(st.floats(allow_nan=False, allow_infinity=False).map(repr))]
+        if here == "mean":
+            fields[1] = draw(st.sampled_from(BAD_MEANS))
+        elif here == "cr":  # a line end to csv, not to split("\n")
+            fields[0] += "\r"
+        elif here == "long":  # csv refuses it, float() would not
+            fields[1] = "0." + "1" * csv.field_size_limit()
+        elif here == "quote":
+            fields[0] = f'"{fields[0]}"'
+        elif here == "quoted-line-break":
+            fields[0] = f'"{fields[0]}\n"'
+        fields = {"one-field": fields[:1], "three-fields": fields + fields[1:]}.get(here, fields)
+        lines += [""] * draw(st.sampled_from([0] * 4 + [1, 2])) + [",".join(fields)]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) if style == "mixed" else style
+            for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""  # no final line end
+    return "".join(map(str.__add__, lines, ends))
+
+
+def _outcome(read, text):
+    """The series read from text, as a file opened with newline="" gives it,
+    with its means in order and -0.0 told from 0.0; or the exception class
+    and message."""
+    try:
+        series = read(io.StringIO(text, newline=""))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return series, [(k, repr(m)) for k, m in series.means.items()]
+
+
+@pytest.mark.parametrize("fault", [None] + FAULTS)
+@settings(SETTINGS, max_examples=30)  # per fault: 330 texts in all
+@given(data=st.data())
+def test_bulk_reader_equals_the_row_reader(fault, data):
+    """read_sample_csv gives, for every text, the series or the exception
+    class and message of the row-by-row reader it replaced."""
+    text = data.draw(sample_texts(fault))
+    want = _outcome(read_row_by_row, text)
+    event("series" if isinstance(want[0], SampleSeries) else want[0].__name__)
+    assert _outcome(read_sample_csv, text) == want
 
 
 @SETTINGS
