@@ -8,7 +8,11 @@ the float range (a rate too small for the point, an f that overflows), and
 2 when a bound's moment precondition fails.
 
 This module names the table's columns and each bound and writes every
-output format; the library returns numbers.
+output format; the library returns numbers.  Each subcommand computes every
+value before any output is written and returns its text, which ``main``
+writes once, to the ``--output`` file or stdout: a refused request prints
+nothing and creates no ``--output`` file.  ``eval --emit-samples`` writes
+its sample file before that text.
 Text and CSV output prints floats with 12 significant digits, except the
 table command, whose error cells are rounded to 4 decimals for comparison
 against published values; JSON output carries full round-trip precision,
@@ -22,13 +26,13 @@ The parser is built on the first ``main`` call and reused by later calls.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
 from dataclasses import asdict
-from typing import ContextManager, Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .analysis import (
@@ -163,17 +167,8 @@ def _inject_config(argv: list[str]) -> list[str]:
     return [out[0]] + _load_config_flags(known.config) + out[1:]
 
 
-def _output(args) -> ContextManager[TextIO]:
-    """The --output file, closed on exit, or stdout, left open."""
-    if args.output:
-        return open(args.output, "w", newline="")
-    return contextlib.nullcontext(sys.stdout)
-
-
-def _write_json(args, payload) -> None:
-    text = json.dumps(payload, indent=2, allow_nan=False)  # before any byte is written
-    with _output(args) as out:
-        out.write(text + "\n")
+def _json(payload) -> list[str]:  # a non-finite float raises ValueError
+    return [json.dumps(payload, indent=2, allow_nan=False) + "\n"]
 
 
 def _study_payload(study: ConvergenceStudy, scheme) -> dict:
@@ -209,104 +204,78 @@ def _moment_orders(nu_max: int) -> range:
     return range(nu_max + 1)
 
 
-def _run_kernel_info(args) -> int:
-    kernel = parse_kernel_spec(args.kernel)
+def _run_kernel_info(args, kernel: Kernel) -> Iterable[str]:
     reports = [build_moment_report(kernel, nu) for nu in _moment_orders(args.nu_max)]
     if args.format == "json":
-        _write_json(args, {
-            "label": kernel.label,
-            "log_support": list(kernel.log_support),
-            "moments": [asdict(r) for r in reports],
-        })
-        return 0
-    with _output(args) as out:
-        out.write(f"kernel: {kernel.label}\n")
-        a, b = kernel.log_support
-        out.write(f"log_support: [{_fmt(a)}, {_fmt(b)}]\n")
-        out.write("nu  m_nu(u=1)        M_nu_sup         u_independent\n")
-        out.writelines(f"{r.order:<3d} {_fmt(r.algebraic):<16} {_fmt(r.absolute_sup):<16} "
-                       f"{str(r.u_independent).lower()}\n" for r in reports)
-    return 0
+        return _json({"label": kernel.label, "log_support": list(kernel.log_support),
+                      "moments": [asdict(r) for r in reports]})
+    a, b = kernel.log_support
+    return [f"kernel: {kernel.label}\n",
+            f"log_support: [{_fmt(a)}, {_fmt(b)}]\n",
+            "nu  m_nu(u=1)        M_nu_sup         u_independent\n",
+            *(f"{r.order:<3d} {_fmt(r.algebraic):<16} {_fmt(r.absolute_sup):<16} "
+              f"{str(r.u_independent).lower()}\n" for r in reports)]
 
 
-def _run_moments(args) -> int:
-    kernel = parse_kernel_spec(args.kernel)
+def _run_moments(args, kernel: Kernel) -> Iterable[str]:
     reports = [build_moment_report(kernel, nu, at_u=args.u) for nu in _moment_orders(args.nu_max)]
     if args.format == "json":
-        _write_json(args, [asdict(r) for r in reports])
-        return 0
-    with _output(args) as out:
-        if args.format == "csv":
-            out.write("nu,m_nu,M_nu_sup,u_independent\n")
-            out.writelines(f"{r.order},{_fmt(r.algebraic)},{_fmt(r.absolute_sup)},"
-                           f"{str(r.u_independent).lower()}\n" for r in reports)
-        else:
-            out.write(f"moments of {kernel.label} at u={_fmt(args.u)}\n")
-            out.writelines(f"nu={r.order}: m_nu={_fmt(r.algebraic)}  M_nu_sup={_fmt(r.absolute_sup)}  "
-                           f"u_independent={str(r.u_independent).lower()}\n" for r in reports)
-    return 0
+        return _json([asdict(r) for r in reports])
+    if args.format == "csv":
+        return ["nu,m_nu,M_nu_sup,u_independent\n",
+                *(f"{r.order},{_fmt(r.algebraic)},{_fmt(r.absolute_sup)},"
+                  f"{str(r.u_independent).lower()}\n" for r in reports)]
+    return [f"moments of {kernel.label} at u={_fmt(args.u)}\n",
+            *(f"nu={r.order}: m_nu={_fmt(r.algebraic)}  M_nu_sup={_fmt(r.absolute_sup)}  "
+              f"u_independent={str(r.u_independent).lower()}\n" for r in reports)]
 
 
-def _run_eval(args) -> int:
-    kernel = parse_kernel_spec(args.kernel)
+def _run_eval(args, kernel: Kernel) -> Iterable[str]:
     f = get_function(args.fn)
     xs = _parse_x_values(args.x)
-    cfg = OperatorConfig(w=args.w, quad_nodes=args.quad_nodes)
     if args.emit_samples:
         # each cell once; eval then prints what reconstruct reads from the file
         _check_series_size(kernel, args.w, xs)
         series = SampleSeries.covering(f, kernel, args.w, xs, args.quad_nodes)
         values = [apply_from_samples(series, kernel, x) for x in xs]
     else:
-        values = apply_grid(f, kernel, cfg, xs)
+        values = apply_grid(f, kernel, OperatorConfig(w=args.w, quad_nodes=args.quad_nodes), xs)
     rows = [(x, v, fx, abs(v - fx)) for x, v, fx in zip(xs, values, map(f.f, xs))]
     if args.emit_samples:  # written only once every value is in hand
         write_sample_csv(args.emit_samples, series)
-    with _output(args) as out:
-        if args.format == "text":
-            out.write(f"(I_w f)(x) with kernel {kernel.label}, f={f.label}, w={_fmt(args.w)}\n")
-            out.writelines(
-                f"x={_fmt(x):<16} approx={_fmt(v):<18} exact={_fmt(fx):<18} abs_error={_fmt(e)}\n"
-                for x, v, fx, e in rows
-            )
-        else:
-            out.write("x,approx,exact,abs_error\n")
-            out.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
-    return 0
+    # the rows are in hand; only their lines are formatted as they are written
+    if args.format == "text":
+        return itertools.chain(
+            [f"(I_w f)(x) with kernel {kernel.label}, f={f.label}, w={_fmt(args.w)}\n"],
+            (f"x={_fmt(x):<16} approx={_fmt(v):<18} exact={_fmt(fx):<18} abs_error={_fmt(e)}\n"
+             for x, v, fx, e in rows))
+    return itertools.chain(["x,approx,exact,abs_error\n"],
+                           (",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
-def _run_reconstruct(args) -> int:
-    kernel = parse_kernel_spec(args.kernel)
+def _run_reconstruct(args, kernel: Kernel) -> Iterable[str]:
     series = read_sample_csv(args.samples)
     xs = _parse_x_values(args.x)
     values = [apply_from_samples(series, kernel, x) for x in xs]
-    with _output(args) as out:
-        out.write("x,approx\n")
-        out.writelines(f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(xs, values))
-    return 0
+    return itertools.chain(["x,approx\n"], (f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(xs, values)))
 
 
-def _run_table(args) -> int:
-    kernel = parse_kernel_spec(args.kernel)
+def _run_table(args, kernel: Kernel) -> Iterable[str]:
     f = get_function(args.fn)
     xs = _parse_x_values(args.x)
     scheme = solve_coefficients(args.p)
     table = make_table(f, kernel, scheme, args.w, xs, args.quad_nodes)
     labels = [f"abs_err_w{r:g}" for r in scheme.rates(args.w)] + [f"abs_err_combo_p{scheme.p}"]
     rows = [[_fmt(x)] + [f"{v:.{TABLE_DECIMALS}f}" for v in row] for x, row in zip(xs, table)]
-    with _output(args) as out:
-        if args.format == "latex":
-            header = ["$x$"] + [label.replace("_", "\\_") for label in labels]
-            out.write("\\begin{tabular}{" + "|l" * len(header) + "|}\n\\hline\n")
-            out.writelines(" & ".join(cells) + " \\\\\n\\hline\n" for cells in [header, *rows])
-            out.write("\\end{tabular}\n")
-        else:
-            out.writelines(",".join(cells) + "\n" for cells in [["x", *labels], *rows])
-    return 0
+    if args.format == "latex":
+        header = ["$x$"] + [label.replace("_", "\\_") for label in labels]
+        return ["\\begin{tabular}{" + "|l" * len(header) + "|}\n\\hline\n",
+                *(" & ".join(cells) + " \\\\\n\\hline\n" for cells in [header, *rows]),
+                "\\end{tabular}\n"]
+    return [",".join(cells) + "\n" for cells in [["x", *labels], *rows]]
 
 
-def _run_converge(args) -> int:
-    kernel = parse_kernel_spec(args.kernel)
+def _run_converge(args, kernel: Kernel) -> Iterable[str]:
     f = get_function(args.fn)
     w_list = _numbers(args.w_list, ",", "rate list")
     scheme = solve_coefficients(args.p) if args.p is not None else None
@@ -316,40 +285,30 @@ def _run_converge(args) -> int:
     lo, hi = f.eval_interval
     grid = _linspace(lo, hi, args.grid_points)
     study = estimate_order(f, kernel, scheme, w_list, grid, args.quad_nodes)
-    _write_json(args, _study_payload(study, scheme))
-    return 0
+    return _json(_study_payload(study, scheme))
 
 
-def _run_voronovskaya(args) -> int:
-    kernel = parse_kernel_spec(args.kernel)
+def _run_voronovskaya(args, kernel: Kernel) -> Iterable[str]:
     f = get_function(args.fn)
     w_list = _numbers(args.w_list, ",", "rate list")
     scheme = solve_coefficients(args.p) if args.p is not None else None
     study = voronovskaya_check(f, kernel, args.x, w_list, scheme, args.quad_nodes)
-    _write_json(args, _study_payload(study, scheme))
-    return 0
+    return _json(_study_payload(study, scheme))
 
 
-def _run_bounds(args) -> int:
-    kernel = parse_kernel_spec(args.kernel)
+def _run_bounds(args, kernel: Kernel) -> Iterable[str]:
     f = get_function(args.fn)
     if args.check == "moment":
-        report = vanishing_moment_bound(
-            f, kernel, args.w, args.x, args.r, quad_nodes=args.quad_nodes
-        )
-        _write_json(args, {"bound": f"vanishing_moment:r={args.r}", **asdict(report)})
-        return 0
+        report = vanishing_moment_bound(f, kernel, args.w, args.x, args.r, args.quad_nodes)
+        return _json({"bound": f"vanishing_moment:r={args.r}", **asdict(report)})
     # the first-order estimate is the p = 1 combination's; --p is ignored for it
     p = args.p if args.check == "combo" and args.p is not None else 1
     scheme = solve_coefficients(p)
     report = combo_bound(f, kernel, scheme, args.w, args.x, quad_nodes=args.quad_nodes)
     if args.check == "first":
-        payload = {"bound": "first_order", **asdict(report)}
-    else:
-        payload = {"bound": f"combination:p={p}", **asdict(report),
-                   "combination": _scheme_payload(scheme)}
-    _write_json(args, payload)
-    return 0
+        return _json({"bound": "first_order", **asdict(report)})
+    return _json({"bound": f"combination:p={p}", **asdict(report),
+                  "combination": _scheme_payload(scheme)})
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +403,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_inject_config(argv))
-        return args.run(args)
+        text = args.run(args, parse_kernel_spec(args.kernel))
+        if args.output:
+            with open(args.output, "w", newline="") as out:
+                out.writelines(text)
+        else:
+            sys.stdout.writelines(text)
+        return 0
     except MomentPreconditionError as exc:
         print(f"expsamp: precondition failed: {exc}", file=sys.stderr)
         return 2

@@ -440,29 +440,32 @@ def read_sample_csv(src: Union[str, TextIO]) -> SampleSeries:
         except ValueError:
             pass
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header != ["k", "mean"]:
-        raise SampleFormatError(f"line 2: expected header 'k,mean', got {header!r}")
-    means = {}
-    for row in reader:
-        if not row:
-            continue
-        lineno = reader.line_num + 1  # the sidecar line was read before the reader
-        if len(row) != 2:
-            raise SampleFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
-        try:
-            k = int(row[0])
-        except ValueError:
-            raise SampleFormatError(f"line {lineno}: bad cell index {row[0]!r}") from None
-        try:
-            mean = float(row[1])
-        except ValueError:
-            raise SampleFormatError(f"line {lineno}: bad mean value {row[1]!r}") from None
-        if not math.isfinite(mean):
-            raise SampleFormatError(f"line {lineno}: mean value must be finite, got {row[1]!r}")
-        if k in means:
-            raise SampleFormatError(f"line {lineno}: duplicate cell index k={k}")
-        means[k] = mean
+    try:  # csv's own faults, such as a field over its size limit, too
+        header = next(reader, None)
+        if header != ["k", "mean"]:
+            raise SampleFormatError(f"line 2: expected header 'k,mean', got {header!r}")
+        means = {}
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num + 1  # the sidecar line was read before the reader
+            if len(row) != 2:
+                raise SampleFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
+            try:
+                k = int(row[0])
+            except ValueError:
+                raise SampleFormatError(f"line {lineno}: bad cell index {row[0]!r}") from None
+            try:
+                mean = float(row[1])
+            except ValueError:
+                raise SampleFormatError(f"line {lineno}: bad mean value {row[1]!r}") from None
+            if not math.isfinite(mean):
+                raise SampleFormatError(f"line {lineno}: mean value must be finite, got {row[1]!r}")
+            if k in means:
+                raise SampleFormatError(f"line {lineno}: duplicate cell index k={k}")
+            means[k] = mean
+    except csv.Error as exc:
+        raise SampleFormatError(f"line {reader.line_num + 1}: {exc}") from None
     if not means:
         raise SampleFormatError("sample file contains no rows after the header on line 2")
     return SampleSeries(w=w, means=means, k_range=(min(means), max(means)))

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from expsamp import cli
-from expsamp.analysis import make_table
+from expsamp.analysis import BoundReport, make_table
 from expsamp.cli import _MAX_GRID_POINTS, UsageError, _check_series_size, _parse_x_values, main
 from expsamp.combinations import solve_coefficients
 from expsamp.functions import get_function
@@ -868,14 +868,89 @@ class TestStrictJson:
                    "(math domain error)\n")
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_non_finite_payload_refused(self, capsys, tmp_path, value):
-        """Nothing is written, to stdout or to the --output file."""
+    def test_non_finite_payload_refused(self, capsys, tmp_path, monkeypatch, value):
+        """A bound whose left side is not finite is refused with exit 1, and
+        nothing is written, to stdout or to the --output file."""
+        monkeypatch.setattr(cli, "combo_bound", lambda *a, **k: BoundReport(value, 1.0, True, ""))
         dest = tmp_path / "out.json"
-        for output in (None, str(dest)):
-            with pytest.raises(ValueError, match="not JSON compliant"):
-                cli._write_json(argparse.Namespace(output=output), {"w_list": [10.0], "lhs": value})
-        assert capsys.readouterr().out == ""
+        argv = ("bounds", "--kernel", "bspline:2", "--fn", "log", "--w", "20", "--x", "1.5")
+        for output in ((), ("--output", str(dest))):
+            code, out, err = run(capsys, *argv, *output)
+            assert (code, out) == (1, "")
+            assert "not JSON compliant" in err
         assert not dest.exists()
+
+
+class TestSingleWrite:
+    """Every subcommand computes its values, then writes its text once: the
+    --output file holds exactly what stdout would, and a refused request
+    writes nothing anywhere."""
+
+    SAMPLES = ("eval", "--kernel", "bspline:2", "--fn", "cos4exp", "--w", "15",
+               "--x", "0.5:1.0:0.1", "--emit-samples", "samples.csv")
+    CASES = {
+        "kernel-info-text": ("kernel-info", "--kernel", "bspline:4", "--format", "text"),
+        "kernel-info-json": ("kernel-info", "--kernel", "combo:4:e^1:e^2", "--format", "json"),
+        "moments-csv": ("moments", "--kernel", "bspline:3", "--format", "csv"),
+        "moments-text": ("moments", "--kernel", "bspline:3", "--format", "text"),
+        "moments-json": ("moments", "--kernel", "bspline:3", "--format", "json"),
+        "eval-csv": ("eval", "--kernel", "bspline:2", "--fn", "log3", "--w", "20",
+                     "--x", "0.5:2:0.25", "--format", "csv"),
+        "eval-text": ("eval", "--kernel", "bspline:2", "--fn", "log3", "--w", "20",
+                      "--x", "0.5:2:0.25", "--format", "text"),
+        "reconstruct": ("reconstruct", "--kernel", "bspline:2", "--samples", "samples.csv",
+                        "--x", "0.5:1.0:0.1"),
+        "table-csv": ("table", "--kernel", "bspline:2", "--fn", "cos4exp", "--w", "15",
+                      "--p", "2", "--x", "0.6,0.9", "--format", "csv"),
+        "table-latex": ("table", "--kernel", "bspline:2", "--fn", "cos4exp", "--w", "15",
+                        "--p", "2", "--x", "0.6,0.9", "--format", "latex"),
+        "converge": ("converge", "--kernel", "bspline:2", "--fn", "log2",
+                     "--w-list", "10,20,40,80,160", "--grid-points", "11"),
+        "voronovskaya": ("voronovskaya", "--kernel", "bspline:2", "--fn", "log3", "--x", "1.5",
+                         "--w-list", "10,20,40,80", "--p", "2"),
+        "bounds": ("bounds", "--kernel", "bspline:4", "--fn", "log3", "--w", "20", "--x", "1.5",
+                   "--check", "moment", "--r", "2"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_file_equals_stdout(self, capsys, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        if case == "reconstruct":  # reads the samples that eval emits
+            assert run(capsys, *self.SAMPLES, "--output", "eval.csv") == (0, "", "")
+        argv = self.CASES[case]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and stdout
+        assert run(capsys, *argv, "--output", "out.txt") == (0, "", "")
+        assert (tmp_path / "out.txt").read_bytes() == stdout.encode()
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (("eval", "--kernel", "bspline:2", "--fn", "log", "--w", "0.001", "--x", "2"), 1,
+             "expsamp: error: cell k=0 at w=0.001 spans log x in [0, 1000]"),
+            (("eval", "--kernel", "bspline:2", "--fn", "log", "--w", "0.001", "--x", "2",
+              "--emit-samples", "samples.csv"), 1,
+             "expsamp: error: cell k=-1 at w=0.001 spans log x in [-1000, 0]"),
+            (("voronovskaya", "--kernel", "bspline:2", "--fn", "sinmix", "--x", "1e200",
+              "--w-list", "10,20,40,80", "--p", "2"), 1,
+             "expsamp: error: theta^2 sinmix at x=1e+200 is -inf, beyond the float range\n"),
+            (("bounds", "--kernel", "bspline:2", "--fn", "log3", "--w", "10",
+              "--x", str(math.exp(0.05)), "--check", "moment", "--r", "3"), 2,
+             "expsamp: precondition failed: "),
+            (("reconstruct", "--kernel", "bspline:2", "--samples", "long.csv", "--x", "1.2,1.5"), 1,
+             "expsamp: error: line 4: field larger than field limit (131072)\n"),
+        ],
+        ids=["eval-overflow", "eval-overflow-emit", "voronovskaya-theta", "bounds-precondition",
+             "reconstruct-long-field"],
+    )
+    def test_refusal_writes_nothing(self, capsys, tmp_path, monkeypatch, argv, code, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "long.csv").write_text("# w=4.0\nk,mean\n0,1.0\n1,0." + "1" * 131072 + "\n")
+        for output in ((), ("--output", "refused.txt")):
+            got, out, err = run(capsys, *argv, *output)
+            assert (got, out) == (code, "")
+            assert err.startswith(message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["long.csv"]
 
 
 class TestNumpyFree:

@@ -616,9 +616,13 @@ class TestSampleCsv:
             ('# w=4.0\nk,mean\n"0\n",1.0\n1,2.0\n2,x\n', "line 6: bad mean value 'x'"),
             # a lone CR ends a line, so "0" stands alone, although int("0\r") is 0
             ("# w=4.0\nk,mean\n0\r,1.0\n", "line 3: expected 2 fields, got 1"),
+            # csv refuses a mean of 131,074 characters, over its limit of 131,072
+            ("# w=4.0\nk,mean\n0,1.0\n1,0." + "1" * 131072 + "\n",
+             "line 4: field larger than field limit (131072)"),
         ],
         ids=["bad-rate", "zero-rate", "negative-rate", "nan-rate", "inf-rate",
-             "wrong-header", "three-fields", "no-rows", "quoted-line-break", "cr-inside-row"],
+             "wrong-header", "three-fields", "no-rows", "quoted-line-break", "cr-inside-row",
+             "field-over-limit"],
     )
     def test_malformed_file_rejected_with_line(self, text, message):
         with pytest.raises(SampleFormatError, match=re.escape(message)):

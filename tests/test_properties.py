@@ -112,9 +112,9 @@ def test_sample_csv_round_trip(w, k0, means):
 
 def read_row_by_row(src):
     """The sample reader written row by row: csv.reader, then per row a
-    field count, int, float, a finiteness test and a duplicate test.  The
-    oracle that read_sample_csv, which parses plain texts in bulk, must
-    equal."""
+    field count, int, float, a finiteness test and a duplicate test; csv's
+    own faults are named with their line.  The oracle that read_sample_csv,
+    which parses plain texts in bulk, must equal."""
     first = src.readline().strip()
     if not first.startswith("# w="):
         raise SampleFormatError(f"line 1: expected '# w=<value>' sidecar, got {first!r}")
@@ -125,29 +125,32 @@ def read_row_by_row(src):
     if not (w > 0.0 and math.isfinite(w)):
         raise SampleFormatError(f"line 1: rate must be positive and finite, got {first[4:]!r}")
     reader = csv.reader(src)
-    header = next(reader, None)
-    if header != ["k", "mean"]:
-        raise SampleFormatError(f"line 2: expected header 'k,mean', got {header!r}")
-    means = {}
-    for row in reader:
-        if not row:
-            continue
-        lineno = reader.line_num + 1
-        if len(row) != 2:
-            raise SampleFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
-        try:
-            k = int(row[0])
-        except ValueError:
-            raise SampleFormatError(f"line {lineno}: bad cell index {row[0]!r}") from None
-        try:
-            mean = float(row[1])
-        except ValueError:
-            raise SampleFormatError(f"line {lineno}: bad mean value {row[1]!r}") from None
-        if not math.isfinite(mean):
-            raise SampleFormatError(f"line {lineno}: mean value must be finite, got {row[1]!r}")
-        if k in means:
-            raise SampleFormatError(f"line {lineno}: duplicate cell index k={k}")
-        means[k] = mean
+    try:
+        header = next(reader, None)
+        if header != ["k", "mean"]:
+            raise SampleFormatError(f"line 2: expected header 'k,mean', got {header!r}")
+        means = {}
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num + 1
+            if len(row) != 2:
+                raise SampleFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
+            try:
+                k = int(row[0])
+            except ValueError:
+                raise SampleFormatError(f"line {lineno}: bad cell index {row[0]!r}") from None
+            try:
+                mean = float(row[1])
+            except ValueError:
+                raise SampleFormatError(f"line {lineno}: bad mean value {row[1]!r}") from None
+            if not math.isfinite(mean):
+                raise SampleFormatError(f"line {lineno}: mean value must be finite, got {row[1]!r}")
+            if k in means:
+                raise SampleFormatError(f"line {lineno}: duplicate cell index k={k}")
+            means[k] = mean
+    except csv.Error as exc:
+        raise SampleFormatError(f"line {reader.line_num + 1}: {exc}") from None
     if not means:
         raise SampleFormatError("sample file contains no rows after the header on line 2")
     return SampleSeries(w=w, means=means, k_range=(min(means), max(means)))
