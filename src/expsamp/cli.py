@@ -112,10 +112,11 @@ def _check_grid_size(count: int, what: str, unit: str = "points") -> None:
         raise UsageError(f"{what}: {count} {unit}, more than the {_MAX_GRID_POINTS} allowed")
 
 
-def _check_series_size(kernel: Kernel, w: float, xs: list[float]) -> None:
-    """Refuse an emitted sample series of more cells than the grid cap."""
+def _check_series_size(kernel: Kernel, w: float, xs: list[float]) -> tuple[int, int]:
+    """The k_range of the sample series covering xs; refused past the grid cap."""
     k_min, k_max = SampleSeries.covering_range(kernel, w, xs)
     _check_grid_size(k_max - k_min + 1, "--emit-samples series", "cells")
+    return k_min, k_max
 
 
 def _numbers(text: str, sep: str, what: str) -> list[float]:
@@ -137,7 +138,7 @@ def _load_config_flags(path: str) -> list[str]:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -235,8 +236,8 @@ def _run_eval(args, kernel: Kernel) -> Iterable[str]:
     xs = _parse_x_values(args.x)
     if args.emit_samples:
         # each cell once; eval then prints what reconstruct reads from the file
-        _check_series_size(kernel, args.w, xs)
-        series = SampleSeries.covering(f, kernel, args.w, xs, args.quad_nodes)
+        k_range = _check_series_size(kernel, args.w, xs)
+        series = SampleSeries.from_function(f, args.w, *k_range, args.quad_nodes)
         values = [apply_from_samples(series, kernel, x) for x in xs]
     else:
         values = apply_grid(f, kernel, OperatorConfig(w=args.w, quad_nodes=args.quad_nodes), xs)
@@ -321,7 +322,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"expsamp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--kernel", required=True,
                        help="kernel spec: bspline:<n> or combo:<n>:<alpha>:<beta>")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
@@ -329,71 +332,56 @@ def _build_parser() -> _Parser:
                        help="Gauss-Legendre nodes n per cell (default 7); log, log2, log3 "
                             "and constants, c u^p on the log axis, take their exact cell "
                             "mean wherever the n-node rule is exact for them, p <= 2n-1")
+        return p
 
-    p = sub.add_parser("kernel-info", help="kernel summary with moment constants")
-    common(p)
+    p = command("kernel-info", _run_kernel_info, "kernel summary with moment constants")
     p.add_argument("--nu-max", type=int, default=3)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(run=_run_kernel_info)
 
-    p = sub.add_parser("moments", help="moment table for a kernel")
-    common(p)
+    p = command("moments", _run_moments, "moment table for a kernel")
     p.add_argument("--nu-max", type=int, default=4)
     p.add_argument("--u", type=float, default=1.0, help="pointwise moment location")
     p.add_argument("--format", choices=("csv", "text", "json"), default="csv")
-    p.set_defaults(run=_run_moments)
 
-    p = sub.add_parser("eval", help="evaluate the operator for a built-in function")
-    common(p)
+    p = command("eval", _run_eval, "evaluate the operator for a built-in function")
     p.add_argument("--fn", required=True, help="built-in function name (or const:<c>)")
     p.add_argument("--w", type=float, required=True, help="sampling rate")
     p.add_argument("--x", required=True, help="points: lo:hi:step or comma list")
     p.add_argument("--emit-samples", default=None, metavar="PATH",
                    help="also write the cell means used to a sample CSV")
     p.add_argument("--format", choices=("csv", "text"), default="csv")
-    p.set_defaults(run=_run_eval)
 
-    p = sub.add_parser("reconstruct", help="evaluate the operator from a sample CSV")
-    common(p)
+    p = command("reconstruct", _run_reconstruct, "evaluate the operator from a sample CSV")
     p.add_argument("--samples", required=True, help="sample CSV ('# w=<v>' sidecar, k,mean rows)")
     p.add_argument("--x", required=True, help="points: lo:hi:step or comma list")
-    p.set_defaults(run=_run_reconstruct)
 
-    p = sub.add_parser("table", help="error table for I_{iw} and the combination")
-    common(p)
+    p = command("table", _run_table, "error table for I_{iw} and the combination")
     p.add_argument("--fn", required=True)
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--p", type=int, required=True, help="combination size")
     p.add_argument("--x", required=True)
     p.add_argument("--format", choices=("csv", "latex"), default="csv",
                    help="csv, or latex for a LaTeX tabular block")
-    p.set_defaults(run=_run_table)
 
-    p = sub.add_parser("converge", help="fit the convergence order over a rate list")
-    common(p)
+    p = command("converge", _run_converge, "fit the convergence order over a rate list")
     p.add_argument("--fn", required=True)
     p.add_argument("--w-list", required=True, help="comma list, strictly increasing")
     p.add_argument("--p", type=int, default=None, help="combination size (omit for single)")
     p.add_argument("--grid-points", type=int, default=201)
-    p.set_defaults(run=_run_converge)
 
-    p = sub.add_parser("voronovskaya", help="scaled pointwise errors vs the predicted limit")
-    common(p)
+    p = command("voronovskaya", _run_voronovskaya, "scaled pointwise errors vs the predicted limit")
     p.add_argument("--fn", required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--w-list", required=True)
     p.add_argument("--p", type=int, default=None)
-    p.set_defaults(run=_run_voronovskaya)
 
-    p = sub.add_parser("bounds", help="evaluate both sides of an error estimate")
-    common(p)
+    p = command("bounds", _run_bounds, "evaluate both sides of an error estimate")
     p.add_argument("--fn", required=True)
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--check", choices=("first", "moment", "combo"), default="first")
     p.add_argument("--r", type=int, default=2, help="order for --check moment")
     p.add_argument("--p", type=int, default=None, help="combination size for --check combo")
-    p.set_defaults(run=_run_bounds)
 
     return parser
 

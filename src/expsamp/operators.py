@@ -293,7 +293,10 @@ def _apply_with_cache(
         weight = kernel.eval_log(wt - k)
         if weight != 0.0:
             terms.append(weight * mean(k))
-    total = math.fsum(terms)
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # terms +inf and -inf, or a partial sum past the range
+        total = math.inf
     if not math.isfinite(total):
         raise ValueError(f"the operator sum at x={x:g} overflows the float range")
     return total
@@ -326,9 +329,6 @@ class SampleSeries:
         if not all(map(math.isfinite, self.means.values())):
             k = min(k for k, v in self.means.items() if not math.isfinite(v))
             raise ValueError(f"sample series mean at k={k} is not finite: {self.means[k]!r}")
-        if (len(self.means) == k_max - k_min + 1 and set(map(type, self.means)) == {int}
-                and k_min <= min(self.means) and max(self.means) <= k_max):
-            return  # as many ints as the range, all inside it: the check below, in bulk
         inside = [k for k in self.means if isinstance(k, int) and k_min <= k <= k_max]
         if len(inside) == k_max - k_min + 1:  # distinct integers, as many as the range
             return
@@ -415,7 +415,10 @@ def write_sample_csv(dest: Union[str, TextIO], series: SampleSeries) -> None:
 def read_sample_csv(src: Union[str, TextIO]) -> SampleSeries:
     if isinstance(src, str):
         with open(src, "r", newline="") as fh:
-            return read_sample_csv(fh)
+            try:
+                return read_sample_csv(fh)
+            except UnicodeDecodeError as exc:
+                raise SampleFormatError(f"cannot decode sample file {src!r}: {exc}") from None
     first = src.readline().strip()
     if not first.startswith("# w="):
         raise SampleFormatError(f"line 1: expected '# w=<value>' sidecar, got {first!r}")

@@ -606,5 +606,5 @@ class TestErrorTable:
                 assert row[i - 1] == abs(apply(f, B2, OperatorConfig(i * 15.0), x) - f.f(x))
 
     def test_empty_point_list_refused(self):
-        with pytest.raises(ValueError, match=r"^empty point list$"):
+        with pytest.raises(ValueError, match=r"^empty evaluation grid$"):
             make_table(get_function("cos4exp"), B2, solve_coefficients(2), 15.0, [])

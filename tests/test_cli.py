@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import locale
 import math
 import os
 import re
@@ -20,6 +21,18 @@ from expsamp.combinations import solve_coefficients
 from expsamp.functions import get_function
 from expsamp.kernels import parse_kernel_spec
 from expsamp.operators import SampleSeries
+
+
+def _decodes_0xff() -> bool:
+    try:
+        b"\xff".decode(locale.getpreferredencoding(False))
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+# files are opened in the preferred encoding, which may take any byte
+undecodable = pytest.mark.skipif(_decodes_0xff(), reason="the preferred encoding decodes 0xff")
 
 
 def run(capsys, *argv):
@@ -191,6 +204,16 @@ class TestEval:
                            "--samples", str(tmp_path / "nope.csv"), "--x", "1.0,2.0")
         assert code == 1
         assert "error" in err
+
+    @undecodable
+    def test_undecodable_sample_file(self, capsys, tmp_path):
+        samples = tmp_path / "bad.csv"
+        samples.write_bytes(b"\xff# w=10.0\nk,mean\n0,1.0\n")
+        code, out, err = run(capsys, "reconstruct", "--kernel", "bspline:2",
+                             "--samples", str(samples), "--x", "1.5")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"expsamp: error: cannot decode sample file {str(samples)!r}: ")
+        assert "can't decode byte 0xff in position 0" in err
 
 
 class TestTable:
@@ -802,6 +825,25 @@ class TestFloatRange:
                        "[1e+308, 1e+308, 1e+308]\n")
 
     @pytest.mark.parametrize(
+        "argv, x",
+        [
+            (("eval", "--w", "10", "--x", "2"), "2"),
+            (("table", "--w", "10", "--p", "2", "--x", "2"), "2"),
+            (("voronovskaya", "--x", "3.7", "--w-list", "3.7,7.4,14.8,29.6,59.2"), "3.7"),
+            (("bounds", "--w", "1", "--x", "1e6", "--check", "combo", "--p", "3"), "1e+06"),
+        ],
+    )
+    def test_operator_sum_overflows_in_fsum(self, capsys, argv, x):
+        """The combo kernel's weights, such as 0.14, 1.79 and -0.93 at x = 2,
+        give finite terms whose partial sums pass the float maximum, where
+        math.fsum raises its own "intermediate overflow in fsum"; the
+        operator sum is named with its point."""
+        code, out, err = run(capsys, argv[0], "--kernel", "combo:2:e^1:e^2",
+                             "--fn", "const:1e308", *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == f"expsamp: error: the operator sum at x={x} overflows the float range\n"
+
+    @pytest.mark.parametrize(
         "fn, w, x",
         [
             ("sinmix", "0.004855267054199474", "1198386121.1955612"),  # rhs was inf
@@ -1053,9 +1095,18 @@ class TestOneParser:
         assert run(capsys, "eval", "--kernel", "bspline:3", "--bogus")[:2] == (1, "")
         assert run(capsys, *self.EVAL) == (0, out, "")
 
+    COMMON = ("--kernel", "--output", "--quad-nodes")
+
     @pytest.mark.parametrize("argv, listed", [
         (("--help",), COMMANDS),
-        (("eval", "--help"), ("--emit-samples",)),
+        (("kernel-info", "--help"), COMMON + ("--nu-max", "--format")),
+        (("moments", "--help"), COMMON + ("--nu-max", "--u", "--format")),
+        (("eval", "--help"), COMMON + ("--fn", "--w", "--x", "--emit-samples", "--format")),
+        (("reconstruct", "--help"), COMMON + ("--samples", "--x")),
+        (("table", "--help"), COMMON + ("--fn", "--w", "--p", "--x", "--format")),
+        (("converge", "--help"), COMMON + ("--fn", "--w-list", "--p", "--grid-points")),
+        (("voronovskaya", "--help"), COMMON + ("--fn", "--x", "--w-list", "--p")),
+        (("bounds", "--help"), COMMON + ("--fn", "--w", "--x", "--check", "--r", "--p")),
     ])
     def test_help_repeats(self, capsys, argv, listed):
         outs = []
@@ -1100,6 +1151,16 @@ class TestConfigFile:
                              "--fn", "log", "--w", "5", "--x", "1,2")
         assert (code, out) == (1, "")
         assert err.startswith(f"expsamp: error: cannot read config file {str(missing)!r}: ")
+
+    @undecodable
+    def test_undecodable_config(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xffw=5\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg), "--kernel", "bspline:2",
+                             "--fn", "log", "--w", "5", "--x", "1,2")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"expsamp: error: cannot read config file {str(cfg)!r}: ")
+        assert "can't decode byte 0xff in position 0" in err
 
     def test_empty_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
