@@ -23,8 +23,8 @@ module returns numbers; ``cli`` names and prints them in every format.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
 
 from .combinations import (
     CombinationScheme,
@@ -114,11 +114,11 @@ class ConvergenceStudy:
 
     w_list: tuple[float, ...]
     errors: tuple[float, ...]
-    fitted_order: Optional[float] = None
-    fitted_constant: Optional[float] = None
-    scaled_errors: Optional[tuple[float, ...]] = None
-    predicted_limit: Optional[float] = None
-    deviations: Optional[tuple[float, ...]] = None
+    fitted_order: float | None = None
+    fitted_constant: float | None = None
+    scaled_errors: tuple[float, ...] | None = None
+    predicted_limit: float | None = None
+    deviations: tuple[float, ...] | None = None
 
 
 def _check_w_list(w_list: Sequence[float], minimum: int) -> tuple[float, ...]:
@@ -161,7 +161,7 @@ def voronovskaya_check(
     kernel: Kernel,
     x: float,
     w_list: Sequence[float],
-    scheme: Optional[CombinationScheme] = None,
+    scheme: CombinationScheme | None = None,
     quad_nodes: int = 7,
 ) -> ConvergenceStudy:
     """w^q-scaled pointwise errors against the predicted limit constant.
@@ -194,7 +194,7 @@ def voronovskaya_check(
 def estimate_order(
     f: TestFunction,
     kernel: Kernel,
-    scheme: Optional[CombinationScheme],
+    scheme: CombinationScheme | None,
     w_list: Sequence[float],
     probe_grid: Sequence[float],
     quad_nodes: int = 7,
@@ -280,7 +280,7 @@ class BoundReport:
 
     lhs: float
     rhs: float
-    satisfied: Optional[bool]
+    satisfied: bool | None
     surrogate_desc: str
     details: dict[str, float] = field(default_factory=dict)
 

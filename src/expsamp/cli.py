@@ -31,8 +31,8 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict
-from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .analysis import (
@@ -386,7 +386,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:

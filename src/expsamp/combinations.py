@@ -19,13 +19,13 @@ is applied with their floats, converted once per scheme.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .functions import TestFunction
 from .kernels import Kernel
-from .operators import OperatorConfig, apply_grid
+from .operators import OperatorConfig, _dot, apply_grid
 
 __all__ = ["CombinationScheme", "solve_coefficients", "apply_combo"]
 
@@ -55,12 +55,8 @@ class CombinationScheme:
         return sum((c / Fraction(i + 1) ** k for i, c in enumerate(self.coeffs)), Fraction(0))
 
     def combine(self, values: Sequence[float]) -> float:
-        """sum_i c_i * values[i-1], the combined operator from its rates;
-        ValueError where a term c_i * values[i-1] or the sum overflows."""
-        try:
-            total = math.fsum(c * v for c, v in zip(self._floats, values))
-        except (OverflowError, ValueError):  # terms +inf and -inf, or a partial sum past the range
-            total = math.inf
+        """sum_i c_i * values[i-1], the combined operator; ValueError past the float range."""
+        total = _dot(self._floats, values)
         if not math.isfinite(total):
             raise ValueError(f"the p={self.p} combination overflows at values {list(values)}")
         return total

@@ -24,9 +24,9 @@ their cell means need no quadrature.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import cos, exp, sin
-from typing import Callable, Optional
 
 __all__ = ["TestFunction", "BUILTIN_FUNCTIONS", "get_function"]
 
@@ -54,8 +54,8 @@ class TestFunction:
     mellin_derivs: tuple[Real, ...]
     label: str
     eval_interval: tuple[float, float]
-    f_at_log: Optional[OnLogAxis] = None
-    log_monomial: Optional[tuple[float, int]] = None
+    f_at_log: OnLogAxis | None = None
+    log_monomial: tuple[float, int] | None = None
 
     def __post_init__(self) -> None:
         if self.f_at_log is None:
@@ -79,7 +79,7 @@ class TestFunction:
         d2f: Real,
         d3f: Real,
         eval_interval: tuple[float, float],
-        f_at_log: Optional[OnLogAxis] = None,
+        f_at_log: OnLogAxis | None = None,
     ) -> "TestFunction":
         """Build from ordinary derivatives f', f'', f'''."""
         theta1 = lambda x: x * df(x)

@@ -26,10 +26,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 __all__ = [
     "Kernel",

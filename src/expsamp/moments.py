@@ -11,7 +11,9 @@ the frequency side, from the kernel's transform derivatives,
     m_nu(chi, u) = i^nu * sum_m phi^(nu)(2*pi*m) * u^(-2*pi*i*m),
 
 where phi(t) is the transform at the imaginary point it; agreement of the
-two routes is the main correctness check for both.
+two routes is the main correctness check for both.  The Kantorovich bracket
+of order i, (i+1) sum_k chi(e^-k u) integral_k^{k+1} (s - log u)^i ds, is
+sum_{j=1}^{i+1} C(i+1, j) m_{i-j+1}(chi, u).
 
 The sums are asked at log u (the ``*_at_log`` functions), so u = x^w
 cannot overflow; ``algebraic_moment`` and ``poisson_moment`` take u itself,
@@ -25,7 +27,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .kernels import Kernel
 
@@ -299,16 +300,14 @@ def poisson_moment(kernel: Kernel, nu: int, u: float, K_max: int) -> float:
 
 
 def kantorovich_bracket_at_log(kernel: Kernel, i: int, log_u: float) -> float:
-    """sum_{j=1}^{i+1} C(i+1, j) * m_{i-j+1}(chi, u) with u given as log(u).
-
-    This is the coefficient the cell-averaging produces on
-    (theta^i f)(x) / ((i+1)! w^i) in the operator's expansion.
-    """
+    """sum_k chi(e^-k u) ((k + 1 - log u)^(i+1) - (k - log u)^(i+1)) = sum_{j=1}^{i+1} C(i+1, j)
+    m_{i-j+1}(chi, u), u given as log(u): the coefficient the cell-averaging produces on
+    (theta^i f)(x) / ((i+1)! w^i) in the operator's expansion."""
     if not 0 <= i <= 6:
         raise ValueError(f"bracket order must be in 0..6, got {i}")
     return math.fsum(
-        math.comb(i + 1, j) * algebraic_moment_at_log(kernel, i - j + 1, log_u)
-        for j in range(1, i + 2)
+        kernel.eval_log(log_u - k) * ((k + 1 - log_u) ** (i + 1) - (k - log_u) ** (i + 1))
+        for k in kernel.window(log_u)
     )
 
 
@@ -320,7 +319,7 @@ class MomentReport:
     algebraic: float
     absolute_sup: float
     u_independent: bool
-    at_u: Optional[float] = None
+    at_u: float | None = None
 
 
 def build_moment_report(kernel: Kernel, nu: int, at_u: float = 1.0) -> MomentReport:

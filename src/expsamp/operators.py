@@ -32,10 +32,10 @@ import decimal
 import io
 import math
 import sys
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Mapping, Sequence, TextIO, Union
 
 from .functions import TestFunction
 from .kernels import Kernel
@@ -277,6 +277,22 @@ class _CellMeans(dict):
         return value
 
 
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """math.fsum(map(mul, a, b)), or inf where the sum is beyond the float range.  Where fsum
+    raises or gives inf, perhaps only a partial sum or a product passed the range, so the sum is
+    taken again with b scaled by 2^-64 (exact unless a b_i turns subnormal) and scaled back."""
+    try:
+        total = math.fsum(map(mul, a, b))
+    except (OverflowError, ValueError):  # terms +inf and -inf, or a partial sum past the range
+        total = math.inf
+    if math.isfinite(total):
+        return total
+    try:
+        return math.ldexp(math.fsum(map(mul, a, [math.ldexp(y, -64) for y in b])), 64)
+    except (OverflowError, ValueError):  # the sum itself, or an input, is past the range
+        return math.inf
+
+
 def _apply_with_cache(
     kernel: Kernel, w: float, x: float, mean: Callable[[int], float]
 ) -> float:
@@ -284,19 +300,16 @@ def _apply_with_cache(
 
     The package's one operator sum.  ``mean(k)`` is asked only where the
     kernel weight is nonzero; the nonzero terms are summed in ascending k
-    with math.fsum.  ValueError where a term or the sum overflows.
-    """
+    by ``_dot``.  ValueError where the sum overflows."""
     _check_point(x)
     wt = w * math.log(x)
-    terms = []
+    weights, means = [], []
     for k in kernel.window(wt):
         weight = kernel.eval_log(wt - k)
         if weight != 0.0:
-            terms.append(weight * mean(k))
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):  # terms +inf and -inf, or a partial sum past the range
-        total = math.inf
+            weights.append(weight)
+            means.append(mean(k))
+    total = _dot(weights, means)
     if not math.isfinite(total):
         raise ValueError(f"the operator sum at x={x:g} overflows the float range")
     return total
@@ -399,7 +412,7 @@ def apply_grid(
 # ---------------------------------------------------------------------------
 # Sample-series CSV: first line "# w=<value>", then header "k,mean".
 
-def write_sample_csv(dest: Union[str, TextIO], series: SampleSeries) -> None:
+def write_sample_csv(dest: str | io.TextIOBase, series: SampleSeries) -> None:
     """Means are written with shortest round-trip precision so that a
     read-back series reproduces the operator to full accuracy."""
     if isinstance(dest, str):
@@ -412,7 +425,7 @@ def write_sample_csv(dest: Union[str, TextIO], series: SampleSeries) -> None:
     dest.write("".join([f"{k},{means[k]!r}\n" for k in range(k_min, k_max + 1)]))
 
 
-def read_sample_csv(src: Union[str, TextIO]) -> SampleSeries:
+def read_sample_csv(src: str | io.TextIOBase) -> SampleSeries:
     if isinstance(src, str):
         with open(src, "r", newline="") as fh:
             try:

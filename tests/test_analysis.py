@@ -432,7 +432,7 @@ class TestExpansionPrediction:
         [
             ("cos4exp", "bspline:2", 0.8, 25.0, 2, 0.053757888770697176),
             ("log3", "bspline:4", 1.7, 40.0, 3, 0.011233741844776376),
-            ("sinmix", "combo:4:e^1:e^2", 2.6, 30.0, 2, -0.42313176538998315),
+            ("sinmix", "combo:4:e^1:e^2", 2.6, 30.0, 2, -0.4231317653899831),
             ("log2", "bspline:3", 1.3, 15.0, 1, 0.017490950964499406),
         ],
     )

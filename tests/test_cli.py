@@ -800,11 +800,33 @@ class TestFloatRange:
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == "2,1e+308,1e+308,0"
 
-    def test_combination_overflow(self, capsys):
-        code, out, err = run(capsys, "table", "--kernel", "bspline:2", "--fn", "const:1e308",
-                             "--w", "10", "--x", "2", "--p", "2")
-        assert (code, out) == (1, "")
-        assert "the p=2 combination overflows" in err
+    @staticmethod
+    def _values_by_rate(monkeypatch, by_rate):
+        """Every operator value at rate r becomes by_rate[r] (1 at other rates): a
+        combination whose exact value leaves the float range, which no built-in
+        function gives, since each is reproduced by the combined operator."""
+        monkeypatch.setattr("expsamp.combinations.apply_grid",
+                            lambda f, kernel, cfg, xs: [by_rate.get(cfg.w, 1.0)] * len(xs))
+
+    @staticmethod
+    def _exact_results(argv, out):
+        """The request's output where every operator value is the exact f(x)."""
+        if argv[0] in ("eval", "table"):
+            return out.splitlines()[1]
+        report = json.loads(out)
+        if argv[0] == "bounds":
+            return report["lhs"], report["satisfied"]
+        return report["errors"]
+
+    def test_combination_overflow(self, capsys, monkeypatch):
+        """-1e308 + 2 * 1e308, where the product 2e308 overflows: the exact 1e308."""
+        argv = ("table", "--kernel", "bspline:2", "--fn", "const:1e308", "--w", "10", "--x", "2",
+                "--p", "2")
+        assert run(capsys, *argv) == (
+            0, "x,abs_err_w10,abs_err_w20,abs_err_combo_p2\n2,0.0000,0.0000,0.0000\n", "")
+        self._values_by_rate(monkeypatch, {10.0: -1.7e308, 20.0: 1.7e308})
+        assert run(capsys, *argv) == (1, "", "expsamp: error: the p=2 combination overflows "
+                                             "at values [-1.7e+308, 1.7e+308]\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -815,14 +837,20 @@ class TestFloatRange:
             ("bounds", "--w", "10", "--x", "1", "--check", "combo"),
         ],
     )
-    def test_combination_terms_of_both_signs_overflow(self, capsys, argv):
+    def test_combination_terms_of_both_signs_overflow(self, capsys, monkeypatch, argv):
         """At p = 3 the terms c_i * 1e308 are +inf and -inf, where math.fsum
-        raises its own "-inf + inf in fsum"; the combination is named."""
-        code, out, err = run(capsys, argv[0], "--kernel", "bspline:2", "--fn", "const:1e308",
-                             "--p", "3", *argv[1:])
-        assert (code, out) == (1, "")
-        assert err == ("expsamp: error: the p=3 combination overflows at values "
-                       "[1e+308, 1e+308, 1e+308]\n")
+        raises its own "-inf + inf in fsum", yet the combination is exactly
+        1e308 and every error 0.  A combination past the float range, 1/2 *
+        1.7e308 + 9/2 * 3.9e307, is refused naming p and the values."""
+        argv = (argv[0], "--kernel", "bspline:2", "--fn", "const:1e308", "--p", "3", *argv[1:])
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        want = {"table": "1,0.0000,0.0000,0.0000,0.0000", "converge": [0.0] * 5,
+                "voronovskaya": [0.0] * 4, "bounds": (0.0, None)}
+        assert self._exact_results(argv, out) == want[argv[0]]
+        self._values_by_rate(monkeypatch, {10.0: 1.7e308, 20.0: 0.0, 30.0: 3.9e307})
+        assert run(capsys, *argv) == (1, "", "expsamp: error: the p=3 combination overflows "
+                                             "at values [1.7e+308, 0.0, 3.9e+307]\n")
 
     @pytest.mark.parametrize(
         "argv, x",
@@ -833,15 +861,35 @@ class TestFloatRange:
             (("bounds", "--w", "1", "--x", "1e6", "--check", "combo", "--p", "3"), "1e+06"),
         ],
     )
-    def test_operator_sum_overflows_in_fsum(self, capsys, argv, x):
+    def test_operator_sum_overflows_in_fsum(self, capsys, monkeypatch, argv, x):
         """The combo kernel's weights, such as 0.14, 1.79 and -0.93 at x = 2,
         give finite terms whose partial sums pass the float maximum, where
-        math.fsum raises its own "intermediate overflow in fsum"; the
-        operator sum is named with its point."""
-        code, out, err = run(capsys, argv[0], "--kernel", "combo:2:e^1:e^2",
-                             "--fn", "const:1e308", *argv[1:])
-        assert (code, out) == (1, "")
-        assert err == f"expsamp: error: the operator sum at x={x} overflows the float range\n"
+        math.fsum raises its own "intermediate overflow in fsum"; the kernel
+        reproduces constants, so the sum is exactly 1e308.  With cell means
+        of +-1.7e308 signed as the weights, the sum itself leaves the float
+        range and is refused naming its point."""
+        argv = (argv[0], "--kernel", "combo:2:e^1:e^2", "--fn", "const:1e308", *argv[1:])
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        want = {"eval": "2,1e+308,1e+308,0", "table": "2,0.0000,0.0000,0.0000",
+                "voronovskaya": [0.0] * 5, "bounds": (0.0, None)}
+        assert self._exact_results(argv, out) == want[argv[0]]
+        kernel = parse_kernel_spec("combo:2:e^1:e^2")
+        monkeypatch.setattr(
+            "expsamp.operators.cell_mean",
+            lambda f, w, k, quad_nodes=7: math.copysign(
+                1.7e308, kernel.eval_log(w * math.log(float(x)) - k)))
+        assert run(capsys, *argv) == (
+            1, "", f"expsamp: error: the operator sum at x={x} overflows the float range\n")
+
+    def test_operator_sum_past_the_range_from_samples(self, capsys, tmp_path):
+        """Means of +-1.7e308 whose weighted sum at x = 2 leaves the float range."""
+        samples = tmp_path / "s.csv"
+        samples.write_text("# w=10.0\nk,mean\n6,-1.7e308\n7,1.7e308\n8,1.7e308\n"
+                           "9,-1.7e308\n10,-1.7e308\n")
+        assert run(capsys, "reconstruct", "--kernel", "combo:2:e^1:e^2", "--x", "2",
+                   "--samples", str(samples)) == (
+            1, "", "expsamp: error: the operator sum at x=2 overflows the float range\n")
 
     @pytest.mark.parametrize(
         "fn, w, x",
@@ -1035,6 +1083,17 @@ class TestNumpyFree:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
+
+    def test_cli_imports_no_typing(self, tmp_path):
+        """Annotations come from collections.abc and ``X | None``, so under
+        ``python -S`` (no site module, which may import typing itself) the
+        CLI loads without typing."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (f"import sys; sys.path.insert(0, {src!r}); import expsamp.cli; "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'typing'))")
+        proc = subprocess.run([sys.executable, "-S", "-c", script], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestModuleEntryPoint:

@@ -78,14 +78,23 @@ class TestSolveCoefficients:
         assert same == scheme and hash(same) == hash(scheme)
         assert [f.name for f in dataclasses.fields(scheme)] == ["p", "coeffs"]
 
-    @pytest.mark.parametrize("values", [
-        [1e308, 1e308, 1e308],  # terms +inf and -inf: fsum raised "-inf + inf in fsum"
-        [1.6e308, -2.5e307, -1e308 / 4.5],  # finite terms, a partial sum past the range
-        [1.7e308, 0.0, 3.9e307],  # the sum itself overflows
+    @pytest.mark.parametrize("values, want", [
+        # terms +inf and -inf, where fsum raises "-inf + inf in fsum": 1/2 - 4 + 9/2 = 1
+        pytest.param([1e308, 1e308, 1e308], 1e308, id="values0"),
+        # finite terms, a partial sum past the range: the float products are
+        # 8e307, 1e308 and -1e308, and their sum is returned, as fsum would
+        pytest.param([1.6e308, -2.5e307, -1e308 / 4.5], 8e307, id="values1"),
+        # the sum itself overflows
+        pytest.param([1.7e308, 0.0, 3.9e307], None, id="values2"),
     ])
-    def test_combine_overflow_names_p(self, values):
-        with pytest.raises(ValueError, match=re.escape("the p=3 combination overflows")):
-            solve_coefficients(3).combine(values)
+    def test_combine_overflow_names_p(self, values, want):
+        """Only a combination whose value leaves the float range is refused."""
+        scheme = solve_coefficients(3)
+        if want is not None:
+            assert scheme.combine(values) == want
+        with pytest.raises(ValueError, match=re.escape(
+                "the p=3 combination overflows at values [1.7e+308, 0.0, 3.9e+307]")):
+            scheme.combine([1.7e308, 0.0, 3.9e307])
 
     def test_rates(self):
         """w, 2w, ..., pw in coefficient order; on a doubling list 2w is

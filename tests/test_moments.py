@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from expsamp import moments
-from expsamp.kernels import parse_kernel_spec
+from expsamp.kernels import _combo_coefficients, _parse_log_scale, parse_kernel_spec
 from expsamp.combinations import solve_coefficients
 from expsamp.moments import (
     absolute_moment_at_log,
@@ -289,6 +289,44 @@ class TestKantorovichBracket:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             kantorovich_bracket_at_log(B4, 7, 0.0)
+
+    @pytest.mark.parametrize("spec", [f"bspline:{n}" for n in range(1, 11)] + [
+        "combo:4:e^1:e^2", "combo:2:e^1/2:e^-1/2", "combo:7:e^-3/7:e^5/3", "combo:3:1.3:0.6"])
+    def test_within_round_off_of_exact(self, spec):
+        """At random log u, where most brackets depend on u, every order i =
+        0..6 is within 2e-15 (1 + |value|) of the bracket in exact rationals,
+        sum_k chi(log u - k) ((k + 1 - log u)^(i+1) - (k - log u)^(i+1)),
+        which equals sum_{j=1}^{i+1} C(i+1, j) m_{i-j+1} over the same chi."""
+        kernel, chi = parse_kernel_spec(spec), _exact_kernel(spec)
+        for t in np.random.default_rng(23).uniform(-30.0, 30.0, 12):
+            log_u = float(t)
+            exact_t = Fraction(log_u)
+            weights = {k: chi(exact_t - k) for k in kernel.window(log_u)}
+            for i in range(7):
+                want = sum(c * ((k + 1 - exact_t) ** (i + 1) - (k - exact_t) ** (i + 1))
+                           for k, c in weights.items())
+                m = [sum(c * (k - exact_t) ** nu for k, c in weights.items()) for nu in range(i + 1)]
+                assert want == sum(math.comb(i + 1, j) * m[i - j + 1] for j in range(1, i + 2))
+                got = kantorovich_bracket_at_log(kernel, i, log_u)
+                assert abs(Fraction(got) - want) <= Fraction(2e-15) * (1 + abs(want)), (log_u, i)
+
+
+def _exact_kernel(spec):
+    """chi(t) = sum_i c_i B_n(t + a_i) in exact rationals, B_n(t) by the
+    truncated-power sum sum_j (-1)^j C(n, j) (t + n/2 - j)_+^(n-1) / (n-1)!;
+    for n = 1, (x)_+^0 = [x >= 0] gives the left-closed indicator."""
+    family, n, *scales = spec.split(":")
+    n = int(n)
+    terms = [(Fraction(1), Fraction(0))]
+    if family == "combo":
+        logs = [_parse_log_scale(token) for token in scales]
+        terms = list(zip(_combo_coefficients(*logs), logs))
+
+    def bspline(t):
+        return sum((-1) ** j * math.comb(n, j) * x ** (n - 1) for j in range(n + 1)
+                   if (x := t + Fraction(n, 2) - j) >= 0) / Fraction(math.factorial(n - 1))
+
+    return lambda t: sum(c * bspline(t + a) for c, a in terms)
 
 
 class TestMomentReport:

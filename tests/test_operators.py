@@ -281,11 +281,12 @@ class TestApply:
             apply(get_function("log"), B2, OperatorConfig(10.0), x)
 
     def test_overflowing_sum_refused(self):
-        """A combo weight above 1 times a mean near the largest float is
-        inf; it is refused, where eval and reconstruct printed inf."""
+        """The weights -1.5 and 2.5 at x = e^6 times the constant 1e308 give a
+        term 2.5e308 past the float range, but the exact sum 1e308; with the
+        means 0 and 7.2e307 the sum 1.8e308 itself is past it and refused,
+        where eval and reconstruct printed inf."""
         kernel, x = parse_kernel_spec("combo:1:e^-1:e^-5/3"), 403.4287934927351
-        with pytest.raises(ValueError, match=r"operator sum at x=403\.429 overflows"):
-            apply(get_function("const:1e308"), kernel, OperatorConfig(w=1.0), x)
+        assert apply(get_function("const:1e308"), kernel, OperatorConfig(w=1.0), x) == 1e308
         series = SampleSeries(w=1.0, means={k: 7.2e307 if k == 5 else 0.0 for k in range(12)},
                               k_range=(0, 11))
         with pytest.raises(ValueError, match=r"operator sum at x=403\.429 overflows"):

@@ -12,12 +12,13 @@ import re
 import signal
 import tempfile
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import event, given, settings  # noqa: E402
+from hypothesis import assume, event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from expsamp.cli import main  # noqa: E402
@@ -26,6 +27,7 @@ from expsamp.kernels import parse_kernel_spec  # noqa: E402
 from expsamp.moments import algebraic_moment_at_log  # noqa: E402
 from expsamp.operators import (  # noqa: E402
     OperatorConfig,
+    _dot,
     SampleFormatError,
     SampleSeries,
     apply,
@@ -219,6 +221,61 @@ def test_bulk_reader_equals_the_row_reader(fault, data):
     want = _outcome(read_row_by_row, text)
     event("series" if isinstance(want[0], SampleSeries) else want[0].__name__)
     assert _outcome(read_sample_csv, text) == want
+
+
+def _fsum_of_products(a, b):
+    """math.fsum(map(mul, a, b)), or inf where it raises."""
+    try:
+        return math.fsum(map(mul, a, b))
+    except (OverflowError, ValueError):
+        return math.inf
+
+
+@SETTINGS
+@given(
+    a=st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=8),
+    b=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+)
+def test_dot_is_fsum_where_finite(a, b):
+    """A weight or coefficient times any finite float: bit for bit math.fsum
+    of the products wherever that is finite."""
+    want = _fsum_of_products(a, b)
+    assume(math.isfinite(want))
+    assert _dot(a, b).hex() == want.hex()
+
+
+# Factors whose products are exact and, scaled by 2^-64, normal and finite:
+# a below 2^40 in size, b with a 26-bit significand and an exponent of
+# -440..997, half of them drawn from the top 13.
+weight_factors = st.builds(math.ldexp, st.integers(-2 ** 20, 2 ** 20), st.integers(-20, 20))
+value_factors = st.builds(
+    math.ldexp,
+    st.integers(-2 ** 26, 2 ** 26),
+    st.one_of(st.integers(985, 997), st.integers(-440, 997)),
+)
+
+
+@SETTINGS
+@given(
+    pairs=st.lists(st.tuples(weight_factors, value_factors), min_size=1, max_size=6),
+    mirrored=st.booleans(),
+    last=st.tuples(weight_factors, value_factors),
+)
+def test_dot_past_the_range_is_correctly_rounded(pairs, mirrored, last):
+    """Where fsum raises or gives inf, the correctly rounded exact sum of the
+    products, or inf where that is beyond the float range.  A mirrored draw
+    adds each product's negative and then one more product, so that partial
+    sums pass the range while the sum is the last product."""
+    if mirrored:
+        pairs = pairs + [(x, -y) for x, y in pairs] + [last]
+    a, b = (list(factors) for factors in zip(*pairs))
+    assume(not math.isfinite(_fsum_of_products(a, b)))
+    try:
+        want = float(sum(Fraction(x) * Fraction(y) for x, y in pairs))
+    except OverflowError:
+        want = math.inf
+    event("finite" if math.isfinite(want) else "past the range")
+    assert _dot(a, b) == want
 
 
 @SETTINGS
