@@ -65,6 +65,10 @@ __all__ = ["main"]
 # floats, and two points far apart at a high rate for as many cell means.
 _MAX_GRID_POINTS = 1_000_000
 TABLE_DECIMALS = 4  # error-table cells, compared against published values
+# eval and reconstruct rows, one format call each; a field reads as _fmt writes it
+_EVAL_CSV_ROW = "{:.12g},{:.12g},{:.12g},{:.12g}\n".format
+_EVAL_TEXT_ROW = "x={:<16.12g} approx={:<18.12g} exact={:<18.12g} abs_error={:.12g}\n".format
+_XY_CSV_ROW = "{:.12g},{:.12g}\n".format
 
 
 class UsageError(ValueError):
@@ -241,24 +245,24 @@ def _run_eval(args, kernel: Kernel) -> Iterable[str]:
         values = [apply_from_samples(series, kernel, x) for x in xs]
     else:
         values = apply_grid(f, kernel, OperatorConfig(w=args.w, quad_nodes=args.quad_nodes), xs)
-    rows = [(x, v, fx, abs(v - fx)) for x, v, fx in zip(xs, values, map(f.f, xs))]
+    exact = list(map(f.f, xs))
+    errors = [abs(v - fx) for v, fx in zip(values, exact)]
     if args.emit_samples:  # written only once every value is in hand
         write_sample_csv(args.emit_samples, series)
-    # the rows are in hand; only their lines are formatted as they are written
+    # the columns are in hand; only their lines are formatted as they are written
     if args.format == "text":
         return itertools.chain(
             [f"(I_w f)(x) with kernel {kernel.label}, f={f.label}, w={_fmt(args.w)}\n"],
-            (f"x={_fmt(x):<16} approx={_fmt(v):<18} exact={_fmt(fx):<18} abs_error={_fmt(e)}\n"
-             for x, v, fx, e in rows))
+            map(_EVAL_TEXT_ROW, xs, values, exact, errors))
     return itertools.chain(["x,approx,exact,abs_error\n"],
-                           (",".join(map(_fmt, row)) + "\n" for row in rows))
+                           map(_EVAL_CSV_ROW, xs, values, exact, errors))
 
 
 def _run_reconstruct(args, kernel: Kernel) -> Iterable[str]:
     series = read_sample_csv(args.samples)
     xs = _parse_x_values(args.x)
     values = [apply_from_samples(series, kernel, x) for x in xs]
-    return itertools.chain(["x,approx\n"], (f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(xs, values)))
+    return itertools.chain(["x,approx\n"], map(_XY_CSV_ROW, xs, values))
 
 
 def _run_table(args, kernel: Kernel) -> Iterable[str]:

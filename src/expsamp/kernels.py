@@ -18,7 +18,7 @@ sum_k chi(e^-k * x^w) = 1 for every x > 0, w > 0.
 
 B_n is evaluated in de Boor's piecewise-polynomial form: a table of exact
 per-piece coefficients, built once per order on first parse, read by
-Horner's rule at -|t|.
+Horner's rule at n/2 - |t|.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _piece_table(n: int) -> tuple[tuple[float, ...], ...]:
     (n-1)! B_n = sum_{j<=i} (-1)^j C(n, j) (s + i - j)^(n-1).
     It is expanded in s in Python ints and divided once by (n-1)!, so each
     float coefficient is the correctly rounded exact rational.  Pieces past
-    the centre are not needed: the evaluator reads B_n at -|t|.
+    the centre are not needed: the evaluator folds t to n/2 - |t|.
     """
     scale = math.factorial(n - 1)
     table = []
@@ -148,9 +148,10 @@ def _bspline_evaluator(n: int) -> Callable[[float], float]:
     """The centered cardinal B-spline of order n as a function of t.
 
     Order 1 is the left-closed indicator of [-1/2, 1/2).  From order 2 on
-    the value is read at -|t| (B_n is even, and the result is even bit for
-    bit), on the piece i = floor(u) of u = n/2 - |t|, by Horner's rule on
-    the coefficients of ``_piece_table``.
+    t is folded to u = n/2 - t, or n/2 + t for t < 0 (B_n is even, negation
+    is exact, so the result is even bit for bit), and the piece i = floor(u)
+    of ``_piece_table`` is read by Horner's rule from its leading
+    coefficient, which is what a start from 0.0 gives exactly.
 
     Horner on these coefficients needs no guard against cancellation: each
     coefficient is its exact rational rounded once, s = u - i is exact, and
@@ -166,16 +167,16 @@ def _bspline_evaluator(n: int) -> Callable[[float], float]:
     if n == 1:
         return lambda t: 1.0 if -0.5 <= t < 0.5 else 0.0
     half = 0.5 * n
-    pieces = _piece_table(n)
+    pieces = [(c[0], c[1:]) for c in _piece_table(n)]
 
     def bspline(t: float) -> float:
         if not -half < t < half:  # NaN included
             return 0.0
-        u = half - abs(t)
+        u = half - t if t >= 0.0 else half + t
         i = int(u)
         s = u - i
-        value = 0.0
-        for c in pieces[i]:
+        value, rest = pieces[i]
+        for c in rest:
             value = value * s + c
         return value
 

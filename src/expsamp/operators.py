@@ -18,11 +18,13 @@ log-support, widened by one on each side.
 
 The sum is written once, in ``_apply_with_cache``, which takes the cell
 averages as a callable k -> mean and asks it only where the kernel weight is
-nonzero.  Every value of the package comes from there: ``apply`` and
-``apply_grid`` pass a cache over the cell means of a known f
-(``cell_mean``), ``apply_from_samples`` a lookup in an ingested series of
-precomputed means.  The module returns numbers; the one file format it
-owns is the sample series', and ``cli`` formats every printed output.
+nonzero, and sums the products with one math.fsum; only where that leaves
+the float range does ``_dot`` sum them again, scaled back into range.  Every
+value of the package comes from there: ``apply`` and ``apply_grid`` pass a
+cache over the cell means of a known f (``cell_mean``),
+``apply_from_samples`` a lookup in an ingested series of precomputed means.
+The module returns numbers; the one file format it owns is the sample
+series', and ``cli`` formats every printed output.
 """
 
 from __future__ import annotations
@@ -298,20 +300,25 @@ def _apply_with_cache(
 ) -> float:
     """(I_w f)(x) = sum_k chi(w*log(x) - k) * mean(k) over the kernel window.
 
-    The package's one operator sum.  ``mean(k)`` is asked only where the
-    kernel weight is nonzero; the nonzero terms are summed in ascending k
-    by ``_dot``.  ValueError where the sum overflows."""
+    The package's one operator sum.  ``eval_log`` is called once per window
+    position, ``mean(k)`` only where the weight is nonzero, in ascending k,
+    and the products go into one math.fsum.  Only where that raises or is
+    not finite (a partial sum or a product past the float range) are the
+    nonzero weights and their means rebuilt over the same window and summed
+    by ``_dot``, which scales them.  ValueError where the sum overflows."""
     _check_point(x)
     wt = w * math.log(x)
-    weights, means = [], []
-    for k in kernel.window(wt):
-        weight = kernel.eval_log(wt - k)
-        if weight != 0.0:
-            weights.append(weight)
-            means.append(mean(k))
-    total = _dot(weights, means)
+    eval_log = kernel.eval_log
+    products = [weight * mean(k) for k in kernel.window(wt) if (weight := eval_log(wt - k)) != 0.0]
+    try:
+        total = math.fsum(products)
+    except (OverflowError, ValueError):  # terms +inf and -inf, or a partial sum past the range
+        total = math.inf
     if not math.isfinite(total):
-        raise ValueError(f"the operator sum at x={x:g} overflows the float range")
+        weights = {k: weight for k in kernel.window(wt) if (weight := eval_log(wt - k)) != 0.0}
+        total = _dot(list(weights.values()), list(map(mean, weights)))
+        if not math.isfinite(total):
+            raise ValueError(f"the operator sum at x={x:g} overflows the float range")
     return total
 
 

@@ -1292,6 +1292,21 @@ class TestOutputFile:
         assert lines[0] == "x,approx,exact,abs_error"
         assert len(lines) == 3
 
+    def test_output_through_a_symlink_writes_its_target(self, capsys, tmp_path):
+        """--output follows a symlink: the target gets the bytes stdout would,
+        and the link stays a link.  A destination such as /dev/stdout, itself a
+        symlink, depends on this; replacing the path instead of opening it
+        would turn the link into a regular file."""
+        argv = ("eval", "--kernel", "bspline:2", "--fn", "log3", "--w", "20", "--x", "0.5:2:0.25")
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old contents, longer than nothing\n" * 40)
+        link.symlink_to(target)
+        assert run(capsys, *argv, "--output", str(link)) == (0, "", "")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == stdout.encode()
+
     def test_json_to_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.json"
         code, out, _ = run(capsys, "bounds", "--kernel", "bspline:2", "--fn", "log",

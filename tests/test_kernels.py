@@ -1,7 +1,9 @@
 """Kernel family tests: spline values, transforms, translated combinations."""
 
 import math
+import random
 import re
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +125,44 @@ class TestBSplineValues:
     def test_order_validation(self, spec):
         with pytest.raises(KernelSpecError, match="order must be in 1..10"):
             parse_kernel_spec(spec)
+
+
+def _horner_from_zero(n: int, t: float) -> float:
+    """B_n(t) read at n/2 - abs(t) by Horner's rule from 0.0 on the rows of
+    ``_piece_table``: the reference the evaluator must equal bit for bit."""
+    half = 0.5 * n
+    if not -half < t < half:
+        return 0.0
+    u = half - abs(t)
+    i = int(u)
+    s = u - i
+    value = 0.0
+    for c in _piece_table(n)[i]:
+        value = value * s + c
+    return value
+
+
+class TestEvaluatorBits:
+    """The evaluator folds t without abs() and starts Horner from each
+    piece's leading coefficient; neither may move a bit."""
+
+    @staticmethod
+    def _points(n: int) -> list[float]:
+        half = 0.5 * n
+        rng = random.Random(n)
+        ts = [rng.uniform(-half - 0.5, half + 0.5) for _ in range(100_000)]
+        boundaries = [sign * (half - i) for i in range(n + 1) for sign in (1.0, -1.0)]
+        ts += boundaries + [math.nextafter(b, 0.0) for b in boundaries]
+        ts += [math.nextafter(b, math.copysign(math.inf, b)) for b in boundaries]
+        return ts + [0.0, -0.0, math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("n", range(2, MAX_ORDER + 1))
+    def test_equals_horner_from_zero(self, n):
+        bspline = parse_kernel_spec(f"bspline:{n}").eval_log
+        ts = self._points(n)
+        got = array("d", map(bspline, ts))
+        assert got.tobytes() == array("d", (_horner_from_zero(n, t) for t in ts)).tobytes()
+        assert got.tobytes() == array("d", (bspline(-t) for t in ts)).tobytes()
 
 
 def _exact_bspline(n: int, t: Fraction) -> Fraction:

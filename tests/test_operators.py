@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from expsamp import operators
 from expsamp.functions import TestFunction, get_function
 from expsamp.kernels import parse_kernel_spec
 from expsamp.operators import (
@@ -367,6 +368,48 @@ class TestApplyGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             apply_grid(get_function("log"), B2, OperatorConfig(5.0), [])
+
+
+class TestTracedCalls:
+    """What bench/tracing.py counts in the operator sum, pinned with a kernel
+    whose eval_log is replaced by ``dataclasses.replace``, as the tracer
+    replaces it.  ``operators.values`` counts ``_apply_with_cache`` calls,
+    one per point; ``kernels.evals`` counts eval_log calls, one per window
+    position; ``cell_reuse`` divides the nonzero ones by the cell means.  A
+    change that computes all weights of a point in one pass, without
+    eval_log (ROADMAP item 4), breaks these counts, so it must change the
+    tracer first."""
+
+    @pytest.mark.parametrize("spec", ["bspline:1", "bspline:3", "combo:4:e^1:e^2"])
+    def test_one_sum_per_point_one_eval_per_window_position(self, monkeypatch, spec):
+        base = parse_kernel_spec(spec)
+        offsets = []
+        kernel = dataclasses.replace(base, eval_log=lambda t: offsets.append(t) or base.eval_log(t))
+        sums = []
+        inner = operators._apply_with_cache
+
+        def counted(kernel, w, x, mean):
+            sums.append(x)
+            return inner(kernel, w, x, mean)
+
+        monkeypatch.setattr(operators, "_apply_with_cache", counted)
+        w, xs = 12.5, [0.7, 1.0, 1.37, 2.9]
+        values = apply_grid(get_function("sinmix"), kernel, OperatorConfig(w), xs)
+        assert sums == xs
+        assert values == apply_grid(get_function("sinmix"), base, OperatorConfig(w), xs)
+        wts = [w * math.log(x) for x in xs]
+        assert offsets == [wt - k for wt in wts for k in base.window(wt)]
+
+    @pytest.mark.parametrize("spec", ["bspline:1", "bspline:3", "combo:4:e^1:e^2"])
+    def test_means_asked_once_per_nonzero_weight_ascending(self, spec):
+        kernel = parse_kernel_spec(spec)
+        for w, x in [(12.5, 0.7), (3.0, 1.0), (40.0, 2.9)]:
+            asked = []
+            value = operators._apply_with_cache(kernel, w, x, lambda k: asked.append(k) or k / 7)
+            wt = w * math.log(x)
+            nonzero = [k for k in kernel.window(wt) if kernel.eval_log(wt - k) != 0.0]
+            assert asked == nonzero
+            assert value == math.fsum(kernel.eval_log(wt - k) * (k / 7) for k in nonzero)
 
 
 class TestSampleSeries:

@@ -10,6 +10,7 @@ import io
 import math
 import re
 import signal
+import struct
 import tempfile
 from fractions import Fraction
 from operator import mul
@@ -18,15 +19,16 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, event, given, settings  # noqa: E402
+from hypothesis import assume, event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from expsamp.cli import main  # noqa: E402
+from expsamp.cli import _EVAL_CSV_ROW, _EVAL_TEXT_ROW, _XY_CSV_ROW, _fmt, main  # noqa: E402
 from expsamp.functions import get_function  # noqa: E402
 from expsamp.kernels import parse_kernel_spec  # noqa: E402
 from expsamp.moments import algebraic_moment_at_log  # noqa: E402
 from expsamp.operators import (  # noqa: E402
     OperatorConfig,
+    _apply_with_cache,
     _dot,
     SampleFormatError,
     SampleSeries,
@@ -276,6 +278,67 @@ def test_dot_past_the_range_is_correctly_rounded(pairs, mirrored, last):
         want = math.inf
     event("finite" if math.isfinite(want) else "past the range")
     assert _dot(a, b) == want
+
+
+# cell means of any size up to the float range, its ends drawn often
+huge_means = st.one_of(
+    st.floats(min_value=-1.7e308, max_value=1.7e308),
+    st.sampled_from([1.7e308, -1.7e308, 8.9e307, -8.9e307]),
+)
+
+
+@SETTINGS
+@given(  # and combos whose coefficients differ in sign, where terms pass the range most
+    spec=st.one_of(kernel_specs(), st.sampled_from(["combo:2:e^1:e^2", "combo:1:e^-1:e^-5/3"])),
+    w=log_uniform(0.5, 200.0),
+    x=log_uniform(0.05, 20.0),
+    data=st.data(),
+)
+def test_operator_sum_is_dot_of_its_nonzero_terms(spec, w, x, data):
+    """Wherever ``_dot`` of the window's nonzero weights and their means is
+    finite, the operator sum equals it bit for bit, fast path or not; where
+    it is not, the sum is refused as overflowing."""
+    kernel = parse_kernel_spec(spec)
+    wt = w * math.log(x)
+    means = {k: data.draw(huge_means) for k in kernel.window(wt)}
+    mode = data.draw(st.sampled_from(["independent", "constant", "one sign", "largest, one sign"]))
+    if mode == "constant":  # a combo's terms pass the range, their sum, the constant, does not
+        means = dict.fromkeys(means, data.draw(st.sampled_from([1.7e308, -1.7e308, 1e308])))
+    elif mode != "independent":  # every term of one sign: a combo's sum may pass the range
+        means = {k: math.copysign(1.7e308 if mode.startswith("largest") else m,
+                                  kernel.eval_log(wt - k)) for k, m in means.items()}
+    nonzero = [k for k in kernel.window(wt) if kernel.eval_log(wt - k) != 0.0]
+    weights, terms = [kernel.eval_log(wt - k) for k in nonzero], [means[k] for k in nonzero]
+    want = _dot(weights, terms)
+    if math.isfinite(want):
+        event("finite" if math.isfinite(_fsum_of_products(weights, terms)) else "finite, rescaled")
+        assert _apply_with_cache(kernel, w, x, means.__getitem__).hex() == want.hex()
+    else:
+        event("refused")
+        with pytest.raises(ValueError, match=r"the operator sum at x=\S+ overflows the float range"):
+            _apply_with_cache(kernel, w, x, means.__getitem__)
+
+
+# every float, each bit pattern as likely as any other: NaNs, infinities,
+# -0.0 and subnormals included
+any_float = st.one_of(
+    st.floats(),
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+)
+
+
+@SETTINGS
+@given(x=any_float, v=any_float, fx=any_float, e=any_float)
+@example(x=math.nan, v=-math.nan, fx=math.inf, e=-math.inf)
+@example(x=-0.0, v=0.0, fx=2.0 ** -1074, e=-2.0 ** -1022)
+@example(x=5e-324, v=-2.2250738585072014e-308, fx=1e16, e=123456789012.5)
+def test_row_formats_equal_the_field_format(x, v, fx, e):
+    """Each eval and reconstruct row, written with one format call, equals
+    its fields written by ``_fmt`` one by one, text padding included."""
+    assert _EVAL_CSV_ROW(x, v, fx, e) == ",".join(map(_fmt, (x, v, fx, e))) + "\n"
+    assert _EVAL_TEXT_ROW(x, v, fx, e) == (
+        f"x={_fmt(x):<16} approx={_fmt(v):<18} exact={_fmt(fx):<18} abs_error={_fmt(e)}\n")
+    assert _XY_CSV_ROW(x, v) == f"{_fmt(x)},{_fmt(v)}\n"
 
 
 @SETTINGS
