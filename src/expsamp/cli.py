@@ -11,8 +11,9 @@ This module names the table's columns and each bound and writes every
 output format; the library returns numbers.  Each subcommand computes every
 value before any output is written and returns its text, which ``main``
 writes once, to the ``--output`` file or stdout: a refused request prints
-nothing and creates no ``--output`` file.  ``eval --emit-samples`` writes
-its sample file before that text.
+nothing and creates no ``--output`` file.  Both routes of ``eval`` check w
+and the node count in one ``OperatorConfig``; ``--emit-samples`` writes its
+sample file, which ``--output`` may not name, before that text.
 Text and CSV output prints floats with 12 significant digits, except the
 table command, whose error cells are rounded to 4 decimals for comparison
 against published values; JSON output carries full round-trip precision,
@@ -30,6 +31,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict
@@ -114,13 +116,6 @@ def _parse_x_values(text: str) -> list[float]:
 def _check_grid_size(count: int, what: str, unit: str = "points") -> None:
     if count > _MAX_GRID_POINTS:
         raise UsageError(f"{what}: {count} {unit}, more than the {_MAX_GRID_POINTS} allowed")
-
-
-def _check_series_size(kernel: Kernel, w: float, xs: list[float]) -> tuple[int, int]:
-    """The k_range of the sample series covering xs; refused past the grid cap."""
-    k_min, k_max = SampleSeries.covering_range(kernel, w, xs)
-    _check_grid_size(k_max - k_min + 1, "--emit-samples series", "cells")
-    return k_min, k_max
 
 
 def _numbers(text: str, sep: str, what: str) -> list[float]:
@@ -238,13 +233,18 @@ def _run_moments(args, kernel: Kernel) -> Iterable[str]:
 def _run_eval(args, kernel: Kernel) -> Iterable[str]:
     f = get_function(args.fn)
     xs = _parse_x_values(args.x)
+    cfg = OperatorConfig(w=args.w, quad_nodes=args.quad_nodes)  # checked once, for both routes
     if args.emit_samples:
+        if args.output and os.path.realpath(args.emit_samples) == os.path.realpath(args.output):
+            raise UsageError(f"--emit-samples {args.emit_samples!r} and --output "
+                             f"{args.output!r} name the same file")
         # each cell once; eval then prints what reconstruct reads from the file
-        k_range = _check_series_size(kernel, args.w, xs)
-        series = SampleSeries.from_function(f, args.w, *k_range, args.quad_nodes)
+        k_min, k_max = SampleSeries.covering_range(kernel, cfg.w, xs)
+        _check_grid_size(k_max - k_min + 1, "--emit-samples series", "cells")
+        series = SampleSeries.from_function(f, cfg.w, k_min, k_max, cfg.quad_nodes)
         values = [apply_from_samples(series, kernel, x) for x in xs]
     else:
-        values = apply_grid(f, kernel, OperatorConfig(w=args.w, quad_nodes=args.quad_nodes), xs)
+        values = apply_grid(f, kernel, cfg, xs)
     exact = list(map(f.f, xs))
     errors = [abs(v - fx) for v, fx in zip(values, exact)]
     if args.emit_samples:  # written only once every value is in hand

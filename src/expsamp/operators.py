@@ -126,15 +126,15 @@ def _check_point(x: float) -> None:
         raise ValueError(f"evaluation point must be positive and finite, got {x}")
 
 
-def _newton_step(n: int, x, one):
-    """One Newton step towards a root of P_n, with P_n(x) and P_{n-1}(x) from
-    the three-term recurrence in the arithmetic of x and ``one`` (float or
-    Decimal).  Returns the new x and P_n'(x)."""
-    prev, cur = one, x
+def _newton_step(n: int, x: decimal.Decimal) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """One Newton step towards a root of P_n, in the Decimal context in force,
+    with P_n(x) and P_{n-1}(x) from the three-term recurrence.  Returns the
+    step P_n(x) / P_n'(x), to be subtracted from x, and P_n'(x)."""
+    prev, cur = 1, x
     for k in range(2, n + 1):
         prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
-    dp = n * (x * cur - prev) / (x * x - one)
-    return x - cur / dp, dp
+    dp = n * (x * cur - prev) / (x * x - 1)
+    return cur / dp, dp
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 7.0 is refused, not served as 7
@@ -143,12 +143,12 @@ def _gauss_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     to sum to 1, as Python-float tuples.
 
     Newton's method on the three-term Legendre recurrence finds the roots
-    x >= 0 of P_n from the guesses cos(pi (i - 1/4) / (n + 1/2)): float
-    steps first, then two polishing steps in ``decimal`` at 40 digits.  The
-    nodes (1 -+ x)/2 and the halved weight 1 / ((1 - x^2) P_n'(x)^2) are
-    each rounded to float once, and the lower half mirrors the upper, so
-    the weights are exactly symmetric.  No eigen-solver is involved, so the
-    rule is the same on every platform.
+    x >= 0 of P_n from the guesses cos(pi (i - 1/4) / (n + 1/2)), all in
+    ``decimal`` at 40 digits, until a step is at most 1e-36 (a guard stops
+    it at 100 steps).  The nodes (1 -+ x)/2 and the halved weight
+    1 / ((1 - x^2) P_n'(x)^2) are each rounded to float once, and the lower
+    half mirrors the upper, so the weights are exactly symmetric.  No
+    eigen-solver is involved, so the rule is the same on every platform.
 
     Every cell mean fetches its rule here, so this is where a node count
     outside 1..MAX_QUAD_NODES is refused, and the cache holds at most one
@@ -160,25 +160,18 @@ def _gauss_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         roots.append(0.0)
     lower, upper, weights = [], [], []
     with decimal.localcontext(decimal.Context(prec=40)):
-        one = decimal.Decimal(1)
-        for x in roots:
-            for _ in range(100):  # float steps until a step is below 1e-12
-                new, _ = _newton_step(n, x, 1.0)
-                x, step = new, new - x
-                if abs(step) <= 1e-12:
+        for x in map(decimal.Decimal, roots):
+            for _ in range(100):
+                step, dp = _newton_step(n, x)
+                x -= step
+                if abs(step) <= 1e-36:  # Decimal and float compare exactly
                     break
-            x = decimal.Decimal(x)
-            for _ in range(2):
-                x, dp = _newton_step(n, x, one)
-            lower.append(float((one - x) / 2))
-            upper.append(float((one + x) / 2))
-            weights.append(float(one / ((one - x * x) * dp * dp)))
+            lower.append(float((1 - x) / 2))
+            upper.append(float((1 + x) / 2))
+            weights.append(float(1 / ((1 - x * x) * dp * dp)))
     if n % 2:  # the middle node x = 0 is its own mirror
         upper.pop()
-    return (
-        tuple(lower + upper[::-1]),
-        tuple(weights + weights[: len(upper)][::-1]),
-    )
+    return tuple(lower + upper[::-1]), tuple(weights + weights[: len(upper)][::-1])
 
 
 def cell_mean(f: TestFunction, w: float, k: int, quad_nodes: int = 7) -> float:

@@ -16,7 +16,7 @@ import pytest
 
 from expsamp import cli
 from expsamp.analysis import BoundReport, make_table
-from expsamp.cli import _MAX_GRID_POINTS, UsageError, _check_series_size, _parse_x_values, main
+from expsamp.cli import _MAX_GRID_POINTS, UsageError, _check_grid_size, _parse_x_values, main
 from expsamp.combinations import solve_coefficients
 from expsamp.functions import get_function
 from expsamp.kernels import parse_kernel_spec
@@ -198,6 +198,30 @@ class TestEval:
         code, emitted, _ = run(capsys, *argv, "--emit-samples", str(tmp_path / "s.csv"))
         assert code == 0
         assert emitted == plain
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--w", "nan"), "sampling rate w must be positive and finite, got nan"),
+            (("--w", "inf"), "sampling rate w must be positive and finite, got inf"),
+            (("--w=-inf",), "sampling rate w must be positive and finite, got -inf"),
+            (("--w", "0"), "sampling rate w must be positive and finite, got 0.0"),
+            (("--w=-1",), "sampling rate w must be positive and finite, got -1.0"),
+            (("--w", "10", "--quad-nodes", "0"), "quad_nodes must be a positive integer, got 0"),
+            (("--w", "10", "--quad-nodes", "65"), "quad_nodes must be at most 64, got 65"),
+        ],
+    )
+    def test_both_routes_refuse_alike(self, capsys, tmp_path, flags, named):
+        """eval straight from f and eval through --emit-samples check w and
+        the node count in one OperatorConfig: the same exit code and stderr,
+        and no sample file.  A non-finite w used to reach the emit route's
+        kernel window and be refused there as a window position."""
+        argv = ("eval", "--kernel", "bspline:2", "--fn", "log", "--x", "1.5", *flags)
+        samples = tmp_path / "s.csv"
+        plain = run(capsys, *argv)
+        assert plain == (1, "", f"expsamp: error: {named}\n")
+        assert run(capsys, *argv, "--emit-samples", str(samples)) == plain
+        assert not samples.exists()
 
     def test_missing_sample_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "reconstruct", "--kernel", "bspline:2",
@@ -708,10 +732,11 @@ class TestGridSize:
         kernel = parse_kernel_spec("bspline:2")
         k_min, k_max = SampleSeries.covering_range(kernel, 10000.0, self.SERIES_AT_CAP)
         assert k_max - k_min + 1 == _MAX_GRID_POINTS
-        _check_series_size(kernel, 10000.0, self.SERIES_AT_CAP)
+        _check_grid_size(k_max - k_min + 1, "--emit-samples series", "cells")
+        k_min, k_max = SampleSeries.covering_range(kernel, 10000.0, self.SERIES_PAST_CAP)
         with pytest.raises(UsageError, match=re.escape(
                 "--emit-samples series: 1000001 cells, more than the 1000000 allowed")):
-            _check_series_size(kernel, 10000.0, self.SERIES_PAST_CAP)
+            _check_grid_size(k_max - k_min + 1, "--emit-samples series", "cells")
 
     def test_series_refused_before_any_cell(self, capsys, tmp_path, monkeypatch):
         def no_cells(*args):
@@ -1306,6 +1331,30 @@ class TestOutputFile:
         assert run(capsys, *argv, "--output", str(link)) == (0, "", "")
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_bytes() == stdout.encode()
+
+    @pytest.mark.parametrize("spelling", ["same", "absolute", "symlink"])
+    def test_emit_samples_and_output_on_one_file_refused(self, capsys, tmp_path, monkeypatch,
+                                                        spelling):
+        """The eval text would overwrite the sample series without a word, so
+        an --output naming the --emit-samples file, by any path, is refused
+        before any cell is computed or any file opened: a file already there
+        keeps its bytes."""
+        def no_cells(*args):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr("expsamp.operators.cell_mean", no_cells)
+        monkeypatch.setattr("expsamp.operators._cell_means", no_cells)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.csv").write_text("old contents\n")
+        output = {"same": "out.csv", "absolute": str(tmp_path / "out.csv"),
+                  "symlink": "link.csv"}[spelling]
+        (tmp_path / "link.csv").symlink_to(tmp_path / "out.csv")
+        code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "log3", "--w", "20",
+                             "--x", "0.5:2:0.25", "--emit-samples", "out.csv", "--output", output)
+        assert (code, out) == (1, "")
+        assert err == (f"expsamp: error: --emit-samples 'out.csv' and --output {output!r} "
+                       "name the same file\n")
+        assert (tmp_path / "out.csv").read_text() == "old contents\n"
 
     def test_json_to_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.json"

@@ -1,6 +1,7 @@
 """Operator evaluation: cell means, series summation, sample ingestion."""
 
 import dataclasses
+import hashlib
 import io
 import math
 import random
@@ -66,6 +67,15 @@ class TestGaussRule:
         assert all(wt > 0.0 for wt in weights)
         assert weights == weights[::-1]
         assert abs(math.fsum(weights) - 1.0) <= 1e-16
+
+    def test_bits_pinned(self):
+        """Every rule for n = 1..64, bit for bit, by the SHA-256 of their reprs.
+        The tests above allow a tolerance; this one fails where a change of
+        arithmetic or of the stopping rule moves a last bit, or where a Python
+        version or platform rounds the rule differently."""
+        text = "\n".join(repr(_gauss_rule(n)) for n in range(1, 65))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0026448d88be1aad8fffbae940cce967021626f0ddc2f8b888e54a6f91cab0d1")
 
     def test_cached(self):
         assert _gauss_rule(7) is _gauss_rule(7)
