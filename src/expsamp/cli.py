@@ -2,10 +2,11 @@
 
 Subcommands: kernel-info, moments, eval, reconstruct, table, converge,
 voronovskaya, bounds.  Exit status is 0 on success, 1 on usage errors
-(bad flags, malformed ranges, grids of more than a million points, unknown
-kernels or functions, unreadable files) and on inputs whose results leave
-the float range (a rate too small for the point, an f that overflows), and
-2 when a bound's moment precondition fails.
+(bad flags, a bounds --r or --p that its --check does not read, malformed
+ranges, grids of more than a million points, unknown kernels or functions,
+unreadable files) and on inputs whose results leave the float range (a rate
+too small for the point, an f that overflows), and 2 when a bound's moment
+precondition fails.
 
 This module names the table's columns and each bound and writes every
 output format; the library returns numbers.  Each subcommand computes every
@@ -302,12 +303,16 @@ def _run_voronovskaya(args, kernel: Kernel) -> Iterable[str]:
 
 
 def _run_bounds(args, kernel: Kernel) -> Iterable[str]:
+    for flag, value, check in (("--r", args.r, "moment"), ("--p", args.p, "combo")):
+        if value is not None and args.check != check:
+            raise UsageError(f"{flag} applies only to --check {check}, not --check {args.check}")
     f = get_function(args.fn)
     if args.check == "moment":
-        report = vanishing_moment_bound(f, kernel, args.w, args.x, args.r, args.quad_nodes)
-        return _json({"bound": f"vanishing_moment:r={args.r}", **asdict(report)})
-    # the first-order estimate is the p = 1 combination's; --p is ignored for it
-    p = args.p if args.check == "combo" and args.p is not None else 1
+        r = 2 if args.r is None else args.r
+        report = vanishing_moment_bound(f, kernel, args.w, args.x, r, args.quad_nodes)
+        return _json({"bound": f"vanishing_moment:r={r}", **asdict(report)})
+    # the first-order estimate is the p = 1 combination's
+    p = 1 if args.p is None else args.p
     scheme = solve_coefficients(p)
     report = combo_bound(f, kernel, scheme, args.w, args.x, quad_nodes=args.quad_nodes)
     if args.check == "first":
@@ -384,8 +389,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--check", choices=("first", "moment", "combo"), default="first")
-    p.add_argument("--r", type=int, default=2, help="order for --check moment")
-    p.add_argument("--p", type=int, default=None, help="combination size for --check combo")
+    p.add_argument("--r", type=int, default=None, help="order for --check moment (default 2)")
+    p.add_argument("--p", type=int, default=None, help="combination size for --check combo (default 1)")
 
     return parser
 

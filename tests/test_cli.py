@@ -54,6 +54,15 @@ class TestKernelInfo:
         assert float(rows[2][1]) == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert rows[3][1] == "0" and rows[3][3] == "true"
 
+    def test_wide_combo_flags_from_the_order(self, capsys):
+        """m_nu is constant in u exactly when nu < n, however large the terms
+        of the sum grow (about 1e18 here at nu = 6)."""
+        code, out, _ = run(capsys, "kernel-info", "--kernel", "combo:6:e^-1000:e^1000",
+                           "--nu-max", "6")
+        assert code == 0
+        rows = [line.split() for line in out.strip().split("\n")[3:]]
+        assert [(int(r[0]), r[-1]) for r in rows] == [(nu, str(nu < 6).lower()) for nu in range(7)]
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "kernel-info", "--kernel", "combo:4:e^1:e^2",
                            "--format", "json", "--nu-max", "2")
@@ -95,6 +104,12 @@ class TestMoments:
         code, out, _ = run(capsys, "moments", "--kernel", "bspline:2", "--nu-max", "2", *flags)
         assert code == 0
         assert out.split("\n") == [header, *rows, ""]
+
+    def test_wide_combo_flags_from_the_order(self, capsys):
+        code, out, _ = run(capsys, "moments", "--kernel", "combo:4:e^-300:e^300", "--nu-max", "6")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [(int(r[0]), r[3]) for r in rows] == [(nu, str(nu < 4).lower()) for nu in range(7)]
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "moments", "--kernel", "bspline:2", "--nu-max", "2",
@@ -414,6 +429,40 @@ class TestBounds:
         payload = json.loads(out)
         assert list(payload)[0] == "bound"
         assert payload["bound"] == name
+
+    @pytest.mark.parametrize(
+        "flags, flag, reader, check",
+        [
+            (("--check", "first", "--r", "7", "--p", "9"), "--r", "moment", "first"),
+            (("--r", "2"), "--r", "moment", "first"),
+            (("--check", "combo", "--p", "2", "--r", "2"), "--r", "moment", "combo"),
+            (("--check", "first", "--p", "1"), "--p", "combo", "first"),
+            (("--check", "moment", "--r", "2", "--p", "1"), "--p", "combo", "moment"),
+        ],
+        ids=["first-r-p", "default-check-r", "combo-r", "first-p", "moment-p"],
+    )
+    def test_flag_of_another_check_refused(self, capsys, flags, flag, reader, check):
+        """--r is read by --check moment only and --p by --check combo only;
+        given to another check, either is refused, not ignored."""
+        message = f"{flag} applies only to --check {reader}, not --check {check}"
+        assert run(capsys, "bounds", "--kernel", "bspline:3", "--fn", "log2", "--w", "20",
+                   "--x", "1.5", *flags) == (1, "", f"expsamp: error: {message}\n")
+
+    @pytest.mark.parametrize("check, given, default", [("moment", ("--r", "2"), "vanishing_moment:r=2"),
+                                                       ("combo", ("--p", "1"), "combination:p=1")])
+    def test_omitted_flag_is_the_default(self, capsys, check, given, default):
+        argv = ("bounds", "--kernel", "bspline:3", "--fn", "log2", "--w", "20", "--x", "1.5",
+                "--check", check)
+        code, out, _ = run(capsys, *argv)
+        assert (code, json.loads(out)["bound"]) == (0, default)
+        assert run(capsys, *argv, *given) == (0, out, "")
+
+    def test_config_line_for_another_check_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kernel=bspline:3\nr=3\n")
+        assert run(capsys, "bounds", "--config", str(cfg), "--fn", "log2", "--w", "20",
+                   "--x", "1.5", "--check", "combo") == (
+            1, "", "expsamp: error: --r applies only to --check moment, not --check combo\n")
 
     @pytest.mark.parametrize("fn", ["log", "log2", "log3", "const:2.5"])
     @pytest.mark.parametrize("kernel", ["bspline:1", "bspline:2"])

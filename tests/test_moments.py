@@ -311,10 +311,11 @@ class TestKantorovichBracket:
                 assert abs(Fraction(got) - want) <= Fraction(2e-15) * (1 + abs(want)), (log_u, i)
 
 
-def _exact_kernel(spec):
-    """chi(t) = sum_i c_i B_n(t + a_i) in exact rationals, B_n(t) by the
-    truncated-power sum sum_j (-1)^j C(n, j) (t + n/2 - j)_+^(n-1) / (n-1)!;
-    for n = 1, (x)_+^0 = [x >= 0] gives the left-closed indicator."""
+def _exact_terms(spec):
+    """n and the terms (c_i, a_i) of chi = sum_i c_i B_n(. + a_i), in exact
+    rationals, and B_n by the truncated-power sum
+    sum_j (-1)^j C(n, j) (t + n/2 - j)_+^(n-1) / (n-1)!; for n = 1,
+    (x)_+^0 = [x >= 0] gives the left-closed indicator."""
     family, n, *scales = spec.split(":")
     n = int(n)
     terms = [(Fraction(1), Fraction(0))]
@@ -326,7 +327,27 @@ def _exact_kernel(spec):
         return sum((-1) ** j * math.comb(n, j) * x ** (n - 1) for j in range(n + 1)
                    if (x := t + Fraction(n, 2) - j) >= 0) / Fraction(math.factorial(n - 1))
 
+    return n, terms, bspline
+
+
+def _exact_kernel(spec):
+    """chi(t) in exact rationals."""
+    _, terms, bspline = _exact_terms(spec)
     return lambda t: sum(c * bspline(t + a) for c, a in terms)
+
+
+def _exact_moments(n, terms, bspline, s, nu_max):
+    """m_0..m_nu_max at log u = s in exact rationals, each translate summed
+    only over the k where its support [-n/2, n/2) holds s - k + a."""
+    m = [Fraction(0)] * (nu_max + 1)
+    for c, a in terms:
+        lo = s + a - Fraction(n, 2)
+        for k in range(math.floor(lo) + 1, math.floor(lo) + n + 1):
+            weight, d = c * bspline(s - k + a), k - s
+            for nu in range(nu_max + 1):
+                m[nu] += weight
+                weight *= d
+    return m
 
 
 class TestMomentReport:
@@ -352,6 +373,28 @@ class TestMomentReport:
             mean = poisson_moment(kernel, nu, 1.0, 0)  # the same at every u
             deviation = max(abs(algebraic_moment_at_log(kernel, nu, s) - mean) for s in probes)
             assert build_moment_report(kernel, nu).u_independent == (deviation <= 1e-10), nu
+
+    @pytest.mark.parametrize("spec", [
+        *(f"bspline:{n}" for n in range(1, 11)), "combo:4:e^1:e^2", "combo:6:2.5:0.3", *JUMP_SPECS,
+        *(f"combo:{n}:e^1/2:e^-1/2" for n in (1, 2, 3, 4, 7)),
+        "combo:6:e^-1000:e^1000", "combo:4:e^-300:e^300"])
+    def test_u_independent_exactly_below_the_order(self, spec):
+        """m_nu is constant in u exactly when nu < n, proved in rationals.
+        On each piece of one period between the fractional parts of the knots,
+        m_nu is a polynomial of degree at most n - 1 + nu <= n + 7; so it is
+        constant when it takes one value at n + 8 points inside every piece
+        and at the breakpoints, and varies when it takes two."""
+        n, terms, bspline = _exact_terms(spec)
+        breaks = sorted({x - math.floor(x) for _, a in terms
+                         for x in (j - Fraction(n, 2) - a for j in range(n + 1))})
+        points = [*breaks, *(lo + (hi - lo) * Fraction(j, n + 9)
+                             for lo, hi in zip(breaks, [*breaks[1:], breaks[0] + 1])
+                             for j in range(1, n + 9))]
+        values = [_exact_moments(n, terms, bspline, s, 8) for s in points]
+        kernel = parse_kernel_spec(spec)
+        for nu in range(9):
+            constant = len({m[nu] for m in values}) == 1
+            assert constant == (nu < n) == build_moment_report(kernel, nu).u_independent, nu
 
     def test_pieces_found_once_per_kernel_object(self, monkeypatch):
         """The sign-change search runs once for each kernel object, whatever
