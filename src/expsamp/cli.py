@@ -19,9 +19,10 @@ Text and CSV output prints floats with 12 significant digits, except the
 table command, whose error cells are rounded to 4 decimals for comparison
 against published values; JSON output carries full round-trip precision,
 and a non-finite float in it is refused with exit 1, never printed.
-A ``--config <file>`` of key=value lines supplies defaults for any long
-flag of the chosen subcommand, each line read literally as ``--key value``;
-flags given on the command line win.
+Flags come from the command line alone; ``--quad-nodes`` is declared by
+the subcommands that compute cell means (eval, table, converge,
+voronovskaya, bounds) and by reconstruct, which ignores it, and any other
+subcommand refuses it.
 The parser is built on the first ``main`` call and reused by later calls.
 """
 
@@ -72,6 +73,9 @@ TABLE_DECIMALS = 4  # error-table cells, compared against published values
 _EVAL_CSV_ROW = "{:.12g},{:.12g},{:.12g},{:.12g}\n".format
 _EVAL_TEXT_ROW = "x={:<16.12g} approx={:<18.12g} exact={:<18.12g} abs_error={:.12g}\n".format
 _XY_CSV_ROW = "{:.12g},{:.12g}\n".format
+_QUAD_HELP = ("Gauss-Legendre nodes n per cell (default 7); log, log2, log3 and constants, "
+              "c u^p on the log axis, take their exact cell mean wherever the n-node rule "
+              "is exact for them, p <= 2n-1")
 
 
 class UsageError(ValueError):
@@ -131,41 +135,6 @@ def _numbers(text: str, sep: str, what: str) -> list[float]:
             raise UsageError(f"{what} {text!r}: bad number {tok.strip()!r} at position {at}") from None
         start += len(tok) + len(sep)
     return values
-
-
-def _load_config_flags(path: str) -> list[str]:
-    flags: list[str] = []
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if not key:
-            raise UsageError(f"{path}:{lineno}: empty key")
-        flags.extend([f"--{key}", value])
-    return flags
-
-
-_CONFIG = _Parser(add_help=False, allow_abbrev=False)
-_CONFIG.add_argument("--config")
-
-
-def _inject_config(argv: list[str]) -> list[str]:
-    """Pull out --config and splice its flags right after the subcommand,
-    so explicit command-line flags override them."""
-    known, out = _CONFIG.parse_known_args(argv)
-    if known.config is None:
-        return out
-    if not out:
-        raise UsageError("--config given but no subcommand")
-    return [out[0]] + _load_config_flags(known.config) + out[1:]
 
 
 def _json(payload) -> list[str]:  # a non-finite float raises ValueError
@@ -331,23 +300,21 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"expsamp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+    def command(name: str, run, help: str, quad_help: str | None = _QUAD_HELP) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("--kernel", required=True,
                        help="kernel spec: bspline:<n> or combo:<n>:<alpha>:<beta>")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--quad-nodes", type=int, default=7,
-                       help="Gauss-Legendre nodes n per cell (default 7); log, log2, log3 "
-                            "and constants, c u^p on the log axis, take their exact cell "
-                            "mean wherever the n-node rule is exact for them, p <= 2n-1")
+        if quad_help:  # only where cell means are, or were, computed
+            p.add_argument("--quad-nodes", type=int, default=7, help=quad_help)
         return p
 
-    p = command("kernel-info", _run_kernel_info, "kernel summary with moment constants")
+    p = command("kernel-info", _run_kernel_info, "kernel summary with moment constants", quad_help=None)
     p.add_argument("--nu-max", type=int, default=3)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = command("moments", _run_moments, "moment table for a kernel")
+    p = command("moments", _run_moments, "moment table for a kernel", quad_help=None)
     p.add_argument("--nu-max", type=int, default=4)
     p.add_argument("--u", type=float, default=1.0, help="pointwise moment location")
     p.add_argument("--format", choices=("csv", "text", "json"), default="csv")
@@ -360,7 +327,8 @@ def _build_parser() -> _Parser:
                    help="also write the cell means used to a sample CSV")
     p.add_argument("--format", choices=("csv", "text"), default="csv")
 
-    p = command("reconstruct", _run_reconstruct, "evaluate the operator from a sample CSV")
+    p = command("reconstruct", _run_reconstruct, "evaluate the operator from a sample CSV",
+                "ignored: the sample file holds cell means computed when it was written")
     p.add_argument("--samples", required=True, help="sample CSV ('# w=<v>' sidecar, k,mean rows)")
     p.add_argument("--x", required=True, help="points: lo:hi:step or comma list")
 
@@ -396,10 +364,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_inject_config(argv))
+        args = _build_parser().parse_args(argv)  # None reads sys.argv[1:]
         text = args.run(args, parse_kernel_spec(args.kernel))
         if args.output:
             with open(args.output, "w", newline="") as out:

@@ -161,8 +161,6 @@ def get_function(name: str) -> TestFunction:
         if not math.isfinite(c):
             raise ValueError(f"constant in function name {name!r} must be finite, got {c}")
         return _log_monomial(c, 0, f"const:{c:g}")
-    if name == "const":
-        return _log_monomial(1.0, 0, "const:1")
     try:
         return BUILTIN_FUNCTIONS[name]()
     except KeyError:

@@ -457,13 +457,6 @@ class TestBounds:
         assert (code, json.loads(out)["bound"]) == (0, default)
         assert run(capsys, *argv, *given) == (0, out, "")
 
-    def test_config_line_for_another_check_refused(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("kernel=bspline:3\nr=3\n")
-        assert run(capsys, "bounds", "--config", str(cfg), "--fn", "log2", "--w", "20",
-                   "--x", "1.5", "--check", "combo") == (
-            1, "", "expsamp: error: --r applies only to --check moment, not --check combo\n")
-
     @pytest.mark.parametrize("fn", ["log", "log2", "log3", "const:2.5"])
     @pytest.mark.parametrize("kernel", ["bspline:1", "bspline:2"])
     def test_order_3_for_the_log_family(self, capsys, fn, kernel):
@@ -639,6 +632,39 @@ class TestUsageErrors:
         code, out, err = run(capsys, command, "--kernel", "bspline:2", "--nu-max", nu_max)
         assert (code, out) == (1, "")
         assert f"--nu-max must be in 0..8, got {nu_max}" in err
+
+    @pytest.mark.parametrize("before, after", [(("--config", "run.cfg"), ()),
+                                               ((), ("--config", "run.cfg"))],
+                             ids=["before-subcommand", "after-subcommand"])
+    def test_config_refused(self, capsys, tmp_path, monkeypatch, before, after):
+        """Flags come from the command line alone: --config is a usage error
+        wherever it stands, and nothing is computed or written."""
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("format=text\n")
+        code, out, err = run(capsys, *before, "eval", "--kernel", "bspline:2", "--fn", "log",
+                             "--w", "10", "--x", "2", "--output", "out.csv", *after)
+        assert (code, out) == (1, "")
+        assert err.startswith("expsamp: error: ")
+        assert sorted(os.listdir()) == ["run.cfg"]
+
+    def test_quad_nodes_only_where_declared(self, capsys, tmp_path):
+        """kernel-info and moments compute no cell means and refuse
+        --quad-nodes; reconstruct, whose file holds its means, accepts and
+        ignores it."""
+        for argv in (("kernel-info", "--kernel", "bspline:2", "--quad-nodes", "-5"),
+                     ("moments", "--kernel", "bspline:2", "--quad-nodes", "7")):
+            assert run(capsys, *argv) == (
+                1, "", f"expsamp: error: unrecognized arguments: {' '.join(argv[3:])}\n")
+        samples = tmp_path / "s.csv"
+        samples.write_text("# w=10.0\nk,mean\n" + "".join(f"{k},1.0\n" for k in range(-5, 15)))
+        argv = ("reconstruct", "--kernel", "bspline:2", "--samples", str(samples), "--x", "1.5")
+        assert run(capsys, *argv) == run(capsys, *argv, "--quad-nodes", "0") == (0, "x,approx\n1.5,1\n", "")
+
+    def test_bare_const_refused(self, capsys):
+        """A constant is spelled const:<c> only."""
+        assert run(capsys, "eval", "--kernel", "bspline:2", "--fn", "const", "--w", "10", "--x", "2") == (
+            1, "", "expsamp: error: unknown function 'const' "
+                   "(known: cos4exp, log, log2, log3, sinmix, const:<c>)\n")
 
 
 class TestNonFiniteInputs:
@@ -1215,14 +1241,6 @@ class TestOneParser:
         code, out, _ = run(capsys, *self.EVAL)
         assert (code, out.split("\n")[0]) == (0, "x,approx,exact,abs_error")
 
-    @pytest.mark.parametrize("line", ["format=text", "quad-nodes=1"])
-    def test_config_does_not_stick(self, capsys, tmp_path, line):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
-        default = run(capsys, *self.EVAL)
-        assert run(capsys, *self.EVAL, "--config", str(cfg))[1] != default[1]
-        assert run(capsys, *self.EVAL) == default
-
     def test_usage_error_does_not_stick(self, capsys):
         _, out, _ = run(capsys, *self.EVAL)
         assert run(capsys, "eval", "--kernel", "bspline:3", "--bogus")[:2] == (1, "")
@@ -1232,8 +1250,8 @@ class TestOneParser:
 
     @pytest.mark.parametrize("argv, listed", [
         (("--help",), COMMANDS),
-        (("kernel-info", "--help"), COMMON + ("--nu-max", "--format")),
-        (("moments", "--help"), COMMON + ("--nu-max", "--u", "--format")),
+        (("kernel-info", "--help"), ("--kernel", "--output", "--nu-max", "--format")),
+        (("moments", "--help"), ("--kernel", "--output", "--nu-max", "--u", "--format")),
         (("eval", "--help"), COMMON + ("--fn", "--w", "--x", "--emit-samples", "--format")),
         (("reconstruct", "--help"), COMMON + ("--samples", "--x")),
         (("table", "--help"), COMMON + ("--fn", "--w", "--p", "--x", "--format")),
@@ -1250,109 +1268,6 @@ class TestOneParser:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         assert all(name in outs[0] for name in listed)
-
-
-class TestConfigFile:
-    def test_supplies_defaults(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("kernel=bspline:4\nw=30\np=2\n# comment line\n")
-        code, out, _ = run(capsys, "table", "--config", str(cfg), "--fn", "sinmix",
-                           "--x", "2.6")
-        assert code == 0
-        row = out.strip().split("\n")[1].split(",")
-        assert abs(float(row[1]) - 0.2217) <= 2e-3
-
-    def test_cli_flag_wins(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("kernel=bspline:4\nfn=const:1\nw=30\n")
-        code, out, _ = run(capsys, "eval", "--config", str(cfg), "--fn", "const:2",
-                           "--x", "1.0,1.5")
-        assert code == 0
-        assert [line.split(",")[1] for line in out.strip().split("\n")[1:]] == ["2", "2"]
-
-    def test_bad_config_line(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("just a word\n")
-        code, _, err = run(capsys, "eval", "--config", str(cfg), "--kernel", "bspline:2",
-                           "--fn", "log", "--w", "5", "--x", "1,2")
-        assert code == 1
-        assert "key=value" in err
-
-    def test_unreadable_config(self, capsys, tmp_path):
-        missing = tmp_path / "missing.cfg"
-        code, out, err = run(capsys, "eval", "--config", str(missing), "--kernel", "bspline:2",
-                             "--fn", "log", "--w", "5", "--x", "1,2")
-        assert (code, out) == (1, "")
-        assert err.startswith(f"expsamp: error: cannot read config file {str(missing)!r}: ")
-
-    @undecodable
-    def test_undecodable_config(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(b"\xffw=5\n")
-        code, out, err = run(capsys, "eval", "--config", str(cfg), "--kernel", "bspline:2",
-                             "--fn", "log", "--w", "5", "--x", "1,2")
-        assert (code, out) == (1, "")
-        assert err.startswith(f"expsamp: error: cannot read config file {str(cfg)!r}: ")
-        assert "can't decode byte 0xff in position 0" in err
-
-    def test_empty_config_key(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("=5\n")
-        assert run(capsys, "eval", "--config", str(cfg), "--kernel", "bspline:2", "--fn", "log",
-                   "--w", "5", "--x", "1,2") == (1, "", f"expsamp: error: {cfg}:1: empty key\n")
-
-    def test_config_without_subcommand(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("kernel=bspline:2\n")
-        assert run(capsys, "--config", str(cfg)) == (
-            1, "", "expsamp: error: --config given but no subcommand\n")
-
-    def test_unknown_config_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("frobnicate=1\n")
-        code, _, err = run(capsys, "eval", "--config", str(cfg), "--kernel", "bspline:2",
-                           "--fn", "log", "--w", "5", "--x", "1,2")
-        assert code == 1
-
-    @pytest.mark.parametrize(
-        "before, after",
-        [
-            ((), ("--config={cfg}",)),  # the = form
-            (("--config", "{cfg}"), ()),  # before the subcommand
-        ],
-    )
-    def test_config_flag_forms(self, capsys, tmp_path, before, after):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("kernel=bspline:2\nfn=const:3\nw=10\n")
-        fill = lambda flags: [t.format(cfg=cfg) for t in flags]
-        code, out, _ = run(capsys, *fill(before), "eval", *fill(after), "--x", "1.5")
-        assert code == 0
-        assert out.strip().split("\n")[1].split(",")[:2] == ["1.5", "3"]
-
-    def test_true_is_a_literal_value(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("format=true\n")
-        code, out, err = run(capsys, "eval", "--config", str(cfg), "--kernel", "bspline:2",
-                             "--fn", "log", "--w", "5", "--x", "1,2")
-        assert (code, out) == (1, "")
-        assert "argument --format: invalid choice: 'true'" in err
-
-    def test_false_is_a_literal_value(self, capsys, tmp_path, monkeypatch):
-        """emit-samples=false means --emit-samples false: a file named false."""
-        monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("emit-samples=false\n")
-        argv = ("eval", "--kernel", "bspline:2", "--fn", "log", "--w", "5", "--x", "1,2")
-        configured = run(capsys, *argv, "--config", str(cfg))
-        assert configured == run(capsys, *argv, "--emit-samples", "explicit.csv")
-        assert configured[0] == 0
-        assert (tmp_path / "false").read_text() == (tmp_path / "explicit.csv").read_text()
-
-    def test_config_without_value(self, capsys):
-        code, out, err = run(capsys, "eval", "--kernel", "bspline:2", "--fn", "log",
-                             "--w", "5", "--x", "1,2", "--config")
-        assert (code, out) == (1, "")
-        assert "--config" in err
 
 
 class TestOutputFile:

@@ -94,7 +94,7 @@ class TestAtLog:
 
     US = np.concatenate([np.linspace(-700.0, 6.5, 4001), np.linspace(-1.0, 1.0, 2001)]).tolist()
 
-    @pytest.mark.parametrize("name", ["cos4exp", "sinmix", "const:-2.5", "const"])
+    @pytest.mark.parametrize("name", ["cos4exp", "sinmix", "const:-2.5", "const:1"])
     def test_bit_identical_to_f_of_exp(self, name):
         f = get_function(name)
         got = f.f_at_log(self.US)
@@ -139,20 +139,20 @@ class TestLogMonomial:
 
     @pytest.mark.parametrize("name, c, p", [
         ("log", 1.0, 1), ("log2", 1.0, 2), ("log3", 1.0, 3), ("cos4exp", None, None),
-        ("const:-2.5", -2.5, 0), ("const:1e-300", 1e-300, 0), ("const", 1.0, 0),
+        ("const:-2.5", -2.5, 0), ("const:1e-300", 1e-300, 0), ("const:1", 1.0, 0),
     ])
     def test_fields(self, name, c, p):
         f = get_function(name)
         assert f.log_monomial == (None if p is None else (c, p))
 
-    @pytest.mark.parametrize("name", ["log", "log2", "log3", "const:-2.5", "const:-0", "const"])
+    @pytest.mark.parametrize("name", ["log", "log2", "log3", "const:-2.5", "const:-0", "const:1"])
     def test_values_as_the_separate_builders_gave(self, name):
         """f, f_at_log and theta^j equal, with ==, the forms the separate
         constant and log-power builders wrote: c, u^p, (log x)^p and
         p!/(p-j)! (log x)^(p-j)."""
         f = get_function(name)
         if name.startswith("const"):
-            c = 1.0 if name == "const" else float(name[6:])
+            c = float(name[6:])
             old = [lambda x: c] + [lambda x: 0.0] * 3
             old_at_log = lambda u: c
         else:
