@@ -365,7 +365,14 @@ def _build_parser() -> _Parser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)  # None reads sys.argv[1:]
+        argv = sys.argv[1:] if argv is None else list(argv)
+        lead = argv[0] if argv else ""
+        # argparse would take an unknown option's value for the subcommand and
+        # name that token; only -h, --help, --version and their prefixes lead
+        if lead[:1] == "-" and lead != "-h" and not (
+                len(lead) > 2 and any(o.startswith(lead) for o in ("--help", "--version"))):
+            raise UsageError(f"unrecognized arguments: {lead}")
+        args = _build_parser().parse_args(argv)
         text = args.run(args, parse_kernel_spec(args.kernel))
         if args.output:
             with open(args.output, "w", newline="") as out:

@@ -27,7 +27,7 @@ import cmath
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -66,21 +66,21 @@ class KernelSpecError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Evaluatable kernel: a piecewise polynomial of t = log(u) on knots.
+    """Evaluatable kernel sum_i c_i B_n(t + a_i) of t = log(u), held as its
+    exact spec: the B-spline ``order`` n and the ``terms`` ((c_i, a_i), ...)
+    as exact rationals, ((1, 0),) for the Mellin B-spline itself.
 
     ``eval_log`` takes t = log(u) and returns chi(u): all operator and
-    moment code works in log scale, so exp/log round trips are avoided.
+    moment code works in log scale, so exp/log round trips are avoided.  It
+    is a field of its own so that an instrumented evaluator can be swapped
+    in with ``dataclasses.replace``, which derives the rest again.
 
-    ``log_knots`` and ``piece_degree`` describe the kernel's shape: between
-    consecutive knots (ascending, possibly repeated) eval_log is a
-    polynomial of degree at most ``piece_degree``, and outside the end
-    knots it is exactly 0.0.  The log-support, the summation window and
-    the exact moment sup all come from them.
-
-    ``mellin_transform_derivs`` maps (j, t) to the j-th derivative with
-    respect to t of the transform phi(t) = integral of u^(it-1) chi(u) du;
-    j = 0 is the transform itself.  The frequency-side moment evaluation
-    consumes it.
+    Derived from ``order`` and ``terms``: ``log_knots``, ascending and
+    possibly repeated, the knots j - n/2 - a_i of every term; between
+    consecutive knots eval_log is a polynomial of degree at most n - 1, and
+    outside the end knots it is exactly 0.0.  The log-support, the
+    summation window and the exact moment sup all come from them.  And
+    ``mellin_transform_derivs``, the transform's derivatives.
 
     Instances are immutable and compare by identity, so they are safe to
     use as cache keys.
@@ -88,9 +88,30 @@ class Kernel:
 
     eval_log: Callable[[float], float]
     label: str
-    mellin_transform_derivs: Callable[[int, float], complex]
-    log_knots: tuple[float, ...]
-    piece_degree: int
+    order: int
+    terms: tuple[tuple[Fraction, Fraction], ...]
+    log_knots: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = self.order
+        knots = sorted(j - 0.5 * n - float(a) for _, a in self.terms for j in range(n + 1))
+        object.__setattr__(self, "log_knots", tuple(knots))
+
+    def mellin_transform_derivs(self, j: int, t: float) -> complex:
+        """The j-th derivative in t of the transform phi(t) = integral of
+        u^(it-1) chi(u) du; j = 0 is the transform itself.  Each translate
+        B_n(t + a) has the transform e^(-ita) phi_n(t), whose j-th derivative
+        the Leibniz rule expands; c_i and a_i are the floats eval_log uses.
+        The frequency-side moment evaluation consumes it."""
+        base = _sincpow_derivs(self.order, t, j)
+        total = 0j
+        for c, a in self.terms:
+            a = float(a)
+            inner = 0j
+            for l in range(j + 1):
+                inner += math.comb(j, l) * (-1j * a) ** l * base[j - l]
+            total += float(c) * cmath.exp(-1j * t * a) * inner
+        return total
 
     @property
     def log_support(self) -> tuple[float, float]:
@@ -235,44 +256,22 @@ def _sincpow_derivs(n: int, t: float, jmax: int) -> list[float]:
     return [math.factorial(i) * coeffs[i] for i in range(jmax + 1)]
 
 
-def _spline_sum(n: int, terms: tuple[tuple[float, float], ...], label: str) -> Kernel:
-    """Kernel sum_i c_i B_n(t + a_i) for terms ((c_i, a_i), ...); the Mellin
-    B-spline of order n is the single term (1, 0).
-
-    Each translate B_n(t + a) has the knots j - n/2 - a and the transform
-    e^(-ita) phi_n(t), whose j-th derivative the Leibniz rule expands.
-    """
+def _spline_sum(n: int, terms: tuple[tuple[Fraction, Fraction], ...], label: str) -> Kernel:
+    """Kernel sum_i c_i B_n(t + a_i) for the exact terms ((c_i, a_i), ...)."""
     if not 1 <= n <= MAX_ORDER:
         raise KernelSpecError(f"B-spline order must be in 1..{MAX_ORDER}, got {n}")
-
     # The evaluator runs on the operator's hot path, so it is written out for
     # the two shapes the spec strings build: the bare spline and two terms.
     bspline = _bspline_evaluator(n)
-    if terms == ((1.0, 0.0),):
+    if len(terms) == 1:
         eval_log = bspline
     else:
-        (c1, la), (c2, lb) = terms
+        (c1, la), (c2, lb) = ((float(c), float(a)) for c, a in terms)
 
         def eval_log(t: float) -> float:
             return c1 * bspline(t + la) + c2 * bspline(t + lb)
 
-    def transform_derivs(j: int, t: float) -> complex:
-        base = _sincpow_derivs(n, t, j)
-        total = 0j
-        for c, a in terms:
-            inner = 0j
-            for l in range(j + 1):
-                inner += math.comb(j, l) * (-1j * a) ** l * base[j - l]
-            total += c * cmath.exp(-1j * t * a) * inner
-        return total
-
-    return Kernel(
-        eval_log=eval_log,
-        label=label,
-        mellin_transform_derivs=transform_derivs,
-        log_knots=tuple(sorted(j - 0.5 * n - a for _, a in terms for j in range(n + 1))),
-        piece_degree=n - 1,
-    )
+    return Kernel(eval_log=eval_log, label=label, order=n, terms=terms)
 
 
 def _combo_coefficients(log_alpha: Fraction, log_beta: Fraction) -> tuple[Fraction, Fraction]:
@@ -349,7 +348,7 @@ def parse_kernel_spec(text: str) -> Kernel:
     except ValueError:
         raise KernelSpecError(f"bad B-spline order {fields[0]!r} in {text!r}") from None
     if family == "bspline":
-        return _spline_sum(order, ((1.0, 0.0),), f"bspline:{order}")
+        return _spline_sum(order, ((Fraction(1), Fraction(0)),), f"bspline:{order}")
     la, lb = (_parse_log_scale(token) for token in fields[1:])
     c1, c2 = _combo_coefficients(la, lb)
     size = abs(c1) + abs(c2)
@@ -360,4 +359,4 @@ def parse_kernel_spec(text: str) -> Kernel:
             f"and the two terms cancel"
         )
     label = f"combo:{order}:{_scale_repr(la)}:{_scale_repr(lb)}"
-    return _spline_sum(order, ((float(c1), float(la)), (float(c2), float(lb))), label)
+    return _spline_sum(order, ((c1, la), (c2, lb)), label)

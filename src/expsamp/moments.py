@@ -86,7 +86,7 @@ def absolute_moment_sup(kernel: Kernel, nu: int) -> float:
     """M_nu(chi) = sup_u M_nu(chi, u), computed from the kernel's pieces.
 
     On each piece of one period s in [0, 1) the map s -> M_nu(chi, e^s) is
-    a polynomial of degree piece_degree + nu (see ``_pieces``).  It is
+    a polynomial of degree ``order`` - 1 + nu (see ``_pieces``).  It is
     interpolated at Chebyshev points, and the sup is the largest of the
     values at the piece ends and at the real roots of its derivative.  Where
     the kernel jumps at a knot, the map jumps too and its sup can be a limit
@@ -96,7 +96,7 @@ def absolute_moment_sup(kernel: Kernel, nu: int) -> float:
     """
     _check_order(nu)
     pieces = _pieces(kernel)
-    degree = kernel.piece_degree + nu
+    degree = kernel.order - 1 + nu
     at_breaks = [absolute_moment_at_log(kernel, nu, a) for a, _ in pieces]
     at_breaks.append(at_breaks[0])  # s = 1 is s = 0 one period on
     best = max(at_breaks)
@@ -142,10 +142,10 @@ def _pieces(kernel: Kernel) -> tuple[tuple[float, float], ...]:
     """Intervals of one period s in [0, 1) on which s -> M_nu(chi, e^s) is a
     polynomial.
 
-    The breakpoints are the fractional parts of the kernel's knots and of
-    the zeros where chi changes sign.  Every term |chi(s - k)| |k - s|^nu is
-    then a polynomial on each piece, since k - s changes sign only at
-    integers and |chi| has a kink only where chi changes sign.
+    The breakpoints are the fractional parts of the knots and of the zeros
+    where chi changes sign.  Every term |chi(s - k)| |k - s|^nu is then a
+    polynomial of degree n - 1 + nu on each piece, since k - s changes sign
+    only at integers and |chi| has a kink only where chi changes sign.
 
     They depend on the kernel alone, not on nu, so they are cached per
     kernel object, as ``_absolute_moment_sup_cached`` is.
@@ -167,7 +167,7 @@ def _sign_changes(kernel: Kernel) -> list[float]:
         if hi - lo <= _MERGE:
             continue
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        coeffs = _cheb_fit(kernel.eval_log, lo, hi, kernel.piece_degree)
+        coeffs = _cheb_fit(kernel.eval_log, lo, hi, kernel.order - 1)
         roots = [mid + half * x for x in _cheb_roots(coeffs)]
         ends = [lo, *roots, hi]
         sign = 0.0
@@ -310,7 +310,7 @@ class MomentReport:
     """One row of a kernel moment table.
 
     ``u_independent`` is read from the kernel, not measured: m_nu(chi, u) is
-    constant in u exactly when nu < n, the order of the kernel's B-spline.
+    constant in u exactly when nu < n, the kernel's ``order``.
     Every kernel here is sum_i c_i B_n(. + a_i); with tau = log u + a_i,
     m_nu(chi, u) = sum_i c_i sum_{l <= nu} C(nu, l) a_i^(nu-l) m_l(B_n, tau),
     and B_n reproduces the polynomials of degree < n (Schoenberg; the
@@ -331,6 +331,6 @@ def build_moment_report(kernel: Kernel, nu: int, at_u: float = 1.0) -> MomentRep
         order=nu,
         algebraic=algebraic_moment(kernel, nu, at_u),
         absolute_sup=absolute_moment_sup(kernel, nu),
-        u_independent=nu <= kernel.piece_degree,  # nu < n
+        u_independent=nu < kernel.order,
         at_u=at_u,
     )

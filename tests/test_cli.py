@@ -647,6 +647,28 @@ class TestUsageErrors:
         assert err.startswith("expsamp: error: ")
         assert sorted(os.listdir()) == ["run.cfg"]
 
+    @pytest.mark.parametrize("lead", [("--bogus", "x"), ("--config", "f"), ("--bogus",)],
+                             ids=["bogus-value", "config-value", "bare-bogus"])
+    def test_unknown_option_before_subcommand_named(self, capsys, tmp_path, monkeypatch, lead):
+        """An unknown option before the subcommand is named itself, not its
+        value taken for the subcommand; nothing is computed or written."""
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *lead, "eval", "--kernel", "bspline:2", "--fn", "log", "--w", "10",
+                   "--x", "2", "--output", "out.csv") == (
+            1, "", f"expsamp: error: unrecognized arguments: {lead[0]}\n")
+        assert os.listdir() == []
+
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he", "--version", "--vers", "--v"])
+    def test_top_level_options_still_lead(self, capsys, flag):
+        """-h, --help, --version and argparse's prefixes of them still stand
+        before the subcommand."""
+        from expsamp import __version__
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert out == f"expsamp {__version__}\n" if "v" in flag else out.startswith("usage: expsamp ")
+
     def test_quad_nodes_only_where_declared(self, capsys, tmp_path):
         """kernel-info and moments compute no cell means and refuse
         --quad-nodes; reconstruct, whose file holds its means, accepts and

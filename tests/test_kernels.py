@@ -1,5 +1,6 @@
 """Kernel family tests: spline values, transforms, translated combinations."""
 
+import dataclasses
 import math
 import random
 import re
@@ -9,14 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import exact
 from expsamp.kernels import (
     MAX_ORDER,
     MAX_TRANSLATE_LOG,
     WINDOW_ULP_TOL,
     Kernel,
     KernelSpecError,
-    _combo_coefficients,
-    _parse_log_scale,
     _piece_table,
     parse_kernel_spec,
 )
@@ -165,18 +165,6 @@ class TestEvaluatorBits:
         assert got.tobytes() == array("d", (bspline(-t) for t in ts)).tobytes()
 
 
-def _exact_bspline(n: int, t: Fraction) -> Fraction:
-    """B_n(t) in exact rationals, by the truncated-power sum
-    sum_j (-1)^j C(n, j) (t + n/2 - j)_+^(n-1) / (n-1)!; for n = 1 the
-    convention (x)_+^0 = [x >= 0] gives the left-closed indicator."""
-    total = Fraction(0)
-    for j in range(n + 1):
-        x = t + Fraction(n, 2) - j
-        if x >= 0:
-            total += (-1) ** j * math.comb(n, j) * x ** (n - 1)
-    return total / math.factorial(n - 1)
-
-
 def _recursion_bspline(n: int, t: float) -> float:
     """The triangular convolution recursion the evaluator replaced, kept as
     the oracle of which values are zero:
@@ -196,21 +184,6 @@ def _recursion_bspline(n: int, t: float) -> float:
     return values[0]
 
 
-ORACLE_SPECS = [f"bspline:{n}" for n in range(1, MAX_ORDER + 1)] + [
-    "combo:4:e^1:e^2", "combo:2:e^1/2:e^-1/2", "combo:7:e^-3/7:e^5/3",
-    "combo:3:1.3:0.6", "combo:10:0.1:7.25", "combo:1:e^1:e^2",
-]
-
-
-def _terms(spec: str) -> list[tuple[Fraction, Fraction]]:
-    """Exact (c_i, a_i) of chi(t) = sum_i c_i B_n(t + a_i)."""
-    family, _, *scales = spec.split(":")
-    if family == "bspline":
-        return [(Fraction(1), Fraction(0))]
-    la, lb = (_parse_log_scale(token) for token in scales)
-    return list(zip(_combo_coefficients(la, lb), (la, lb)))
-
-
 def _oracle_points(kernel: Kernel) -> list[float]:
     """Every knot, each one also at +-5.55e-17 and +-1e-12, every piece's
     midpoint, and random t across the support and past its ends."""
@@ -225,16 +198,14 @@ def _oracle_points(kernel: Kernel) -> list[float]:
 class TestExactOracle:
     """The evaluator against exact rational B-spline values."""
 
-    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    @pytest.mark.parametrize("spec", exact.ORACLE_SPECS)
     def test_within_round_off_of_exact(self, spec):
         """|eval_log(t) - chi(t)| <= 2.3e-16 per unit of sum_i |c_i|."""
         kernel = parse_kernel_spec(spec)
-        n = int(spec.split(":")[1])
-        terms = _terms(spec)
-        tol = 2.3e-16 * float(sum(abs(c) for c, _ in terms))
+        tol = 2.3e-16 * float(sum(abs(c) for c, _ in kernel.terms))
         for t in _oracle_points(kernel):
-            exact = sum(c * _exact_bspline(n, Fraction(t) + a) for c, a in terms)
-            assert abs(Fraction(kernel.eval_log(t)) - exact) <= tol, (t, kernel.eval_log(t))
+            want = exact.chi(kernel, Fraction(t))
+            assert abs(Fraction(kernel.eval_log(t)) - want) <= tol, (t, kernel.eval_log(t))
 
     @pytest.mark.parametrize("n", range(2, MAX_ORDER + 1))
     def test_even_bit_for_bit(self, n):
@@ -242,13 +213,12 @@ class TestExactOracle:
         for t in _oracle_points(kernel):
             assert kernel.eval_log(t) == kernel.eval_log(-t), t
 
-    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    @pytest.mark.parametrize("spec", exact.ORACLE_SPECS)
     def test_zero_pattern_matches_recursion(self, spec):
         kernel = parse_kernel_spec(spec)
-        n = int(spec.split(":")[1])
-        terms = [(float(c), float(a)) for c, a in _terms(spec)]
+        terms = [(float(c), float(a)) for c, a in kernel.terms]
         for t in _oracle_points(kernel):
-            old = sum(c * _recursion_bspline(n, t + a) for c, a in terms)
+            old = sum(c * _recursion_bspline(kernel.order, t + a) for c, a in terms)
             assert (kernel.eval_log(t) == 0.0) == (old == 0.0), t
 
     def test_outer_piece_is_a_monomial(self):
@@ -357,16 +327,29 @@ class TestWindow:
 class TestPiecewisePolynomial:
     def test_knots(self):
         b4 = parse_kernel_spec("bspline:4")
-        assert b4.log_knots == (-2.0, -1.0, 0.0, 1.0, 2.0) and b4.piece_degree == 3
+        assert b4.log_knots == (-2.0, -1.0, 0.0, 1.0, 2.0) and b4.order == 4
+        assert b4.terms == ((1, 0),)
         combo = parse_kernel_spec("combo:4:e^1:e^2")
         assert combo.log_knots == (-4.0, -3.0, -3.0, -2.0, -2.0, -1.0, -1.0, 0.0, 0.0, 1.0)
-        assert combo.piece_degree == 3
+        assert combo.order == 4 and combo.terms == ((2, 1), (-1, 2))
+
+    def test_replacing_the_evaluator_keeps_the_spec(self):
+        """dataclasses.replace swaps eval_log alone: the label, the order, the
+        terms, the knots derived from them and the transform stay."""
+        for kernel in ALL_TEST_KERNELS:
+            calls = []
+            swapped = dataclasses.replace(kernel, eval_log=lambda t: calls.append(t) or 0.0)
+            assert (swapped.label, swapped.order, swapped.terms) == (kernel.label, kernel.order, kernel.terms)
+            assert swapped.log_knots == kernel.log_knots
+            for j, t in ((0, 0.0), (1, 2.0), (3, 7.5)):
+                assert swapped.mellin_transform_derivs(j, t) == kernel.mellin_transform_derivs(j, t)
+            assert swapped.eval_log(0.25) == 0.0 and calls == [0.25]
 
     def test_polynomial_between_knots(self):
         """The (d+1)-th finite difference of a degree-d polynomial vanishes;
         on each knot piece it is taken over d + 2 equally spaced points."""
         for kernel in ALL_TEST_KERNELS + [parse_kernel_spec("combo:3:1.3:0.6")]:
-            d = kernel.piece_degree
+            d = kernel.order - 1
             knots = kernel.log_knots
             assert list(knots) == sorted(knots)
             for lo, hi in zip(knots, knots[1:]):
@@ -471,23 +454,22 @@ class TestTranslatedCombo:
     def test_coefficients_for_e_e2(self):
         """alpha = e, beta = e^2 gives c1 = 2, c2 = -1 from
         c1 = log(beta)/(log(beta) - log(alpha))."""
-        assert _combo_coefficients(Fraction(1), Fraction(2)) == (Fraction(2), Fraction(-1))
+        assert parse_kernel_spec("combo:4:e^1:e^2").terms == ((2, 1), (-1, 2))
 
     def test_coefficients_half_logs(self):
         """alpha = e^(1/2), beta = e^(-1/2): c1 = (-1/2)/(-1) = 1/2, c2 = 1/2."""
-        assert _combo_coefficients(Fraction(1, 2), Fraction(-1, 2)) == (Fraction(1, 2), Fraction(1, 2))
+        half = Fraction(1, 2)
+        assert parse_kernel_spec("combo:4:e^1/2:e^-1/2").terms == ((half, half), (half, -half))
 
     def test_coefficient_identities_exact(self):
-        """c1 + c2 = 1 and c1 log(alpha) + c2 log(beta) = 0, exactly."""
-        cases = [
-            (Fraction(1), Fraction(2)),
-            (Fraction(1, 3), Fraction(-2, 5)),
-            (Fraction(math.log(1.7)), Fraction(math.log(0.4))),
-        ]
-        for la, lb in cases:
-            c1, c2 = _combo_coefficients(la, lb)
+        """c1 + c2 = 1 and c1 log(alpha) + c2 log(beta) = 0, exactly; a
+        decimal factor's log is its float log, itself an exact rational."""
+        for spec in ("combo:4:e^1:e^2", "combo:4:e^1/3:e^-2/5", "combo:3:1.7:0.4"):
+            (c1, la), (c2, lb) = parse_kernel_spec(spec).terms
             assert c1 + c2 == 1
             assert c1 * la + c2 * lb == 0
+        (_, la), (_, lb) = parse_kernel_spec("combo:3:1.7:0.4").terms
+        assert (la, lb) == (Fraction(math.log(1.7)), Fraction(math.log(0.4)))
 
     def test_eval_is_weighted_translates(self):
         kernel = parse_kernel_spec("combo:4:e^1:e^2")
@@ -503,9 +485,8 @@ class TestTranslatedCombo:
         assert min(kernel.eval_log(t) for t in ts) < -0.05
 
     def test_equal_factors_rejected(self):
-        log_scale = Fraction(math.log(1.5))
         with pytest.raises(KernelSpecError, match="translate factors must differ"):
-            _combo_coefficients(log_scale, log_scale)
+            parse_kernel_spec("combo:4:1.5:1.5")
 
 
 class TestSpecParsing:

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import exact
 from expsamp import moments
-from expsamp.kernels import _combo_coefficients, _parse_log_scale, parse_kernel_spec
+from expsamp.kernels import parse_kernel_spec
 from expsamp.combinations import solve_coefficients
 from expsamp.moments import (
     absolute_moment_at_log,
@@ -46,16 +47,9 @@ def _oracle_bspline(n, t):
 
 def _oracle_moment_map(spec):
     """(nu, s) -> M_nu(chi, e^s) for an array s in about [0, 1]."""
-    parts = spec.split(":")
-    n = int(parts[1])
-    if parts[0] == "bspline":
-        terms = [(1.0, 0.0)]
-    else:
-        la, lb = (
-            Fraction(p[2:]) if p.startswith("e^") else Fraction(math.log(float(p)))
-            for p in parts[2:]
-        )
-        terms = [(float(lb / (lb - la)), float(la)), (float(-la / (lb - la)), float(lb))]
+    kernel = parse_kernel_spec(spec)
+    n = kernel.order
+    terms = [(float(c), float(a)) for c, a in kernel.terms]
     reach = math.ceil(0.5 * n + max(abs(shift) for _, shift in terms)) + 2
     ks = np.arange(-reach, reach + 2)
 
@@ -297,11 +291,11 @@ class TestKantorovichBracket:
         0..6 is within 2e-15 (1 + |value|) of the bracket in exact rationals,
         sum_k chi(log u - k) ((k + 1 - log u)^(i+1) - (k - log u)^(i+1)),
         which equals sum_{j=1}^{i+1} C(i+1, j) m_{i-j+1} over the same chi."""
-        kernel, chi = parse_kernel_spec(spec), _exact_kernel(spec)
+        kernel = parse_kernel_spec(spec)
         for t in np.random.default_rng(23).uniform(-30.0, 30.0, 12):
             log_u = float(t)
             exact_t = Fraction(log_u)
-            weights = {k: chi(exact_t - k) for k in kernel.window(log_u)}
+            weights = {k: exact.chi(kernel, exact_t - k) for k in kernel.window(log_u)}
             for i in range(7):
                 want = sum(c * ((k + 1 - exact_t) ** (i + 1) - (k - exact_t) ** (i + 1))
                            for k, c in weights.items())
@@ -309,45 +303,6 @@ class TestKantorovichBracket:
                 assert want == sum(math.comb(i + 1, j) * m[i - j + 1] for j in range(1, i + 2))
                 got = kantorovich_bracket_at_log(kernel, i, log_u)
                 assert abs(Fraction(got) - want) <= Fraction(2e-15) * (1 + abs(want)), (log_u, i)
-
-
-def _exact_terms(spec):
-    """n and the terms (c_i, a_i) of chi = sum_i c_i B_n(. + a_i), in exact
-    rationals, and B_n by the truncated-power sum
-    sum_j (-1)^j C(n, j) (t + n/2 - j)_+^(n-1) / (n-1)!; for n = 1,
-    (x)_+^0 = [x >= 0] gives the left-closed indicator."""
-    family, n, *scales = spec.split(":")
-    n = int(n)
-    terms = [(Fraction(1), Fraction(0))]
-    if family == "combo":
-        logs = [_parse_log_scale(token) for token in scales]
-        terms = list(zip(_combo_coefficients(*logs), logs))
-
-    def bspline(t):
-        return sum((-1) ** j * math.comb(n, j) * x ** (n - 1) for j in range(n + 1)
-                   if (x := t + Fraction(n, 2) - j) >= 0) / Fraction(math.factorial(n - 1))
-
-    return n, terms, bspline
-
-
-def _exact_kernel(spec):
-    """chi(t) in exact rationals."""
-    _, terms, bspline = _exact_terms(spec)
-    return lambda t: sum(c * bspline(t + a) for c, a in terms)
-
-
-def _exact_moments(n, terms, bspline, s, nu_max):
-    """m_0..m_nu_max at log u = s in exact rationals, each translate summed
-    only over the k where its support [-n/2, n/2) holds s - k + a."""
-    m = [Fraction(0)] * (nu_max + 1)
-    for c, a in terms:
-        lo = s + a - Fraction(n, 2)
-        for k in range(math.floor(lo) + 1, math.floor(lo) + n + 1):
-            weight, d = c * bspline(s - k + a), k - s
-            for nu in range(nu_max + 1):
-                m[nu] += weight
-                weight *= d
-    return m
 
 
 class TestMomentReport:
@@ -384,14 +339,14 @@ class TestMomentReport:
         m_nu is a polynomial of degree at most n - 1 + nu <= n + 7; so it is
         constant when it takes one value at n + 8 points inside every piece
         and at the breakpoints, and varies when it takes two."""
-        n, terms, bspline = _exact_terms(spec)
-        breaks = sorted({x - math.floor(x) for _, a in terms
+        kernel = parse_kernel_spec(spec)
+        n = kernel.order
+        breaks = sorted({x - math.floor(x) for _, a in kernel.terms
                          for x in (j - Fraction(n, 2) - a for j in range(n + 1))})
         points = [*breaks, *(lo + (hi - lo) * Fraction(j, n + 9)
                              for lo, hi in zip(breaks, [*breaks[1:], breaks[0] + 1])
                              for j in range(1, n + 9))]
-        values = [_exact_moments(n, terms, bspline, s, 8) for s in points]
-        kernel = parse_kernel_spec(spec)
+        values = [exact.moments(kernel, s, 8) for s in points]
         for nu in range(9):
             constant = len({m[nu] for m in values}) == 1
             assert constant == (nu < n) == build_moment_report(kernel, nu).u_independent, nu

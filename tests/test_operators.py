@@ -6,12 +6,15 @@ import io
 import math
 import random
 import re
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import exact
 from expsamp import operators
+from expsamp.combinations import apply_combo, solve_coefficients
 from expsamp.functions import TestFunction, get_function
 from expsamp.kernels import parse_kernel_spec
 from expsamp.operators import (
@@ -342,6 +345,40 @@ class TestApply:
         got = apply(f, B2, OperatorConfig(w), x)
         assert got == pytest.approx(tight, abs=5e-16)
         assert got == pytest.approx(wide, abs=5e-16)
+
+
+class TestExactOracle:
+    """The operator and its p-combinations against exact rationals."""
+
+    def test_within_round_off_of_exact(self):
+        """|value - exact| <= 8u sum_i |c_i| sum_k |chi(t_i - k) mu_i(k)|,
+        u = 2^-53, over seeded draws of every oracle kernel, the log family
+        and constants, p in {1, 2, 3, 5, 8}, w in [10, 1e4] and |log x| in
+        [0.05, 2].  Exact: the kernel from its terms, the cell means mu_i(k)
+        of c s^q at rate i*w in closed form, t_i = i*w*log x from a 60-digit
+        log.  The scale is the sum of absolute terms, not |exact|: the
+        weights of a combo kernel and of a combination cancel."""
+        functions = ["log", "log2", "log3", "const:1", "const:-2.5"]
+        ctx, rng = Context(prec=60), random.Random(37)
+        worst = (0.0, None)
+        for _ in range(200):
+            spec, name = rng.choice(exact.ORACLE_SPECS), rng.choice(functions)
+            p, w = rng.choice((1, 2, 3, 5, 8)), 10.0 ** rng.uniform(1.0, 4.0)
+            x = math.exp(rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 2.0))
+            kernel, f, scheme = parse_kernel_spec(spec), get_function(name), solve_coefficients(p)
+            c, q = f.log_monomial
+            log_x = Fraction(Decimal(x).ln(ctx))
+            want, scale = Fraction(0), Fraction(0)
+            for i, coeff in enumerate(scheme.coeffs, start=1):
+                rate = i * Fraction(w)
+                t = rate * log_x
+                terms = [exact.chi(kernel, t - k) * Fraction(c) * ((k + 1) ** (q + 1) - k ** (q + 1))
+                         / ((q + 1) * rate ** q) for k in kernel.window(float(t))]
+                want += coeff * sum(terms)
+                scale += abs(coeff) * sum(map(abs, terms))
+            ratio = abs(Fraction(apply_combo(f, kernel, scheme, w, x)) - want) / scale * 2 ** 53
+            worst = max(worst, (float(ratio), (spec, name, p, w, x)), key=lambda r: r[0])
+        assert worst[0] <= 8.0, f"worst |value - exact| = {worst[0]:.3g}u of the scale at {worst[1]}"
 
 
 class TestApplyGrid:
