@@ -19,10 +19,10 @@ Text and CSV output prints floats with 12 significant digits, except the
 table command, whose error cells are rounded to 4 decimals for comparison
 against published values; JSON output carries full round-trip precision,
 and a non-finite float in it is refused with exit 1, never printed.
-Flags come from the command line alone; ``--quad-nodes`` is declared by
-the subcommands that compute cell means (eval, table, converge,
-voronovskaya, bounds) and by reconstruct, which ignores it, and any other
-subcommand refuses it.
+Flags come from the command line alone, each by its declared name only
+(``converge --grid 51`` is refused); ``--quad-nodes`` is declared by the
+subcommands that compute cell means (eval, table, converge, voronovskaya,
+bounds) and by reconstruct, which ignores it; any other subcommand refuses it.
 The parser is built on the first ``main`` call and reused by later calls.
 """
 
@@ -119,8 +119,9 @@ def _parse_x_values(text: str) -> list[float]:
 
 
 def _check_grid_size(count: int, what: str, unit: str = "points") -> None:
-    if count > _MAX_GRID_POINTS:
-        raise UsageError(f"{what}: {count} {unit}, more than the {_MAX_GRID_POINTS} allowed")
+    if count > _MAX_GRID_POINTS:  # a count of 15 or more digits is shown by its power of ten
+        shown = count if count < 10**14 else f"about 10^{len(str(count)) - 1}"
+        raise UsageError(f"{what}: {shown} {unit}, more than the {_MAX_GRID_POINTS} allowed")
 
 
 def _numbers(text: str, sep: str, what: str) -> list[float]:
@@ -296,12 +297,12 @@ def _run_bounds(args, kernel: Kernel) -> Iterable[str]:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="expsamp", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="expsamp", description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"expsamp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, run, help: str, quad_help: str | None = _QUAD_HELP) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(run=run)
         p.add_argument("--kernel", required=True,
                        help="kernel spec: bspline:<n> or combo:<n>:<alpha>:<beta>")
@@ -368,9 +369,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:] if argv is None else list(argv)
         lead = argv[0] if argv else ""
         # argparse would take an unknown option's value for the subcommand and
-        # name that token; only -h, --help, --version and their prefixes lead
-        if lead[:1] == "-" and lead != "-h" and not (
-                len(lead) > 2 and any(o.startswith(lead) for o in ("--help", "--version"))):
+        # name that token; only -h, --help and --version lead
+        if lead[:1] == "-" and lead not in ("-h", "--help", "--version"):
             raise UsageError(f"unrecognized arguments: {lead}")
         args = _build_parser().parse_args(argv)
         text = args.run(args, parse_kernel_spec(args.kernel))

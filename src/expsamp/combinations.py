@@ -55,7 +55,9 @@ class CombinationScheme:
         return sum((c / Fraction(i + 1) ** k for i, c in enumerate(self.coeffs)), Fraction(0))
 
     def combine(self, values: Sequence[float]) -> float:
-        """sum_i c_i * values[i-1], the combined operator; ValueError past the float range."""
+        """sum_i c_i * values[i-1] over exactly p values; ValueError past the float range."""
+        if len(values) != self.p:
+            raise ValueError(f"the p={self.p} combination takes {self.p} values, got {len(values)}")
         total = _dot(self._floats, values)
         if not math.isfinite(total):
             raise ValueError(f"the p={self.p} combination overflows at values {list(values)}")

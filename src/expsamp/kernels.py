@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 MAX_ORDER = 10
+_ORDERS = {str(n): n for n in range(1, MAX_ORDER + 1)}  # the one spelling of each order
 
 # Largest float spacing ulp(t) allowed at a window position t = w*log(x).
 # The kernel weights are read at the offsets t - k, which carry only
@@ -258,8 +259,6 @@ def _sincpow_derivs(n: int, t: float, jmax: int) -> list[float]:
 
 def _spline_sum(n: int, terms: tuple[tuple[Fraction, Fraction], ...], label: str) -> Kernel:
     """Kernel sum_i c_i B_n(t + a_i) for the exact terms ((c_i, a_i), ...)."""
-    if not 1 <= n <= MAX_ORDER:
-        raise KernelSpecError(f"B-spline order must be in 1..{MAX_ORDER}, got {n}")
     # The evaluator runs on the operator's hot path, so it is written out for
     # the two shapes the spec strings build: the bare spline and two terms.
     bspline = _bspline_evaluator(n)
@@ -331,7 +330,7 @@ def parse_kernel_spec(text: str) -> Kernel:
 
     Accepted forms:
 
-    * ``bspline:<n>`` with 1 <= n <= 10
+    * ``bspline:<n>`` with n written as one of the numerals 1 to 10, and no other way
     * ``combo:<n>:<alpha>:<beta>`` where alpha/beta are decimal literals or
       ``e^<rational>`` (the exponent is stored exactly, not as a float),
       positive, with |log alpha|, |log beta| <= MAX_TRANSLATE_LOG, and far
@@ -343,12 +342,11 @@ def parse_kernel_spec(text: str) -> Kernel:
     names = _SPEC_FIELDS[family]
     if len(fields) != len(names):
         raise KernelSpecError(f"want {family}:<{'>:<'.join(names)}>, got {text!r}")
-    try:
-        order = int(fields[0])
-    except ValueError:
-        raise KernelSpecError(f"bad B-spline order {fields[0]!r} in {text!r}") from None
+    order = _ORDERS.get(fields[0])
+    if order is None:
+        raise KernelSpecError(f"B-spline order must be in 1..{MAX_ORDER}, got {fields[0]!r} in {text!r}")
     if family == "bspline":
-        return _spline_sum(order, ((Fraction(1), Fraction(0)),), f"bspline:{order}")
+        return _spline_sum(order, ((Fraction(1), Fraction(0)),), text)
     la, lb = (_parse_log_scale(token) for token in fields[1:])
     c1, c2 = _combo_coefficients(la, lb)
     size = abs(c1) + abs(c2)

@@ -186,12 +186,14 @@ def cell_mean(f: TestFunction, w: float, k: int, quad_nodes: int = 7) -> float:
     polynomial of degree <= 2*quad_nodes - 1 on the cell.  This is the
     one-cell path; ``SampleSeries.from_function`` computes its cells in
     blocks of 64, one ``f.f_at_log`` call per block, and gives the same
-    floats.  Raises ValueError for a node count outside 1..MAX_QUAD_NODES,
-    for a cell whose points e^u overflow or underflow (a rate too small for
-    the evaluation point, or a k beyond the float range) and for an f that
-    overflows there or cannot be evaluated in floats, such as cos of an
-    overflowed argument.
+    floats.  Raises ValueError for a rate w that is not positive and finite,
+    for a node count outside 1..MAX_QUAD_NODES, for a cell whose points e^u
+    overflow or underflow (a rate too small for the evaluation point, or a k
+    beyond the float range) and for an f that overflows there or cannot be
+    evaluated in floats, such as cos of an overflowed argument.
     """
+    if not 0.0 < w < math.inf:  # inline: this runs once per cell
+        _check_rate(w)
     nodes, weights = _gauss_rule(quad_nodes)
     try:
         lo, hi = k / w, (k + 1) / w

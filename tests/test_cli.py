@@ -647,21 +647,23 @@ class TestUsageErrors:
         assert err.startswith("expsamp: error: ")
         assert sorted(os.listdir()) == ["run.cfg"]
 
-    @pytest.mark.parametrize("lead", [("--bogus", "x"), ("--config", "f"), ("--bogus",)],
-                             ids=["bogus-value", "config-value", "bare-bogus"])
+    @pytest.mark.parametrize("lead", [("--bogus", "x"), ("--config", "f"), ("--bogus",),
+                                      ("--he",), ("--vers",), ("--v",)],
+                             ids=["bogus-value", "config-value", "bare-bogus",
+                                  "help-prefix", "version-prefix", "ambiguous-prefix"])
     def test_unknown_option_before_subcommand_named(self, capsys, tmp_path, monkeypatch, lead):
         """An unknown option before the subcommand is named itself, not its
-        value taken for the subcommand; nothing is computed or written."""
+        value taken for the subcommand; nothing is computed or written.  A
+        prefix of --help or --version is such an option."""
         monkeypatch.chdir(tmp_path)
         assert run(capsys, *lead, "eval", "--kernel", "bspline:2", "--fn", "log", "--w", "10",
                    "--x", "2", "--output", "out.csv") == (
             1, "", f"expsamp: error: unrecognized arguments: {lead[0]}\n")
         assert os.listdir() == []
 
-    @pytest.mark.parametrize("flag", ["-h", "--help", "--he", "--version", "--vers", "--v"])
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--version"])
     def test_top_level_options_still_lead(self, capsys, flag):
-        """-h, --help, --version and argparse's prefixes of them still stand
-        before the subcommand."""
+        """-h, --help and --version still stand before the subcommand."""
         from expsamp import __version__
         with pytest.raises(SystemExit) as exc:
             main([flag])
@@ -687,6 +689,78 @@ class TestUsageErrors:
         assert run(capsys, "eval", "--kernel", "bspline:2", "--fn", "const", "--w", "10", "--x", "2") == (
             1, "", "expsamp: error: unknown function 'const' "
                    "(known: cos4exp, log, log2, log3, sinmix, const:<c>)\n")
+
+
+def _subcommand_parsers() -> dict:
+    (subparsers,) = (a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices
+
+
+def _abbreviations() -> list[tuple[str, str]]:
+    """(subcommand, prefix) for every proper prefix, of at least three
+    characters, of a declared long flag that is not itself a declared flag."""
+    cases = []
+    for command, parser in _subcommand_parsers().items():
+        flags = {f for f in parser._option_string_actions if f.startswith("--")}
+        cases += [(command, prefix) for prefix in sorted({f[:n] for f in flags for n in range(3, len(f))})
+                  if prefix not in flags]
+    return cases
+
+
+class TestExactFlags:
+    """Every flag answers to its declared name only: argparse's prefix
+    matching is off, so an abbreviation is an unknown option, refused with
+    exit 1 before anything is computed or written."""
+
+    SAMPLES = "# w=10.0\nk,mean\n" + "".join(f"{k},1.0\n" for k in range(-5, 15))
+    # a request that succeeds, with a value for every flag of its subcommand
+    # but --help and bounds' --p, which has no prefix of three characters
+    ACCEPTED = {
+        "kernel-info": ("--kernel", "bspline:2", "--nu-max", "2", "--format", "text"),
+        "moments": ("--kernel", "bspline:2", "--nu-max", "2", "--u", "1.5", "--format", "text"),
+        "eval": ("--kernel", "bspline:2", "--fn", "log3", "--w", "20", "--x", "1.5",
+                 "--quad-nodes", "7", "--format", "text", "--emit-samples", "emitted.csv"),
+        "reconstruct": ("--kernel", "bspline:2", "--samples", "s.csv", "--x", "1.5",
+                        "--quad-nodes", "7"),
+        "table": ("--kernel", "bspline:2", "--fn", "log", "--w", "10", "--p", "2", "--x", "1.5",
+                  "--quad-nodes", "7", "--format", "latex"),
+        "converge": ("--kernel", "bspline:2", "--fn", "log2", "--w-list", "10,20,40,80,160",
+                     "--p", "2", "--grid-points", "11", "--quad-nodes", "7"),
+        "voronovskaya": ("--kernel", "bspline:2", "--fn", "log", "--x", "1.5", "--w-list", "10,20,40,80",
+                         "--p", "2", "--quad-nodes", "7"),
+        "bounds": ("--kernel", "bspline:4", "--fn", "log3", "--w", "20", "--x", "1.5",
+                   "--check", "moment", "--r", "2", "--quad-nodes", "7"),
+    }
+
+    def test_every_flag_of_every_subcommand_covered(self):
+        assert sorted(self.ACCEPTED) == sorted(_subcommand_parsers())
+        for command, parser in _subcommand_parsers().items():
+            flags = {f for f in parser._option_string_actions if f.startswith("--")}
+            assert flags - set(self.ACCEPTED[command]) - {"--help", "--output", "--p"} == set()
+        # 232: converge's and voronovskaya's --w, a prefix of their --w-list, count too
+        assert len(_abbreviations()) == 232
+
+    @pytest.mark.parametrize("command", sorted(ACCEPTED))
+    def test_declared_names_accepted(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("s.csv").write_text(self.SAMPLES)
+        assert run(capsys, command, *self.ACCEPTED[command], "--output", "out.txt") == (0, "", "")
+        assert Path("out.txt").read_text()
+
+    @pytest.mark.parametrize("command, prefix", _abbreviations(), ids=" ".join)
+    def test_abbreviation_refused(self, capsys, tmp_path, monkeypatch, command, prefix):
+        """The prefix stands after a request that succeeds, with the value its
+        flag was given there; with prefix matching on, the request would still
+        succeed, or name the prefix ambiguous."""
+        monkeypatch.chdir(tmp_path)
+        Path("s.csv").write_text(self.SAMPLES)
+        accepted = self.ACCEPTED[command]
+        named = [f for f in _subcommand_parsers()[command]._option_string_actions if f.startswith(prefix)]
+        extra = (prefix, accepted[accepted.index(named[0]) + 1]) if (
+            len(named) == 1 and named[0] in accepted) else (prefix,)
+        assert run(capsys, command, *accepted, "--output", "out.txt", *extra) == (
+            1, "", f"expsamp: error: unrecognized arguments: {' '.join(extra)}\n")
+        assert os.listdir() == ["s.csv"]
 
 
 class TestNonFiniteInputs:
@@ -813,12 +887,25 @@ class TestGridSize:
              "range '1:1000001:1': 1000001 points, more than the 1000000 allowed"),
             (("converge", "--fn", "log", "--w-list", "10,20,40", "--grid-points", "1000001"),
              "--grid-points: 1000001 points, more than the 1000000 allowed"),
+            (("eval", "--fn", "log", "--w", "10", "--x", "0.1:0.2:1e-300"),
+             "range '0.1:0.2:1e-300': about 10^299 points, more than the 1000000 allowed"),
+            (("converge", "--fn", "log", "--w-list", "10,20,40", "--grid-points", "1" + "0" * 400),
+             "--grid-points: about 10^400 points, more than the 1000000 allowed"),
         ],
     )
     def test_refused(self, capsys, argv, named):
         code, out, err = run(capsys, argv[0], "--kernel", "bspline:2", *argv[1:])
         assert (code, out) == (1, "")
         assert err == f"expsamp: error: {named}\n"
+
+    def test_long_count_shown_by_its_power_of_ten(self):
+        """A count of up to 14 digits is printed in full, a longer one as the
+        power of ten below it."""
+        with pytest.raises(UsageError, match="^grid: 99999999999999 points, "):
+            _check_grid_size(10**14 - 1, "grid")
+        for count, power in ((10**14, 14), (10**15 - 1, 14), (7 * 10**299 + 1, 299)):
+            with pytest.raises(UsageError, match=f"^grid: about 10\\^{power} points, "):
+                _check_grid_size(count, "grid")
 
     # bspline:2 at w = 10000 covers cells -2 .. floor(10000 log x) + 2 for
     # x in [1, x_max]: 999995 + 5 cells at the first end, one more at the second

@@ -96,6 +96,14 @@ class TestSolveCoefficients:
                 "the p=3 combination overflows at values [1.7e+308, 0.0, 3.9e+307]")):
             scheme.combine([1.7e308, 0.0, 3.9e307])
 
+    @pytest.mark.parametrize("p, values", [(3, [1.0, 2.0]), (2, [1.0, 2.0, 99.0])])
+    def test_combine_takes_p_values(self, p, values):
+        """A value list of another length is refused, not cut to the shorter
+        of it and the coefficients."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"the p={p} combination takes {p} values, got {len(values)}")):
+            solve_coefficients(p).combine(values)
+
     def test_rates(self):
         """w, 2w, ..., pw in coefficient order; on a doubling list 2w is
         the next rate as a float, which lets studies share it."""

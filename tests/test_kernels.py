@@ -121,10 +121,21 @@ class TestBSplineValues:
         assert kernel.eval_log(math.log(math.exp(0.5))) == 0.0
         assert kernel.eval_log(math.log(1.0)) == 1.0
 
-    @pytest.mark.parametrize("spec", ["bspline:0", "bspline:11"])
+    @pytest.mark.parametrize("spec", ["bspline:0", "bspline:11", "bspline:+2", "bspline: 2",
+                                      "bspline:02", "bspline:1_0", "bspline:\u0663", "bspline:2 ",
+                                      "combo:04:e^1:e^2"])
     def test_order_validation(self, spec):
-        with pytest.raises(KernelSpecError, match="order must be in 1..10"):
+        """The order is one of the numerals 1 to 10; a sign, space, leading
+        zero, underscore or non-ASCII digit that int() would read is refused."""
+        order = spec.split(":")[1]
+        with pytest.raises(KernelSpecError, match=re.escape(
+                f"B-spline order must be in 1..10, got {order!r} in {spec!r}")):
             parse_kernel_spec(spec)
+
+    @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+    def test_every_order_parses_under_its_spec(self, n):
+        kernel = parse_kernel_spec(f"bspline:{n}")
+        assert (kernel.label, kernel.order) == (f"bspline:{n}", n)
 
 
 def _horner_from_zero(n: int, t: float) -> float:

@@ -139,6 +139,13 @@ class TestCellMean:
         with pytest.raises(ValueError, match=f"cell k={k} at w={w:g} .* beyond the float range"):
             cell_mean(get_function("log"), w, k)
 
+    @pytest.mark.parametrize("w", [0.0, -1.0, math.inf, math.nan])
+    def test_rate_not_positive_and_finite_refused(self, w):
+        """As OperatorConfig refuses it: no ZeroDivisionError at 0, no mean
+        at a negative rate, no f(1) for every cell at inf."""
+        with pytest.raises(ValueError, match=f"sampling rate w must be positive and finite, got {w}"):
+            cell_mean(get_function("sinmix"), w, 3)
+
     def test_cells_at_the_float_range_ends(self):
         assert cell_mean(get_function("log"), 1.0, 708) == pytest.approx(708.5, rel=1e-15)
         assert cell_mean(get_function("log"), 1.0, -708) == pytest.approx(-707.5, rel=1e-15)
