@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .combinations import (
     CombinationScheme,
@@ -366,8 +367,10 @@ def vanishing_moment_bound(
     rhs: 2A/(w^r (r+1)!) * K(f, B/(2A(r+1)w)),
          A = 1 + (r+1) M_r,  B = 1 + (r+2) M_{r+1}.
 
-    Raises MomentPreconditionError when a lower moment is nonzero at the
-    evaluation point (that is a failed hypothesis, not a failed bound).
+    Raises MomentPreconditionError when a lower moment m_j is nonzero (a
+    failed hypothesis, not a failed bound).  For j < n, the kernel's order,
+    m_j is the constant sum_i c_i (a_i^j + [j = 2] n/12), read exactly from
+    ``kernel.terms``; for j >= n it varies and is summed at u = x^w.
     """
     if not 1 <= r <= 3:
         raise ValueError(f"bound order r={r} not in 1..3")
@@ -375,7 +378,10 @@ def vanishing_moment_bound(
     _check_point(x)
     wt = w * math.log(x)
     for j in range(1, r):
-        mj = algebraic_moment_at_log(kernel, j, wt)
+        if j < kernel.order:  # constant in u
+            mj = float(sum(c * (a**j + Fraction(kernel.order, 12) * (j == 2)) for c, a in kernel.terms))
+        else:
+            mj = algebraic_moment_at_log(kernel, j, wt)
         if abs(mj) > 1e-10:
             raise MomentPreconditionError(
                 f"kernel {kernel.label!r}: m_{j}(chi, u) = {mj:.3e} != 0 at u = x^w "
@@ -431,7 +437,7 @@ def combo_bound(
     A = s2 * (1.0 + 3.0 * M1 + 3.0 * M2)
     B = s1 * (1.0 + 2.0 * M1)
     details = {"M1": M1, "M2": M2, "A": A, "B": B, "coeff_sum_1": s1, "coeff_sum_2": s2}
-    if s1 <= 0.0 or B == 0.0:
+    if s1 <= 0.0:
         return BoundReport(
             lhs=lhs,
             rhs=0.0,

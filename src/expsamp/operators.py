@@ -444,19 +444,15 @@ def read_sample_csv(src: str | io.TextIOBase) -> SampleSeries:
     if not (w > 0.0 and math.isfinite(w)):
         raise SampleFormatError(f"line 1: rate must be positive and finite, got {first[4:]!r}")
     text = src.read()
-    lines = text.split("\n")
-    # csv splits a text with no quote, no CR and no line over its field limit, as written
-    # above, at "\n" and "," alone, so it is parsed in bulk; on any ValueError there or a
-    # repeated k, the row reader below meets the first fault and names its line.
-    if ('"' not in text and "\r" not in text and lines[0] == "k,mean"
-            and max(map(len, lines)) <= csv.field_size_limit()):
-        try:
-            rows = (line.split(",") for line in lines[1:] if line)
-            means = {int(k): float(v) for k, v in rows}
-            if len(means) == len(lines) - 1 - lines.count(""):  # with no rows, min() raises
-                return SampleSeries(w=w, means=means, k_range=(min(means), max(means)))
-        except ValueError:
-            pass
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:  # in bulk; on any fault, the row reader below meets it first and names its line
+        header, means, count = next(reader, None), {}, 0
+        for count, (k, v) in enumerate(filter(None, reader), 1):
+            means[int(k)] = float(v)
+        if header == ["k", "mean"] and len(means) == count:  # with no rows, min() raises
+            return SampleSeries(w=w, means=means, k_range=(min(means), max(means)))
+    except (csv.Error, ValueError):
+        pass
     reader = csv.reader(io.StringIO(text, newline=""))
     try:  # csv's own faults, such as a field over its size limit, too
         header = next(reader, None)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import re
 import statistics
 import sys
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import exact
 from expsamp.analysis import (
     MomentPreconditionError,
     _k_upper,
@@ -575,6 +577,30 @@ class TestVanishingMomentBound:
     def test_log_with_order_two(self):
         rep = vanishing_moment_bound(get_function("log"), B4, 20.0, 1.0, 2)
         assert rep.lhs <= rep.rhs + 1e-12
+
+    def test_lower_moment_below_the_order_read_exactly(self):
+        """m_1 is 0 for every kernel of order n >= 2, so r = 2 applies at
+        every phase.  Summed at u = x^w, the terms of combo:6:e^998:e^1000
+        reach about 1e3 and m_1 came out above 1e-10 at some phases, which
+        were refused."""
+        f = get_function("log")
+        rng = random.Random(20)
+        for spec in [s for s in exact.ORACLE_SPECS if parse_kernel_spec(s).order >= 2] + [
+                "combo:6:e^998:e^1000"]:
+            kernel = parse_kernel_spec(spec)
+            for _ in range(200):
+                w, t = rng.uniform(2000.0, 4000.0), rng.uniform(-3000.0, 3000.0)
+                vanishing_moment_bound(f, kernel, w, math.exp(t / w), 2)
+
+    @pytest.mark.parametrize("log_x", [0.0, 0.05, 0.4])
+    def test_order_three_precondition_from_the_terms(self, log_x):
+        """m_2 of a combo is n/12 - a_1 a_2, exactly 0 for combo:4:e^1:e^1/3,
+        and bspline:3's is 1/4 at every phase.  (bspline:2's m_2 varies;
+        test_b2_order_three_precondition_fails finds it 1/4 off the grid.)"""
+        f, x = get_function("log3"), math.exp(log_x)
+        vanishing_moment_bound(f, parse_kernel_spec("combo:4:e^1:e^1/3"), 10.0, x, 3)
+        with pytest.raises(MomentPreconditionError, match=re.escape("m_2(chi, u) = 2.500e-01 != 0")):
+            vanishing_moment_bound(f, parse_kernel_spec("bspline:3"), 10.0, x, 3)
 
 
 class TestComboBound:

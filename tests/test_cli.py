@@ -23,6 +23,11 @@ from expsamp.kernels import parse_kernel_spec
 from expsamp.operators import SampleSeries
 
 
+# the directory that holds the expsamp under test, src/ or an installed one's
+# site-packages: the subprocesses below import the same package
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+
+
 def _decodes_0xff() -> bool:
     try:
         b"\xff".decode(locale.getpreferredencoding(False))
@@ -178,6 +183,24 @@ class TestEval:
         eval_rows = [line.split(",")[:2] for line in out_eval.split("\n")]
         assert out_rec.split("\n") == [",".join(row) for row in eval_rows]
         assert len(eval_rows) == 53  # header, 51 points, the final newline
+
+    def test_crlf_and_quoted_samples_reconstruct_alike(self, capsys, tmp_path):
+        """A sample file with CRLF line ends, or with every field quoted,
+        reconstructs the bytes that the file eval wrote does."""
+        samples = tmp_path / "s.csv"
+        assert run(capsys, "eval", "--kernel", "bspline:3", "--fn", "sinmix", "--w", "45.3",
+                   "--x", "1.3:2.4:0.013", "--emit-samples", str(samples))[0] == 0
+        text = samples.read_text()
+        quoted = "\n".join(
+            line if line[:1] in ("#", "") else ",".join(f'"{v}"' for v in line.split(","))
+            for line in text.split("\n"))
+        outputs = []
+        for body in (text, text.replace("\n", "\r\n"), quoted):
+            samples.write_bytes(body.encode())
+            outputs.append(run(capsys, "reconstruct", "--kernel", "bspline:3", "--samples",
+                               str(samples), "--x", "1.3:2.4:0.013"))
+        assert outputs[0][0] == 0 and outputs[0][1].count("\n") == 86
+        assert outputs[1] == outputs[2] == outputs[0]
 
     def test_emit_computes_each_cell_once(self, capsys, tmp_path, monkeypatch):
         """With --emit-samples the grid is read from the emitted series, so
@@ -389,6 +412,14 @@ class TestBounds:
         assert code == 2
         assert "precondition" in err
 
+    def test_lower_moment_read_exactly_below_the_order(self, capsys):
+        """m_1 is 0 for every kernel of order 2 and up; summed at x^w for this
+        combo, it once read 1.419e-10 at x = 1.268 and the request exited 2."""
+        code, out, err = run(capsys, "bounds", "--kernel", "combo:6:e^998:e^1000", "--fn", "log3",
+                             "--w", "2000", "--x", "1.268", "--check", "moment", "--r", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["bound"] == "vanishing_moment:r=2"
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -568,11 +599,12 @@ class TestUsageErrors:
             ("eval", "--kernel", "bspline:2", "--fn", "log", "--w", "5", "--x", "1.0:2.0:abc"),
             ("converge", "--kernel", "bspline:2", "--fn", "log", "--w-list", "40,20,10"),
             ("eval", "--kernel", "bspline:2", "--fn", "log", "--w", "5"),
+            ("kernel-info", "--kernel", "bspline:1_0"),
         ],
     )
     def test_exit_one(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
-        assert code == 1
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
         assert err.strip()
 
     def test_offending_token_reported(self, capsys):
@@ -1255,7 +1287,8 @@ class TestSingleWrite:
 class TestNumpyFree:
     """The library and every subcommand run on the standard library alone:
     each command runs in a fresh interpreter that must end without numpy in
-    sys.modules.  (The tests themselves use numpy as an oracle.)"""
+    sys.modules.  (Other test files use numpy as an oracle; this one needs
+    none, and CI runs it on the installed package without numpy.)"""
 
     SCRIPT = (
         "import sys, expsamp, expsamp.cli\n"
@@ -1284,8 +1317,7 @@ class TestNumpyFree:
         monkeypatch.chdir(tmp_path)
         if command == "reconstruct":  # reads the samples that eval emits
             assert main(["eval", *self.COMMANDS["eval"], "--output", "eval.csv"]) == 0
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, command, *self.COMMANDS[command]],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
@@ -1297,8 +1329,7 @@ class TestNumpyFree:
         """Annotations come from collections.abc and ``X | None``, so under
         ``python -S`` (no site module, which may import typing itself) the
         CLI loads without typing."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        script = (f"import sys; sys.path.insert(0, {src!r}); import expsamp.cli; "
+        script = (f"import sys; sys.path.insert(0, {PACKAGE_ROOT!r}); import expsamp.cli; "
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'typing'))")
         proc = subprocess.run([sys.executable, "-S", "-c", script], cwd=tmp_path,
                               capture_output=True, text=True, timeout=60)
@@ -1310,10 +1341,9 @@ class TestModuleEntryPoint:
         """``python -m expsamp`` runs the CLI through ``expsamp.__main__``."""
         from expsamp import __version__
 
-        src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
             [sys.executable, "-m", "expsamp", "--version"], cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT), capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"expsamp {__version__}\n", "")
 

@@ -671,12 +671,13 @@ class TestSampleCsv:
             "# w=2.5\r\nk,mean\r\n-1,1e+16\r\n0,-1.5\r\n1,5e-324\r\n",
             "# w=2.5\nk,mean\n-1,1e+16\n0,-1.5\n1,5e-324",
             "# w=2.5\nk,mean\n-1,1e+16\n\n0,-1.5\n\n\n1,5e-324\n\n",
+            '# w=2.5\n"k","mean"\n"-1","1e+16"\n"0",-1.5\n1,"5e-324"\n',
         ],
-        ids=["crlf", "no-final-newline", "blank-lines"],
+        ids=["crlf", "no-final-newline", "blank-lines", "quoted"],
     )
     def test_read_as_the_plain_file(self, tmp_path, text):
-        """CRLF line ends, a missing final newline and blank lines between
-        rows give the series of the plain LF file."""
+        """CRLF line ends, a missing final newline, blank lines between
+        rows and quoted fields give the series of the plain LF file."""
         plain = "# w=2.5\nk,mean\n-1,1e+16\n0,-1.5\n1,5e-324\n"
         for name, body in (("plain.csv", plain), ("other.csv", text)):
             (tmp_path / name).write_bytes(body.encode())
@@ -717,10 +718,21 @@ class TestSampleCsv:
             # csv refuses a mean of 131,074 characters, over its limit of 131,072
             ("# w=4.0\nk,mean\n0,1.0\n1,0." + "1" * 131072 + "\n",
              "line 4: field larger than field limit (131072)"),
+            ("# w=4.0\n\nk,mean\n0,1.0\n", "line 2: expected header 'k,mean', got []"),
+            ("# w=4.0\n", "line 2: expected header 'k,mean', got None"),
+            # CRLF line ends: each fault is named as in the LF file
+            ("# w=4.0\r\nx,mean\r\n0,1.0\r\n", "line 2: expected header 'k,mean', got ['x', 'mean']"),
+            ("# w=4.0\r\nk,mean\r\nzero,1.0\r\n", "line 3: bad cell index 'zero'"),
+            ("# w=4.0\r\nk,mean\r\n0,1.0\r\n1,abc\r\n", "line 4: bad mean value 'abc'"),
+            ("# w=4.0\r\nk,mean\r\n0,1.0\r\n1,nan\r\n", "line 4: mean value must be finite, got 'nan'"),
+            ("# w=4.0\r\nk,mean\r\n0,1.0,2.0\r\n", "line 3: expected 2 fields, got 3"),
+            ("# w=4.0\r\nk,mean\r\n0,1.0\r\n0,2.0\r\n", "line 4: duplicate cell index k=0"),
         ],
         ids=["bad-rate", "zero-rate", "negative-rate", "nan-rate", "inf-rate",
              "wrong-header", "three-fields", "no-rows", "quoted-line-break", "cr-inside-row",
-             "field-over-limit"],
+             "field-over-limit", "blank-before-header", "no-header", "crlf-wrong-header",
+             "crlf-bad-index", "crlf-bad-mean", "crlf-nan-mean", "crlf-three-fields",
+             "crlf-duplicate"],
     )
     def test_malformed_file_rejected_with_line(self, text, message):
         with pytest.raises(SampleFormatError, match=re.escape(message)):
