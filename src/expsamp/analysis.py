@@ -83,7 +83,7 @@ def sup_norm(g: Callable[[float], float], interval: tuple[float, float]) -> floa
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ValueError(f"sup_norm needs a finite interval with lo <= hi, got [{lo}, {hi}]")
     grid = _linspace(lo, hi, _SUP_POINTS)
-    vals = [abs(g(x)) for x in grid]
+    vals = list(map(abs, map(g, grid)))
     i = max(range(_SUP_POINTS), key=vals.__getitem__)
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, _SUP_POINTS - 1)]
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)

@@ -6,11 +6,13 @@ The Mellin derivative is theta f = x * f'(x); iterating,
     theta^3 f = x f' + 3 x^2 f'' + x^3 f'''
 
 so a function with hand-derived ordinary derivatives up to third order
-yields theta f, theta^2 f, theta^3 f in closed form.  Powers of log x are
-written directly in theta, which maps (log x)^p to p (log x)^(p-1), so the
-terms above need not cancel for them.  The registry below
-holds the functions used in the numerical experiments; ``const:<c>`` is
-parsed dynamically.
+yields theta f, theta^2 f, theta^3 f in closed form.  For the oscillatory
+built-ins each theta^j is one closure: it computes each exp, sin and cos
+it needs once per point and combines them as x f' + ... above, in that
+order.  Powers of log x are written directly in theta, which maps
+(log x)^p to p (log x)^(p-1), so the terms above need not cancel for them.
+The registry below holds the functions used in the numerical experiments;
+``const:<c>`` is parsed dynamically.
 
 The operator averages f(e^u) over cells of the log axis, so each function
 also carries ``f_at_log``, which maps a list of u to the list of f(e^u):
@@ -70,24 +72,6 @@ class TestFunction:
             return self.mellin_derivs[j - 1]
         raise ValueError(f"{self.label}: Mellin derivative of order {j} not available")
 
-    @classmethod
-    def from_derivatives(
-        cls,
-        label: str,
-        f: Real,
-        df: Real,
-        d2f: Real,
-        d3f: Real,
-        eval_interval: tuple[float, float],
-        f_at_log: OnLogAxis | None = None,
-    ) -> "TestFunction":
-        """Build from ordinary derivatives f', f'', f'''."""
-        theta1 = lambda x: x * df(x)
-        theta2 = lambda x: x * df(x) + x * x * d2f(x)
-        theta3 = lambda x: x * df(x) + 3.0 * x * x * d2f(x) + x ** 3 * d3f(x)
-        return cls(f=f, mellin_derivs=(theta1, theta2, theta3), label=label,
-                   eval_interval=eval_interval, f_at_log=f_at_log)
-
 
 def _log_monomial(c: float, p: int, label: str) -> TestFunction:
     """c (log x)^p for p = 0..3, so f(e^u) = c u^p: theta lowers the power
@@ -113,33 +97,58 @@ def _log_monomial(c: float, p: int, label: str) -> TestFunction:
 
 
 def _cos4exp() -> TestFunction:
-    # f(x) = 1 - cos(4 e^x): oscillatory with x as the operator argument
-    f = lambda x: 1.0 - math.cos(4.0 * math.exp(x))
-    df = lambda x: 4.0 * math.exp(x) * math.sin(4.0 * math.exp(x))
-    d2f = lambda x: (4.0 * math.exp(x) * math.sin(4.0 * math.exp(x))
-                     + 16.0 * math.exp(2.0 * x) * math.cos(4.0 * math.exp(x)))
-    d3f = lambda x: (4.0 * math.exp(x) * math.sin(4.0 * math.exp(x))
-                     + 48.0 * math.exp(2.0 * x) * math.cos(4.0 * math.exp(x))
-                     - 64.0 * math.exp(3.0 * x) * math.sin(4.0 * math.exp(x)))
+    # f(x) = 1 - cos(4 e^x), oscillatory with x as the operator argument; with
+    # d1 = f' = 4e^x sin(4e^x), f'' = d1 + 16 e^2x cos(4e^x) and
+    # f''' = d1 + 48 e^2x cos(4e^x) - 64 e^3x sin(4e^x)
+    f = lambda x: 1.0 - cos(4.0 * exp(x))
+
+    def theta1(x: float) -> float:
+        e4 = 4.0 * exp(x)
+        return x * (e4 * sin(e4))
+
+    def theta2(x: float) -> float:
+        e4 = 4.0 * exp(x)
+        d1 = e4 * sin(e4)
+        return x * d1 + x * x * (d1 + 16.0 * exp(2.0 * x) * cos(e4))
+
+    def theta3(x: float) -> float:
+        e4 = 4.0 * exp(x)
+        s, c, e2 = sin(e4), cos(e4), exp(2.0 * x)
+        d1 = e4 * s
+        d2 = d1 + 16.0 * e2 * c
+        d3 = d1 + 48.0 * e2 * c - 64.0 * exp(3.0 * x) * s
+        return x * d1 + 3.0 * x * x * d2 + x ** 3 * d3
+
     # f with exp(u) in place of x: the same operations, so f(exp(u)) bit for bit
     f_at_log = lambda us: [1.0 - cos(4.0 * exp(exp(u))) for u in us]
-    return TestFunction.from_derivatives("cos4exp", f, df, d2f, d3f, (0.5, 1.0), f_at_log)
+    return TestFunction(f, (theta1, theta2, theta3), "cos4exp", (0.5, 1.0), f_at_log)
 
 
 def _sinmix() -> TestFunction:
-    # g(x) = sin(2 pi x) + 2 sin(pi x / 2)
+    # g(x) = sin(2 pi x) + 2 sin(pi x / 2); with a = 2 pi x and b = pi x / 2,
+    # g' = 2pi cos a + pi cos b, g'' = -4pi^2 sin a - pi^2/2 sin b and
+    # g''' = -8pi^3 cos a - pi^3/4 cos b
     pi = math.pi
     two_pi, half_pi = 2.0 * pi, 0.5 * pi  # 2.0 * pi * x is (2.0 * pi) * x: the same floats
-    f = lambda x: math.sin(two_pi * x) + 2.0 * math.sin(half_pi * x)
-    df = lambda x: two_pi * math.cos(two_pi * x) + pi * math.cos(half_pi * x)
-    d2f = lambda x: (-4.0 * pi ** 2 * math.sin(two_pi * x)
-                     - 0.5 * pi ** 2 * math.sin(half_pi * x))
-    d3f = lambda x: (-8.0 * pi ** 3 * math.cos(two_pi * x)
-                     - 0.25 * pi ** 3 * math.cos(half_pi * x))
+    k2a, k2b, k3a, k3b = -4.0 * pi ** 2, 0.5 * pi ** 2, -8.0 * pi ** 3, 0.25 * pi ** 3
+    f = lambda x: sin(two_pi * x) + 2.0 * sin(half_pi * x)
+
+    def theta1(x: float) -> float:
+        return x * (two_pi * cos(two_pi * x) + pi * cos(half_pi * x))
+
+    def theta2(x: float) -> float:
+        a, b = two_pi * x, half_pi * x
+        return x * (two_pi * cos(a) + pi * cos(b)) + x * x * (k2a * sin(a) - k2b * sin(b))
+
+    def theta3(x: float) -> float:
+        a, b = two_pi * x, half_pi * x
+        ca, cb = cos(a), cos(b)
+        d1 = two_pi * ca + pi * cb
+        d2 = k2a * sin(a) - k2b * sin(b)
+        return x * d1 + 3.0 * x * x * d2 + x ** 3 * (k3a * ca - k3b * cb)
 
     f_at_log = lambda us: [sin(two_pi * x) + 2.0 * sin(half_pi * x) for x in map(exp, us)]
-
-    return TestFunction.from_derivatives("sinmix", f, df, d2f, d3f, (0.5 * pi, 4.0), f_at_log)
+    return TestFunction(f, (theta1, theta2, theta3), "sinmix", (0.5 * pi, 4.0), f_at_log)
 
 
 BUILTIN_FUNCTIONS: dict[str, Callable[[], TestFunction]] = {

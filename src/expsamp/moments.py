@@ -28,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .kernels import Kernel
 
@@ -76,10 +77,8 @@ def absolute_moment_at_log(kernel: Kernel, nu: int, log_u: float) -> float:
     """Absolute moment M_nu(chi, u) with u given as log(u); dominates
     |m_nu(chi, u)| pointwise."""
     _check_order(nu)
-    return math.fsum(
-        abs(kernel.eval_log(log_u - k)) * abs(k - log_u) ** nu
-        for k in kernel.window(log_u)
-    )
+    eval_log = kernel.eval_log
+    return math.fsum([abs(eval_log(log_u - k)) * abs(k - log_u) ** nu for k in kernel.window(log_u)])
 
 
 def absolute_moment_sup(kernel: Kernel, nu: int) -> float:
@@ -143,14 +142,17 @@ def _pieces(kernel: Kernel) -> tuple[tuple[float, float], ...]:
     polynomial.
 
     The breakpoints are the fractional parts of the knots and of the zeros
-    where chi changes sign.  Every term |chi(s - k)| |k - s|^nu is then a
+    where chi changes sign, searched for only where some c_i is negative:
+    with every c_i > 0, chi = sum_i c_i B_n(t + a_i) is >= 0 in floats too,
+    since each B_n value is.  Every term |chi(s - k)| |k - s|^nu is then a
     polynomial of degree n - 1 + nu on each piece, since k - s changes sign
     only at integers and |chi| has a kink only where chi changes sign.
 
     They depend on the kernel alone, not on nu, so they are cached per
     kernel object, as ``_absolute_moment_sup_cached`` is.
     """
-    points = [*kernel.log_knots, *_sign_changes(kernel)]
+    signed = any(c < 0 for c, _ in kernel.terms)
+    points = [*kernel.log_knots, *(_sign_changes(kernel) if signed else ())]
     return tuple(itertools.pairwise(_breaks(p - math.floor(p) for p in points)))
 
 
@@ -198,15 +200,17 @@ def _cheb_fit(fn, a: float, b: float, degree: int) -> list[float]:
     degree-``degree`` polynomial interpolating fn at Chebyshev points of
     [a, b]; exact (to round-off) when fn is such a polynomial there."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    values = [fn(mid + half * x) for x in _cheb_points(degree)[0]]
-    return [math.fsum(r * v for r, v in zip(row, values)) for row in _cheb_points(degree)[1]]
+    points, rows = _cheb_points(degree)
+    values = [fn(mid + half * x) for x in points]
+    return [math.fsum(map(mul, row, values)) for row in rows]
 
 
 def _cheb_eval(c: list[float], x: float) -> float:
     """Clenshaw evaluation of sum_k c_k T_k(x)."""
     b1 = b2 = 0.0
-    for ck in reversed(c[1:]):
-        b1, b2 = 2.0 * x * b1 - b2 + ck, b1
+    x2 = 2.0 * x
+    for ck in c[:0:-1]:
+        b1, b2 = x2 * b1 - b2 + ck, b1
     return x * b1 - b2 + c[0]
 
 
@@ -233,7 +237,7 @@ def _cheb_roots(c: list[float]) -> list[float]:
     while n > 1 and c[n - 1] == 0.0:
         n -= 1
     c = c[:n]
-    if n <= 1 or abs(c[0]) > math.fsum(abs(v) for v in c[1:]):
+    if n <= 1 or abs(c[0]) > math.fsum(map(abs, c[1:])):
         return []  # constant, or bounded away from zero on [-1, 1]
     dc = _cheb_derivative(c)
     ends = [-1.0, *_cheb_roots(dc), 1.0]

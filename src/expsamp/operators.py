@@ -444,7 +444,7 @@ def read_sample_csv(src: str | io.TextIOBase) -> SampleSeries:
     if not (w > 0.0 and math.isfinite(w)):
         raise SampleFormatError(f"line 1: rate must be positive and finite, got {first[4:]!r}")
     text = src.read()
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     try:  # in bulk; on any fault, the row reader below meets it first and names its line
         header, means, count = next(reader, None), {}, 0
         for count, (k, v) in enumerate(filter(None, reader), 1):
@@ -453,7 +453,7 @@ def read_sample_csv(src: str | io.TextIOBase) -> SampleSeries:
             return SampleSeries(w=w, means=means, k_range=(min(means), max(means)))
     except (csv.Error, ValueError):
         pass
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     try:  # csv's own faults, such as a field over its size limit, too
         header = next(reader, None)
         if header != ["k", "mean"]:

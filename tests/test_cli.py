@@ -202,6 +202,14 @@ class TestEval:
         assert outputs[0][0] == 0 and outputs[0][1].count("\n") == 86
         assert outputs[1] == outputs[2] == outputs[0]
 
+    def test_unclosed_quote_refused(self, capsys, tmp_path):
+        """A last quoted field that never closes makes a malformed file; it is
+        not read as the value before the end of the file."""
+        samples = tmp_path / "s.csv"
+        samples.write_text('# w=4.0\nk,mean\n0,"1.0\n')
+        assert run(capsys, "reconstruct", "--kernel", "bspline:1", "--samples", str(samples),
+                   "--x", "1") == (1, "", "expsamp: error: line 3: unexpected end of data\n")
+
     def test_emit_computes_each_cell_once(self, capsys, tmp_path, monkeypatch):
         """With --emit-samples the grid is read from the emitted series, so
         every cell is computed once: 421 cells x 7 nodes, each node u
