@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -40,10 +40,10 @@ __all__ = [
 MAX_ORDER = 10
 _ORDERS = {str(n): n for n in range(1, MAX_ORDER + 1)}  # the one spelling of each order
 
-# Largest float spacing ulp(t) allowed at a window position t = w*log(x).
-# The kernel weights are read at the offsets t - k, which carry only
-# t's fractional part; from |t| >= 2^23 on it is known to no better than
-# ulp(t) >= 2^-29 > 1e-9, and at |t| >= 2^52 it is gone altogether.
+# Largest float spacing allowed at a window position t = w*log(x) and at a
+# term's shift a_i.  The kernel weights are read at t - k + a_i, whose
+# fraction they depend on; from 2^23 on a float is known to no better than
+# ulp >= 2^-29 > 1e-9, and from 2^52 its fraction is gone altogether.
 WINDOW_ULP_TOL = 1e-9
 
 # Largest |c1| + |c2| a combo may have.  The coefficients grow as the two
@@ -51,14 +51,6 @@ WINDOW_ULP_TOL = 1e-9
 # size times the rounding of the weights: |m_0 - 1| reached 4.4e-13 at a
 # sum of 2.77e3, 5.8e-12 at 2.77e4 and 0.65 at 6.2e15.
 MAX_COMBO_COEFFICIENT_SUM = 1000
-
-# Largest |log alpha| and |log beta| a combo may have.  The support spans
-# |log alpha - log beta|, and every moment and operator sum walks a window
-# that wide.  One-shot CLI calls on a 2-CPU VM, CPython 3.11: at the cap,
-# ``kernel-info`` and ``moments --nu-max 8`` take 0.2-0.3 s, and 0.5 s for
-# combo:10:e^-1000:e^1000; ``kernel-info`` took 6.7 s at e^1e5 and never
-# ended at e^1e300.  A decimal factor's log is always within the cap.
-MAX_TRANSLATE_LOG = 1000
 
 
 class KernelSpecError(ValueError):
@@ -80,7 +72,7 @@ class Kernel:
     possibly repeated, the knots j - n/2 - a_i of every term; between
     consecutive knots eval_log is a polynomial of degree at most n - 1, and
     outside the end knots it is exactly 0.0.  The log-support, the
-    summation window and the exact moment sup all come from them.  And
+    window's ``spans`` and the exact moment sup all come from them.  And
     ``mellin_transform_derivs``, the transform's derivatives.
 
     Instances are immutable and compare by identity, so they are safe to
@@ -92,11 +84,16 @@ class Kernel:
     order: int
     terms: tuple[tuple[Fraction, Fraction], ...]
     log_knots: tuple[float, ...] = field(init=False)
+    spans: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.order
         knots = sorted(j - 0.5 * n - float(a) for _, a in self.terms for j in range(n + 1))
         object.__setattr__(self, "log_knots", tuple(knots))
+        # two terms shifted more than n + 2 apart share no window position
+        split = len(self.terms) == 2 and abs(self.terms[0][1] - self.terms[1][1]) > n + 2
+        spans = (knots[n + 1], knots[-1], knots[0], knots[n]) if split else (knots[0], knots[-1])
+        object.__setattr__(self, "spans", spans)
 
     def mellin_transform_derivs(self, j: int, t: float) -> complex:
         """The j-th derivative in t of the transform phi(t) = integral of
@@ -119,16 +116,18 @@ class Kernel:
         """The closed interval [a, b] spanned by the end knots."""
         return self.log_knots[0], self.log_knots[-1]
 
-    def window(self, t: float) -> range:
-        """Integers k with t - k in the log-support, widened by one on each
-        side: ceil(t - b) - 1 .. floor(t - a) + 1.
+    def window(self, t: float) -> Sequence[int]:
+        """Integers k with t - k in a span [a, b], widened by one on each
+        side: ceil(t - b) - 1 .. floor(t - a) + 1.  The one span is the
+        log-support, or, where two terms share no k, each term's own
+        support, the higher first: then both ranges, ascending, each k once.
 
         Every sum over k of eval_log(t - k), in the operator and in the
-        moments, runs over this range.  The widening absorbs the rounding of
-        t - k at the support ends; the extra terms evaluate to exactly 0.
-        Raises ValueError for a non-finite t, and for one whose spacing
-        ulp(t) exceeds WINDOW_ULP_TOL, where t - k has lost the fractional
-        part the kernel weights depend on.
+        moments, runs over these k.  The widening absorbs the rounding of
+        t - k at the span ends; the extra terms, and the k between split
+        spans, evaluate to exactly 0.  Raises ValueError for a non-finite
+        t, and for one whose spacing ulp(t) exceeds WINDOW_ULP_TOL, where
+        t - k has lost the fractional part the kernel weights depend on.
         """
         if not math.ulp(t) <= WINDOW_ULP_TOL:  # NaN and inf included
             if not math.isfinite(t):
@@ -137,10 +136,11 @@ class Kernel:
                 f"w*log(x) = {t!r} is too large: its float spacing {math.ulp(t):.3g} "
                 f"exceeds {WINDOW_ULP_TOL:g}, so its fractional part is lost"
             )
-        # the end knots read directly: going through the log_support property
-        # adds a call to every window on the operator's hot path
-        knots = self.log_knots
-        return range(math.ceil(t - knots[-1]) - 1, math.floor(t - knots[0]) + 2)
+        spans = self.spans
+        first = range(math.ceil(t - spans[1]) - 1, math.floor(t - spans[0]) + 2)
+        if len(spans) == 2:
+            return first
+        return [*first, *range(max(first.stop, math.ceil(t - spans[3]) - 1), math.floor(t - spans[2]) + 2)]
 
 
 @lru_cache(maxsize=MAX_ORDER)
@@ -297,8 +297,9 @@ def _scale_repr(log_scale: Fraction) -> str:
 def _parse_log_scale(token: str) -> Fraction:
     """Log of a translate factor given as ``e^<rational>`` (kept exact) or
     as a decimal literal (the float log, itself an exact rational).  The
-    log must be a finite float, at most MAX_TRANSLATE_LOG in size: the
-    kernel shifts its argument by it."""
+    kernel shifts its argument by the float log, which must keep its
+    fraction as a window position does: |log| < 2^23, where its spacing is
+    at most WINDOW_ULP_TOL.  A decimal factor's log always does."""
     if token.startswith("e^"):
         try:
             log_scale = Fraction(token[2:])
@@ -306,11 +307,10 @@ def _parse_log_scale(token: str) -> Fraction:
             raise KernelSpecError(f"bad exponent in scale factor {token!r}: {exc}") from None
         if abs(log_scale) > sys.float_info.max:  # exact: Fraction against float
             raise KernelSpecError(f"scale factor {token!r} has a log beyond the float range")
-        if abs(log_scale) > MAX_TRANSLATE_LOG:
+        if not math.ulp(shift := float(log_scale)) <= WINDOW_ULP_TOL:
             raise KernelSpecError(
-                f"scale factor {token!r} has |log| = {float(abs(log_scale)):g}, more than "
-                f"the {MAX_TRANSLATE_LOG} allowed: the support, and every sum over it, "
-                f"grows with it"
+                f"scale factor {token!r} has log {shift!r}, too large: its float spacing "
+                f"{math.ulp(shift):.3g} exceeds {WINDOW_ULP_TOL:g}, so its fractional part is lost"
             )
         return log_scale
     try:
@@ -333,8 +333,8 @@ def parse_kernel_spec(text: str) -> Kernel:
     * ``bspline:<n>`` with n written as one of the numerals 1 to 10, and no other way
     * ``combo:<n>:<alpha>:<beta>`` where alpha/beta are decimal literals or
       ``e^<rational>`` (the exponent is stored exactly, not as a float),
-      positive, with |log alpha|, |log beta| <= MAX_TRANSLATE_LOG, and far
-      enough apart that |c1| + |c2| <= MAX_COMBO_COEFFICIENT_SUM
+      positive, with |log alpha|, |log beta| < 2^23 (``_parse_log_scale``),
+      and far enough apart that |c1| + |c2| <= MAX_COMBO_COEFFICIENT_SUM
     """
     family, *fields = text.split(":")
     if family not in _SPEC_FIELDS:

@@ -12,9 +12,9 @@ on the log axis itself, or, where that is c u^p
 cell, with one ``f_at_log`` call on its nodes; a sample series
 (``SampleSeries.from_function``) computes its cells in blocks of 64, with
 one call on the nodes of a whole block, and gives the same floats.  Compact
-kernel support makes the sum finite: it runs over
-``Kernel.window(w*log(x))``, the k with w*log(x) - k inside the
-log-support, widened by one on each side.
+kernel support makes the sum finite: it runs over ``Kernel.window(w*log(x))``,
+the k with w*log(x) - k in the log-support, or in each term's own support
+where two terms lie far apart, widened by one on each side.
 
 The sum is written once, in ``_apply_with_cache``, which takes the cell
 averages as a callable k -> mean and asks it only where the kernel weight is

@@ -81,7 +81,7 @@ class TestKernelInfo:
         [("combo:3:nan:2", "scale factor must be positive and finite, got 'nan'"),
          ("combo:3:1e400:2", "scale factor must be positive and finite, got '1e400'"),
          ("combo:3:e^1e400:2", "scale factor 'e^1e400' has a log beyond the float range"),
-         ("combo:3:e^1e300:e^2", "scale factor 'e^1e300' has |log| = 1e+300, more than the 1000 allowed"),
+         ("combo:3:e^1e300:e^2", "scale factor 'e^1e300' has log 1e+300, too large: its float spacing"),
          ("combo:3:2:2.0000000000000004", "translate factors 2 and 2.0000000000000004 are too close"),
          ("combo:3:abc:e^2", "bad scale factor 'abc': not a decimal or e^<rational>")],
     )
@@ -89,6 +89,47 @@ class TestKernelInfo:
         code, out, err = run(capsys, "kernel-info", "--kernel", spec)
         assert (code, out) == (1, "")
         assert err.startswith(f"expsamp: error: {message}")
+
+
+WIDEST = "combo:6:e^-8388607:e^8388607"  # the largest shifts a kernel may have
+
+
+class TestWidestShift:
+    """Each request on the widest kernel costs what a narrow one does: the
+    sums walk the two terms' windows, not the 16.8 million positions
+    between them.  Each answers in under 1 s, or exits 1 with a message:
+    where a cell leaves the float range, an emitted series spans the gap,
+    a sample is missing or w*log(x) reaches 2^23."""
+
+    @pytest.mark.parametrize("code, argv", [
+        pytest.param(0, ("kernel-info", "--nu-max", "8"), id="kernel-info"),
+        pytest.param(0, ("moments", "--nu-max", "8", "--u", "1.5", "--format", "json"), id="moments"),
+        pytest.param(0, ("eval", "--fn", "sinmix", "--w", "2e7", "--x", "1.1:1.5:0.01"), id="eval"),
+        pytest.param(1, ("eval", "--fn", "log2", "--w", "20", "--x", "1:2:0.1"), id="eval-cell-range"),
+        pytest.param(1, ("eval", "--fn", "log2", "--w", "2e7", "--x", "1.5",
+                         "--emit-samples", "e.csv"), id="eval-emit-cap"),
+        pytest.param(1, ("reconstruct", "--samples", "s.csv", "--x", "1.5"), id="reconstruct-missing"),
+        pytest.param(0, ("table", "--fn", "log2", "--x", "1.2,1.3", "--w", "1e7", "--p", "2"), id="table"),
+        pytest.param(1, ("converge", "--fn", "log2", "--w-list", "1e6,2e6,4e6,8e6,1.6e7",
+                         "--p", "1"), id="converge-position"),
+        pytest.param(0, ("voronovskaya", "--fn", "log3", "--x", "1.5", "--w-list", "1e6,2e6,4e6,8e6",
+                         "--p", "1"), id="voronovskaya"),
+        pytest.param(0, ("bounds", "--fn", "log2", "--w", "2e7", "--x", "1.5", "--check", "moment",
+                         "--r", "2"), id="bounds-moment"),
+        pytest.param(0, ("bounds", "--fn", "log2", "--w", "1e7", "--x", "1.2", "--check", "combo",
+                         "--p", "2"), id="bounds-combo"),
+    ])
+    def test_answers_fast_or_refuses(self, capsys, tmp_path, monkeypatch, code, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("s.csv").write_text("# w=4.0\nk,mean\n0,1.0\n1,1.0\n")
+        command, *flags = argv
+        start = time.perf_counter()
+        result = run(capsys, command, "--kernel", WIDEST, *flags)
+        assert time.perf_counter() - start < 1.0
+        if code == 0:
+            assert result[0] == 0 and result[1] and not result[2]
+        else:
+            assert result[:2] == (1, "") and result[2].startswith("expsamp: error: ")
 
 
 class TestMoments:
@@ -787,7 +828,8 @@ class TestExactFlags:
         assert run(capsys, command, *self.ACCEPTED[command], "--output", "out.txt") == (0, "", "")
         assert Path("out.txt").read_text()
 
-    @pytest.mark.parametrize("command, prefix", _abbreviations(), ids=" ".join)
+    @pytest.mark.parametrize("command, prefix",
+                             [pytest.param(*case, id=" ".join(case)) for case in _abbreviations()])
     def test_abbreviation_refused(self, capsys, tmp_path, monkeypatch, command, prefix):
         """The prefix stands after a request that succeeds, with the value its
         flag was given there; with prefix matching on, the request would still

@@ -1,5 +1,6 @@
 """Kernel family tests: spline values, transforms, translated combinations."""
 
+import bisect
 import dataclasses
 import math
 import random
@@ -13,14 +14,14 @@ import pytest
 import exact
 from expsamp.kernels import (
     MAX_ORDER,
-    MAX_TRANSLATE_LOG,
     WINDOW_ULP_TOL,
     Kernel,
     KernelSpecError,
     _piece_table,
     parse_kernel_spec,
 )
-from expsamp.moments import algebraic_moment_at_log
+from expsamp.moments import absolute_moment_at_log, algebraic_moment_at_log, kantorovich_bracket_at_log
+from expsamp.operators import _apply_with_cache
 
 ALL_TEST_KERNELS = [
     parse_kernel_spec("bspline:1"),
@@ -335,6 +336,130 @@ class TestWindow:
                 kernel.window(t)
 
 
+# (symmetric, one-sided) shift pairs of combo:<n>:<alpha>:<beta>: exact
+# logs +-a and a, a/2 for a = 7/2, 1000 and 8388607 = 2^23 - 1, the largest
+# allowed, and decimal-born factors, whose logs are the floats of log(1e-300)
+# and so on.  The one-sided 7/2 pair never splits; from a = 1000 on every
+# order does.
+SPLIT_PAIRS = {
+    "7/2": ("e^-7/2:e^7/2", "e^7/2:e^7/4"),
+    "decimal": ("1e-300:1e300", "1e-300:1e-150"),
+    "1000": ("e^-1000:e^1000", "e^1000:e^500"),
+    "8388607": ("e^-8388607:e^8388607", "e^8388607:e^8388607/2"),
+}
+SPLIT_SPECS = [f"combo:{n}:{pair}" for pairs in SPLIT_PAIRS.values() for pair in pairs
+               for n in range(1, MAX_ORDER + 1)]
+
+
+def _split_draws(spec: str, count: int):
+    """``count`` seeded (x, w, t = w*log(x), mean, nu, i) for the sums of
+    one kernel: |t| up to about 3000, a cell mean k -> sin(0.37k + phase),
+    a moment order nu in 0..8 and a bracket order i in 0..6."""
+    rng = random.Random(spec)
+    for _ in range(count):
+        x, w = math.exp(rng.uniform(-10.0, 10.0)), rng.uniform(1.0, 300.0)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        yield (x, w, w * math.log(x), lambda k, p=phase: math.sin(0.37 * k + p),
+               rng.randrange(9), rng.randrange(7))
+
+
+def _sums_over(kernel: Kernel, t: float, ks, mean, nu: int, i: int) -> tuple[float, ...]:
+    """The operator sum, m_nu, M_nu and the order-i bracket at t, written
+    out over the positions ks."""
+    weights = [(k, kernel.eval_log(t - k)) for k in ks]
+    return (
+        math.fsum([weight * mean(k) for k, weight in weights if weight != 0.0]),
+        math.fsum(weight * (k - t) ** nu for k, weight in weights),
+        math.fsum(abs(weight) * abs(k - t) ** nu for k, weight in weights),
+        math.fsum(weight * ((k + 1 - t) ** (i + 1) - (k - t) ** (i + 1)) for k, weight in weights),
+    )
+
+
+def _library_sums(kernel: Kernel, x: float, w: float, t: float, mean, nu: int, i: int) -> tuple[float, ...]:
+    return (_apply_with_cache(kernel, w, x, mean), algebraic_moment_at_log(kernel, nu, t),
+            absolute_moment_at_log(kernel, nu, t), kantorovich_bracket_at_log(kernel, i, t))
+
+
+def _hull(kernel: Kernel, t: float) -> range:
+    a, b = kernel.log_support
+    return range(math.ceil(t - b) - 1, math.floor(t - a) + 2)
+
+
+def _term_positions(kernel: Kernel, t: float) -> list[int]:
+    """The k of the hull where some term's argument (t - k) + a_i, rounded
+    as eval_log rounds it, lies in [-n/2, n/2]: every k whose weight can be
+    nonzero.  Rounding is monotone, so for each term they form one run of
+    the hull, found by bisection."""
+    hull, half = _hull(kernel, t), 0.5 * kernel.order
+    found = set()
+    for _, a in kernel.terms:
+        shift = float(a)
+        start = bisect.bisect_left(hull, True, key=lambda k: (t - k) + shift <= half)
+        stop = bisect.bisect_left(hull, True, key=lambda k: (t - k) + shift < -half)
+        found.update(hull[start:stop])
+    return sorted(found)
+
+
+class TestSplitWindow:
+    """Where two terms share no window position, ``window`` walks each
+    term's own span; every sum is the one over the whole knot hull."""
+
+    @pytest.mark.parametrize("spec", [s for s in SPLIT_SPECS if "8388607" not in s])
+    def test_sums_equal_hull_sums(self, spec):
+        """The operator sum, m_nu, M_nu and the bracket equal, bit for bit,
+        the same sums written out over the hull range, 20 seeded t per
+        kernel, 200 per shift pair over the ten orders."""
+        kernel = parse_kernel_spec(spec)
+        for x, w, t, mean, nu, i in _split_draws(spec, 20):
+            assert _library_sums(kernel, x, w, t, mean, nu, i) == _sums_over(
+                kernel, t, _hull(kernel, t), mean, nu, i)
+
+    @pytest.mark.parametrize("spec", [s for s in SPLIT_SPECS if "8388607" in s])
+    def test_sums_at_the_shift_limit(self, spec):
+        """At a = 2^23 - 1 the hull holds up to 16.8 million positions, too
+        many to walk; the sums are written out over the positions where a
+        term can be nonzero (the rest of the hull adds exact zeros)."""
+        kernel = parse_kernel_spec(spec)
+        for x, w, t, mean, nu, i in _split_draws(spec, 20):
+            assert _library_sums(kernel, x, w, t, mean, nu, i) == _sums_over(
+                kernel, t, _term_positions(kernel, t), mean, nu, i)
+
+    @pytest.mark.parametrize("spec", SPLIT_SPECS)
+    def test_positions_ascending_distinct_and_covering(self, spec):
+        """The k are strictly ascending, inside the hull, and hold every k
+        whose weight can be nonzero; the window is one range unless the
+        shifts differ by more than n + 2."""
+        kernel = parse_kernel_spec(spec)
+        (_, a1), (_, a2) = kernel.terms
+        for _, _, t, _, _, _ in _split_draws(spec, 20):
+            window, hull = kernel.window(t), _hull(kernel, t)
+            assert isinstance(window, range) == (abs(a1 - a2) <= kernel.order + 2)
+            assert all(p < q for p, q in zip(window, window[1:]))
+            assert hull[0] <= window[0] and window[-1] <= hull[-1]
+            assert set(_term_positions(kernel, t)) <= set(window)
+
+    def test_splits_exactly_past_a_gap_of_n_plus_2(self):
+        assert parse_kernel_spec("combo:2:e^-2:e^2").spans == (-3.0, 3.0)
+        assert isinstance(parse_kernel_spec("combo:2:e^-2:e^2").window(0.3), range)
+        split = parse_kernel_spec("combo:2:e^-2:e^21/10")
+        assert split.spans == (1.0, 3.0, -3.1, -1.1)
+        assert split.window(0.3) == [-3, -2, -1, 0, 1, 2, 3, 4]
+        assert parse_kernel_spec("combo:6:e^-1000:e^1000").window(0.5) == [
+            *range(-1003, -995), *range(997, 1005)]
+        # a gap of n + 2 + 1e-30 splits, but its float shifts 1.0 and 5.0 do
+        # not: the two ranges meet at k = 3, which is listed once
+        touching = parse_kernel_spec(f"combo:2:e^1:e^{5 * 10 ** 30 + 1}/{10 ** 30}")
+        assert touching.spans == (-2.0, 0.0, -6.0, -4.0)
+        assert touching.window(0.0) == list(range(-1, 8))
+
+    @pytest.mark.parametrize("spec", [*(f"bspline:{n}" for n in range(1, MAX_ORDER + 1)),
+                                      "combo:4:e^1:e^2", "combo:3:e^1/2:e^3/2"])
+    def test_splines_and_workload_combos_keep_one_range(self, spec):
+        kernel = parse_kernel_spec(spec)
+        assert kernel.spans == kernel.log_support
+        assert all(isinstance(kernel.window(t), range) for t in (-3000.5, -0.25, 0.0, 7.75, 4e6))
+
+
 class TestPiecewisePolynomial:
     def test_knots(self):
         b4 = parse_kernel_spec("bspline:4")
@@ -547,17 +672,20 @@ class TestSpecParsing:
             with pytest.raises(KernelSpecError, match=re.escape(repr(token))):
                 parse_kernel_spec(spec)
 
-    @pytest.mark.parametrize("token, size", [("e^1001", "1001"), ("e^-3000", "3000"),
-                                             ("e^1e300", "1e+300"), ("e^-2001/2", "1000.5")])
-    def test_translate_log_capped(self, token, size):
-        """|log alpha| and |log beta| above MAX_TRANSLATE_LOG are refused at
-        parse time, naming the factor and the cap: every sum walks the
-        support, and at e^1e300 kernel-info never ended."""
+    @pytest.mark.parametrize("token, log, spacing", [("e^8388608", "8388608.0", "1.86e-09"),
+                                                     ("e^-8388608", "-8388608.0", "1.86e-09"),
+                                                     ("e^1e300", "1e+300", "1.49e+284")])
+    def test_translate_log_precision(self, token, log, spacing):
+        """A shift is refused at parse time by the rule the window applies to
+        t: from |log| = 2^23 on, its float spacing exceeds WINDOW_ULP_TOL.
+        The factor and the spacing are named."""
         for spec in (f"combo:3:{token}:e^2", f"combo:3:e^2:{token}"):
             with pytest.raises(KernelSpecError, match=re.escape(
-                    f"scale factor {token!r} has |log| = {size}, more than the "
-                    f"{MAX_TRANSLATE_LOG} allowed")):
+                    f"scale factor {token!r} has log {log}, too large: its float spacing "
+                    f"{spacing} exceeds {WINDOW_ULP_TOL:g}, so its fractional part is lost")):
                 parse_kernel_spec(spec)
+        assert math.ulp(8388607.0) <= WINDOW_ULP_TOL < math.ulp(8388608.0)
+        assert parse_kernel_spec("combo:3:e^8388607:e^-8388607").log_support == (-8388608.5, 8388608.5)
         assert parse_kernel_spec("combo:3:e^1000:e^-1000").log_support == (-1001.5, 1001.5)
 
     @pytest.mark.parametrize(

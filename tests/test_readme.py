@@ -1,5 +1,6 @@
 """The README's Python session runs as written and shows what it says."""
 
+import importlib
 import math
 import re
 from fractions import Fraction
@@ -35,3 +36,15 @@ def test_python_session():
     assert single == apply(f, kernel, OperatorConfig(w=30.0), 2.6)
     i_60 = apply(f, kernel, OperatorConfig(w=60.0), 2.6)
     assert combo == math.fsum([-single, 2 * i_60])
+
+
+def test_limits_table_names_live_constants():
+    """Each row of the README's limits table names a constant, ``module.NAME``,
+    that its ``expsamp`` module still defines: a retired limit cannot keep
+    its row."""
+    table = re.search(r"\| limit \| value \| message \|\n\| -+ \| -+ \| -+ \|\n((?:\|.*\n)+)",
+                      README.read_text()).group(1)
+    names = [re.match(r"\| `(\w+)\.(\w+)` \|", row).groups() for row in table.splitlines()]
+    assert len(names) >= 6
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"expsamp.{module}"), name), f"{module}.{name}"
